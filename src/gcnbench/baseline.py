@@ -49,13 +49,12 @@ def logreg_loss_grad(W, b, X, y, weight_decay: float = 0.0):
     return value, X.T @ G + weight_decay * W, G.sum(axis=0)
 
 
-def train_logreg(X_l, y_l, C: int, hp: Hyperparams | None = None) -> tuple[LogRegModel, list[float]]:
+def train_logreg(X_l, y_l, C: int, hp: Hyperparams = LOGREG_DEFAULTS) -> tuple[LogRegModel, list[float]]:
     """Fit W, b by full-batch gradient descent from zero initialization.
 
     Returns the model and the loss trace (epochs+1 entries, initial first).
     Deterministic: the convex objective makes the zero start canonical.
     """
-    hp = LOGREG_DEFAULTS if hp is None else hp
     X_l = np.asarray(X_l, dtype=np.float64)
     y_l = np.asarray(y_l, dtype=np.int64)
     if X_l.ndim != 2 or len(X_l) < 1:

@@ -27,32 +27,22 @@ FORMAT = "model-checkpoint"
 VERSION = 1
 
 
+def _dims(model) -> dict:
+    if isinstance(model, GcnModel):
+        return dict(zip(("in", "hidden", "classes"), model.dims))
+    return {"in": model.W.shape[0], "classes": model.W.shape[1]}
+
+
 def save_checkpoint(model, path, hyperparams: Hyperparams | None = None) -> None:
     """Serialize a trained GCN or logistic-regression model."""
-    hp = None if hyperparams is None else asdict(hyperparams)
     if isinstance(model, GcnModel):
-        L1, L2, C = model.dims
-        payload = {
-            "format": FORMAT,
-            "version": VERSION,
-            "kind": "gcn",
-            "dims": {"in": L1, "hidden": L2, "classes": C},
-            "hyperparams": hp,
-            "theta1": model.theta1.tolist(),
-            "theta2": model.theta2.tolist(),
-        }
+        kind, params = "gcn", {"theta1": model.theta1.tolist(), "theta2": model.theta2.tolist()}
     elif isinstance(model, LogRegModel):
-        payload = {
-            "format": FORMAT,
-            "version": VERSION,
-            "kind": "logreg",
-            "dims": {"in": model.W.shape[0], "classes": model.W.shape[1]},
-            "hyperparams": hp,
-            "weights": model.W.tolist(),
-            "bias": model.b.tolist(),
-        }
+        kind, params = "logreg", {"weights": model.W.tolist(), "bias": model.b.tolist()}
     else:
         raise ValueError(f"cannot checkpoint {type(model).__name__}")
+    payload = {"format": FORMAT, "version": VERSION, "kind": kind, "dims": _dims(model),
+               "hyperparams": None if hyperparams is None else asdict(hyperparams), **params}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
@@ -61,14 +51,21 @@ def load_checkpoint(path):
     """Read a checkpoint; returns (model, metadata dict with kind/dims/hyperparams)."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    if payload.get("format") != FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != FORMAT:
         raise ValueError(f"not a model checkpoint: {path}")
     if payload.get("version") != VERSION:
         raise ValueError(f"unsupported checkpoint version {payload.get('version')!r}")
     kind = payload.get("kind")
     meta = {"kind": kind, "dims": payload.get("dims"), "hyperparams": payload.get("hyperparams")}
-    if kind == "gcn":
-        return GcnModel(theta1=payload["theta1"], theta2=payload["theta2"]), meta
-    if kind == "logreg":
-        return LogRegModel(W=payload["weights"], b=payload["bias"]), meta
-    raise ValueError(f"unknown checkpoint kind {kind!r}")
+    try:
+        if kind == "gcn":
+            model = GcnModel(theta1=payload["theta1"], theta2=payload["theta2"])
+        elif kind == "logreg":
+            model = LogRegModel(W=payload["weights"], b=payload["bias"])
+        else:
+            raise ValueError(f"unknown checkpoint kind {kind!r}")
+    except KeyError as exc:
+        raise ValueError(f"{kind} checkpoint lacks parameter {exc}") from None
+    if _dims(model) != meta["dims"]:
+        raise ValueError(f"checkpoint dims {meta['dims']} contradict its parameters {_dims(model)}")
+    return model, meta

@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from . import checkpoint, harness
-from .baseline import predict_logreg, train_logreg
-from .dataset import build_label_matrix, full_truth, load_dataset, make_split, save_dataset, synth_blobs
-from .gcn import Hyperparams, forward, init_model, predict, train
-from .graph import GraphBuildConfig, build_graph, load_graph, normalize, save_graph
+from .dataset import full_truth, load_dataset, make_split, save_dataset, synth_blobs
+from .graph import METHODS, METRICS, GraphBuildConfig, build_graph, load_graph, normalize, save_graph
 from .harness import accuracy
 
 
@@ -27,30 +26,30 @@ def _build_parser():
     p.add_argument("--n", type=int, required=True, help="number of points")
     p.add_argument("--d", type=int, required=True, help="embedding dimension")
     p.add_argument("--classes", type=int, required=True, help="class count")
-    p.add_argument("--sep", type=float, default=6.0, help="center separation")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--sep", type=float, default=None, help="center separation")
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="output CSV path")
 
     p = sub.add_parser("build-graph", help="build a similarity graph from an embedding CSV")
     p.add_argument("--data", required=True, help="embedding CSV path")
-    p.add_argument("--method", choices=["knn", "epsilon", "full"], default="knn")
-    p.add_argument("--k", type=int, default=5, help="neighbor count for knn")
+    p.add_argument("--method", choices=METHODS, default=None)
+    p.add_argument("--k", type=int, default=None, help="neighbor count for knn")
     p.add_argument("--eps", type=float, default=None, help="distance threshold for epsilon")
-    p.add_argument("--metric", choices=["euclidean", "cosine"], default="euclidean")
+    p.add_argument("--metric", choices=METRICS, default=None)
     p.add_argument("--out", required=True, help="output edge-list path")
 
     p = sub.add_parser("train", help="train one model on a labeled split and save a checkpoint")
     p.add_argument("--data", required=True, help="embedding CSV path (needs labels)")
     p.add_argument("--graph", default=None, help="edge-list path (required for gcn)")
-    p.add_argument("--model", choices=["gcn", "logreg"], default="gcn")
+    p.add_argument("--model", choices=harness.MODEL_NAMES, default="gcn")
     p.add_argument("--labeled", type=int, required=True, help="label budget l")
     p.add_argument("--seed", type=int, default=0, help="split seed")
     p.add_argument("--uniform", action="store_true", help="uniform instead of stratified split")
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--hidden", type=int, default=16, help="gcn hidden width")
+    p.add_argument("--hidden", type=int, default=None, help="gcn hidden width")
     p.add_argument("--weight-decay", type=float, default=None)
-    p.add_argument("--model-seed", type=int, default=0, help="gcn initialization seed")
+    p.add_argument("--model-seed", type=int, default=None, help="gcn initialization seed")
     p.add_argument("--out", required=True, help="checkpoint path")
 
     p = sub.add_parser("experiment", help="run a label-budget sweep from a JSON config")
@@ -66,59 +65,44 @@ def _build_parser():
     return parser
 
 
-def _hyperparams(args, model):
-    if model == "gcn":
-        hp = Hyperparams(seed=args.model_seed, hidden=args.hidden)
-    else:
-        hp = Hyperparams(lr=0.5, epochs=500, weight_decay=1e-4)
-    if args.lr is not None:
-        hp.lr = args.lr
-    if args.epochs is not None:
-        hp.epochs = args.epochs
-    if args.weight_decay is not None:
-        hp.weight_decay = args.weight_decay
-    return hp
+def _given(**options):
+    return {name: value for name, value in options.items() if value is not None}
 
 
 def _cmd_synth(args):
-    ds = synth_blobs(n=args.n, d=args.d, C=args.classes, sep=args.sep, seed=args.seed)
+    ds = synth_blobs(n=args.n, d=args.d, C=args.classes, **_given(sep=args.sep, seed=args.seed))
     save_dataset(ds, args.out)
     print(f"wrote {args.out}: n={ds.n} d={ds.L1} classes={ds.C}")
 
 
 def _cmd_build_graph(args):
-    cfg = GraphBuildConfig(method=args.method, k=args.k, eps=args.eps, metric=args.metric)
+    cfg = GraphBuildConfig(**_given(method=args.method, k=args.k, eps=args.eps, metric=args.metric))
     ds = load_dataset(args.data)
     A = build_graph(ds, cfg)
     save_graph(A, args.out)
     print(f"wrote {args.out}: n={A.n} edges={A.num_edges}")
 
 
-def _fit(args, ds, S):
-    split = make_split(ds, args.labeled, seed=args.seed, stratified=not args.uniform)
-    hp = _hyperparams(args, args.model)
-    if args.model == "gcn":
-        model = init_model(ds.L1, hp.hidden, ds.C, hp.seed)
-        trained, trace = train(model, S, ds.X, build_label_matrix(ds, split), split.labeled, hp)
-        pred = predict(forward(trained, S, ds.X))
-    else:
-        truth = full_truth(ds)
-        trained, trace = train_logreg(ds.X[split.labeled], truth[split.labeled], ds.C, hp)
-        pred = predict_logreg(trained, ds.X)
-    return split, hp, trained, trace, pred
+def _propagation(args, ds, model_name, task):
+    """The normalized --graph for a model that needs one, else None."""
+    if model_name not in harness.GRAPH_MODELS:
+        return None
+    if args.graph is None:
+        raise ValueError(f"{task} needs --graph")
+    A = load_graph(args.graph)
+    if A.n != ds.n:
+        raise ValueError(f"graph has {A.n} nodes, dataset has {ds.n}")
+    return normalize(A)
 
 
 def _cmd_train(args):
     ds = load_dataset(args.data)
-    S = None
-    if args.model == "gcn":
-        if args.graph is None:
-            raise ValueError("gcn training needs --graph")
-        A = load_graph(args.graph)
-        if A.n != ds.n:
-            raise ValueError(f"graph has {A.n} nodes, dataset has {ds.n}")
-        S = normalize(A)
-    split, hp, trained, trace, pred = _fit(args, ds, S)
+    S = _propagation(args, ds, args.model, "gcn training")
+    split = make_split(ds, args.labeled, seed=args.seed, stratified=not args.uniform)
+    hp = replace(harness.DEFAULT_HYPERPARAMS[args.model],
+                 **_given(lr=args.lr, epochs=args.epochs, weight_decay=args.weight_decay,
+                          hidden=args.hidden, seed=args.model_seed))
+    trained, trace, pred = harness.fit_predict(args.model, ds, S, split, hp)
     checkpoint.save_checkpoint(trained, args.out, hyperparams=hp)
     print(f"wrote {args.out}: final loss {trace[-1]:.6f}")
     if len(split.unlabeled) and ds.truth is not None:
@@ -149,15 +133,8 @@ def _cmd_eval(args):
     model, meta = checkpoint.load_checkpoint(args.checkpoint)
     ds = load_dataset(args.data)
     truth = full_truth(ds)
-    if meta["kind"] == "gcn":
-        if args.graph is None:
-            raise ValueError("evaluating a gcn checkpoint needs --graph")
-        A = load_graph(args.graph)
-        if A.n != ds.n:
-            raise ValueError(f"graph has {A.n} nodes, dataset has {ds.n}")
-        pred = predict(forward(model, normalize(A), ds.X))
-    else:
-        pred = predict_logreg(model, ds.X)
+    S = _propagation(args, ds, meta["kind"], "evaluating a gcn checkpoint")
+    pred = harness.predict_nodes(model, ds.X, S)
     print(f"accuracy: {accuracy(pred, truth):.2f}% over {ds.n} nodes")
 
 

@@ -257,7 +257,7 @@ def save_dataset(ds: EmbeddingDataset, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def synth_blobs(n: int, d: int, C: int, sep: float, seed: int) -> EmbeddingDataset:
+def synth_blobs(n: int, d: int, C: int, sep: float = 6.0, seed: int = 0) -> EmbeddingDataset:
     """Sample n points from C isotropic unit-variance Gaussian clusters.
 
     Cluster centers are mutually ``sep`` apart: scaled standard-basis

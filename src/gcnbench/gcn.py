@@ -17,12 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import LabelMatrix
-from .graph import PropagationMatrix
+from .graph import PropagationMatrix, check_type
 
 
-@dataclass
+@dataclass(frozen=True)
 class Hyperparams:
-    """Training knobs; the defaults suit the two-layer network at desk scale."""
+    """Training knobs; frozen because the per-model defaults are shared instances."""
 
     lr: float = 0.2
     epochs: int = 200
@@ -31,14 +31,15 @@ class Hyperparams:
     weight_decay: float = 0.0
 
     def __post_init__(self):
-        if self.lr < 0:
-            raise ValueError(f"learning rate must be >= 0, got {self.lr}")
-        if self.epochs < 0:
-            raise ValueError(f"epoch count must be >= 0, got {self.epochs}")
-        if self.hidden < 1:
-            raise ValueError(f"hidden width must be >= 1, got {self.hidden}")
-        if self.weight_decay < 0:
-            raise ValueError(f"weight decay must be >= 0, got {self.weight_decay}")
+        check_type("seed", self.seed, int)
+        for name, kind, low, what in (("lr", float, 0, "learning rate"),
+                                      ("epochs", int, 0, "epoch count"),
+                                      ("hidden", int, 1, "hidden width"),
+                                      ("weight_decay", float, 0, "weight decay")):
+            value = getattr(self, name)
+            check_type(name, value, kind)
+            if value < low:
+                raise ValueError(f"{what} must be >= {low}, got {value}")
 
 
 @dataclass

@@ -7,12 +7,23 @@ search is exact brute force, which is fine at desk scale (n up to ~10^4).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 METRICS = ("euclidean", "cosine")
 METHODS = ("knn", "epsilon", "full")
+
+
+def check_type(name: str, value, kind: type) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is a ``kind``: int, float or bool.
+    A bool is no int or float, an int serves as a float, and a float must be finite."""
+    abc, expected = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a finite number"),
+                     bool: (bool, "true or false")}[kind]
+    if (not isinstance(value, abc) or isinstance(value, bool) != (kind is bool)
+            or (kind is float and not -np.inf < value < np.inf)):
+        raise ValueError(f"{name} must be {expected}, got {value!r}")
 
 
 @dataclass
@@ -25,6 +36,9 @@ class GraphBuildConfig:
     metric: str = "euclidean"
 
     def __post_init__(self):
+        check_type("k", self.k, int)
+        if self.eps is not None:
+            check_type("eps", self.eps, float)
         if self.method not in METHODS:
             raise ValueError(f"unknown graph method {self.method!r}, expected one of {METHODS}")
         if self.metric not in METRICS:
@@ -92,7 +106,8 @@ class PropagationMatrix:
         return len(self.data)
 
     def matmul(self, M: np.ndarray) -> np.ndarray:
-        """S @ M for dense M, accumulated row-major in ascending column order."""
+        """S @ M for dense M, each row summed by np.add.reduceat in an order fixed for a
+        given NumPy build; that order is not a sequential ascending-column sum."""
         M = np.asarray(M, dtype=np.float64)
         if M.shape[0] != self.n:
             raise ValueError(f"operand has {M.shape[0]} rows, matrix is {self.n}x{self.n}")

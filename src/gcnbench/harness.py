@@ -28,10 +28,13 @@ from .dataset import (
     make_split,
     synth_blobs,
 )
-from .gcn import Hyperparams, forward, init_model, predict, train
-from .graph import GraphBuildConfig, build_graph, normalize
+from .gcn import GcnModel, Hyperparams, forward, init_model, predict, train
+from .graph import GraphBuildConfig, build_graph, check_type, normalize
 
-MODEL_NAMES = ("gcn", "logreg")
+# Every model a run can fit, with its default hyperparameters; only the GCN uses the graph.
+DEFAULT_HYPERPARAMS = {"gcn": Hyperparams(), "logreg": LOGREG_DEFAULTS}
+MODEL_NAMES = tuple(DEFAULT_HYPERPARAMS)
+GRAPH_MODELS = ("gcn",)
 REPORT_HEADER = "model,budget,repeat,seed,accuracy_pct,wall_ms"
 AGGREGATE_HEADER = "model,budget,mean_pct,std_pct,repeats"
 
@@ -87,8 +90,8 @@ def accuracy(pred, truth) -> float:
 class ExperimentConfig:
     """A label-budget sweep: dataset, graph recipe, models, budgets, repeats.
 
-    Exactly one of ``dataset_path`` and ``synth`` must be set; ``synth``
-    holds {"n", "d", "classes", "sep", "seed"} for a generated dataset.
+    Exactly one of ``dataset_path`` and ``synth`` (a generated dataset's {"n", "d",
+    "classes", "sep", "seed"}) must be set.  Model ``m`` trains with ``m_hp``.
     """
 
     budgets: list[int]
@@ -100,8 +103,8 @@ class ExperimentConfig:
     seed: int = 0
     stratified: bool = True
     normalize_features: bool = False
-    gcn_hp: Hyperparams = field(default_factory=Hyperparams)
-    logreg_hp: Hyperparams = field(default_factory=lambda: replace(LOGREG_DEFAULTS))
+    gcn_hp: Hyperparams = DEFAULT_HYPERPARAMS["gcn"]
+    logreg_hp: Hyperparams = DEFAULT_HYPERPARAMS["logreg"]
 
     def __post_init__(self):
         if (self.dataset_path is None) == (self.synth is None):
@@ -113,9 +116,15 @@ class ExperimentConfig:
                 raise ValueError(f"unknown model {name!r}, expected one of {MODEL_NAMES}")
         if len(set(self.models)) != len(self.models):
             raise ValueError("duplicate model name")
+        if not isinstance(self.budgets, (list, tuple)):
+            raise ValueError(f"budgets must be a list of integers, got {self.budgets!r}")
         if not self.budgets:
             raise ValueError("config lists no label budgets")
-        self.budgets = [int(l) for l in self.budgets]
+        for l in self.budgets:
+            check_type("budgets", l, int)
+        for name, kind in (("repeats", int), ("seed", int), ("stratified", bool),
+                           ("normalize_features", bool)):
+            check_type(name, getattr(self, name), kind)
         if self.repeats < 1:
             raise ValueError(f"need repeats >= 1, got {self.repeats}")
 
@@ -123,8 +132,8 @@ class ExperimentConfig:
 _SYNTH_KEYS = {"n", "d", "classes", "sep", "seed"}
 _HP_KEYS = {"lr", "epochs", "seed", "hidden", "weight_decay"}
 _GRAPH_KEYS = {"method", "k", "eps", "metric"}
-_CONFIG_KEYS = {"version", "dataset", "graph", "models", "budgets", "repeats", "seed",
-                "stratified", "normalize_features", "gcn", "logreg"}
+_PASSTHROUGH_KEYS = ("models", "repeats", "seed", "stratified", "normalize_features")
+_CONFIG_KEYS = {"version", "dataset", "graph", "budgets", *_PASSTHROUGH_KEYS, *MODEL_NAMES}
 
 
 def _check_keys(section, raw, allowed):
@@ -146,21 +155,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     path, synth = dataset.get("path"), dataset.get("synth")
     if synth is not None:
         _check_keys("synth", synth, _SYNTH_KEYS)
-    graph = GraphBuildConfig(**_check_keys("graph", dict(raw.get("graph", {})), _GRAPH_KEYS))
-    return ExperimentConfig(
-        budgets=raw.get("budgets", []),
-        dataset_path=path,
-        synth=synth,
-        graph=graph,
-        models=list(raw.get("models", MODEL_NAMES)),
-        repeats=int(raw.get("repeats", 10)),
-        seed=int(raw.get("seed", 0)),
-        stratified=bool(raw.get("stratified", True)),
-        normalize_features=bool(raw.get("normalize_features", False)),
-        gcn_hp=Hyperparams(**_check_keys("gcn", raw.get("gcn", {}), _HP_KEYS)),
-        logreg_hp=Hyperparams(**{"lr": 0.5, "epochs": 500, "weight_decay": 1e-4,
-                                 **_check_keys("logreg", raw.get("logreg", {}), _HP_KEYS)}),
-    )
+    given = {key: raw[key] for key in _PASSTHROUGH_KEYS if key in raw}
+    given["graph"] = GraphBuildConfig(**_check_keys("graph", raw.get("graph", {}), _GRAPH_KEYS))
+    for name, default in DEFAULT_HYPERPARAMS.items():
+        given[f"{name}_hp"] = replace(default, **_check_keys(name, raw.get(name, {}), _HP_KEYS))
+    return ExperimentConfig(budgets=raw.get("budgets", []), dataset_path=path, synth=synth, **given)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -260,12 +259,30 @@ def derive_seed(base: int, budget: int, repeat: int) -> int:
 def _config_dataset(cfg: ExperimentConfig) -> EmbeddingDataset:
     if cfg.dataset_path is not None:
         return load_dataset(cfg.dataset_path)
-    s = cfg.synth
+    s = dict(cfg.synth)
     missing = {"n", "d", "classes"} - set(s)
     if missing:
         raise ValueError(f"synth spec is missing {sorted(missing)}")
-    return synth_blobs(n=int(s["n"]), d=int(s["d"]), C=int(s["classes"]),
-                       sep=float(s.get("sep", 1.0)), seed=int(s.get("seed", 0)))
+    for key, value in s.items():
+        check_type(f"synth {key}", value, float if key == "sep" else int)
+    return synth_blobs(n=s.pop("n"), d=s.pop("d"), C=s.pop("classes"), **s)
+
+
+def fit_predict(name: str, ds: EmbeddingDataset, S, split, hp: Hyperparams):
+    """Fit ``name`` on the split's labeled rows; returns (model, loss trace, all-n predictions)."""
+    if name == "gcn":
+        model = init_model(ds.L1, hp.hidden, ds.C, hp.seed)
+        trained, trace = train(model, S, ds.X, build_label_matrix(ds, split), split.labeled, hp)
+    else:
+        trained, trace = train_logreg(ds.X[split.labeled], full_truth(ds)[split.labeled], ds.C, hp)
+    return trained, trace, predict_nodes(trained, ds.X, S)
+
+
+def predict_nodes(model, X, S):
+    """Predictions for every row of X from a trained GCN (propagated by ``S``) or logreg model."""
+    if isinstance(model, GcnModel):
+        return predict(forward(model, S, X))
+    return predict_logreg(model, X)
 
 
 def run_experiment(cfg: ExperimentConfig) -> EvalReport:
@@ -285,21 +302,14 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
         for repeat in range(cfg.repeats):
             cell_seed = derive_seed(cfg.seed, budget, repeat)
             split = make_split(ds, budget, seed=cell_seed, stratified=cfg.stratified)
-            Y = build_label_matrix(ds, split)
             for name in cfg.models:
                 start = time.perf_counter()
-                if name == "gcn":
-                    model = init_model(ds.L1, cfg.gcn_hp.hidden, ds.C, cfg.gcn_hp.seed)
-                    trained, _ = train(model, S, ds.X, Y, split.labeled, cfg.gcn_hp)
-                    pred = predict(forward(trained, S, ds.X))[split.unlabeled]
-                else:
-                    trained, _ = train_logreg(ds.X[split.labeled], truth[split.labeled],
-                                              ds.C, cfg.logreg_hp)
-                    pred = predict_logreg(trained, ds.X[split.unlabeled])
+                _, _, pred = fit_predict(name, ds, S, split, getattr(cfg, f"{name}_hp"))
                 wall_ms = (time.perf_counter() - start) * 1000.0
                 rows.append(CellResult(model=name, budget=budget, repeat=repeat,
                                        seed=cell_seed,
-                                       accuracy_pct=accuracy(pred, truth[split.unlabeled]),
+                                       accuracy_pct=accuracy(pred[split.unlabeled],
+                                                             truth[split.unlabeled]),
                                        wall_ms=wall_ms))
     return EvalReport(rows=rows)
 

@@ -1,12 +1,15 @@
 import json
+import re
+from dataclasses import asdict
 
 import pytest
 
+from gcnbench.baseline import LOGREG_DEFAULTS
 from gcnbench.checkpoint import load_checkpoint
 from gcnbench.cli import main
 from gcnbench.dataset import load_dataset
 from gcnbench.graph import load_graph
-from gcnbench.harness import parse_report_csv
+from gcnbench.harness import config_from_dict, derive_seed, parse_report_csv, run_experiment
 
 
 @pytest.fixture
@@ -108,3 +111,57 @@ def test_missing_data_file_exits_1(tmp_path, capsys):
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "gcnbench" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("model", ["gcn", "logreg"])
+def test_train_matches_the_experiment_cell(tmp_path, blob_csv, capsys, model):
+    config = config_from_dict({
+        "dataset": {"path": str(blob_csv)},
+        "graph": {"method": "knn", "k": 5},
+        "models": [model],
+        "budgets": [9],
+        "repeats": 1,
+        "gcn": {"epochs": 30, "hidden": 8, "seed": 3},
+        "logreg": {"epochs": 100, "lr": 0.3},
+    })
+    (row,) = run_experiment(config).rows
+    edges = tmp_path / "g.edges"
+    assert main(["build-graph", "--data", str(blob_csv), "--k", "5", "--out", str(edges)]) == 0
+    hp = config.gcn_hp if model == "gcn" else config.logreg_hp
+    flags = ["--lr", str(hp.lr), "--epochs", str(hp.epochs), "--hidden", str(hp.hidden),
+             "--weight-decay", str(hp.weight_decay), "--model-seed", str(hp.seed)]
+    capsys.readouterr()
+    assert main(["train", "--data", str(blob_csv), "--graph", str(edges), "--model", model,
+                 "--labeled", "9", "--seed", str(derive_seed(0, 9, 0)), *flags,
+                 "--out", str(tmp_path / "m.json")]) == 0
+    printed = re.search(r"unlabeled accuracy: ([0-9.]+)%", capsys.readouterr().out).group(1)
+    assert printed == f"{row.accuracy_pct:.2f}"
+
+
+def test_default_logreg_checkpoint_records_logreg_defaults(tmp_path, blob_csv):
+    ckpt = tmp_path / "logreg.json"
+    assert main(["train", "--data", str(blob_csv), "--model", "logreg", "--labeled", "9",
+                 "--out", str(ckpt)]) == 0
+    assert load_checkpoint(ckpt)[1]["hyperparams"] == asdict(LOGREG_DEFAULTS)
+
+
+@pytest.mark.parametrize("model, corrupt", [
+    ("gcn", lambda p: p.pop("theta1")),
+    ("gcn", lambda p: p.pop("theta2")),
+    ("gcn", lambda p: p["dims"].update(hidden=7)),
+    ("logreg", lambda p: p.pop("weights")),
+    ("logreg", lambda p: p.pop("bias")),
+    ("logreg", lambda p: p["dims"].update({"in": 5})),
+], ids=["no-theta1", "no-theta2", "gcn-dims", "no-weights", "no-bias", "logreg-dims"])
+def test_eval_rejects_malformed_checkpoint(tmp_path, blob_csv, capsys, model, corrupt):
+    edges, ckpt = tmp_path / "g.edges", tmp_path / "m.json"
+    assert main(["build-graph", "--data", str(blob_csv), "--out", str(edges)]) == 0
+    assert main(["train", "--data", str(blob_csv), "--graph", str(edges), "--model", model,
+                 "--labeled", "9", "--epochs", "5", "--out", str(ckpt)]) == 0
+    payload = json.loads(ckpt.read_text(encoding="utf-8"))
+    corrupt(payload)
+    ckpt.write_text(json.dumps(payload), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt), "--data", str(blob_csv),
+                 "--graph", str(edges)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")

@@ -14,6 +14,7 @@ from gcnbench.harness import (
     aggregate_csv,
     config_from_dict,
     confusion_counts,
+    _config_dataset,
     derive_seed,
     parse_report_csv,
     render_report,
@@ -267,3 +268,35 @@ def test_config_from_dict_defaults_and_validation():
     with pytest.raises(ValueError, match="unknown gcn keys"):
         config_from_dict({"dataset": {"path": "x.csv"}, "budgets": [5],
                           "gcn": {"learning_rate": 0.1}})
+
+
+@pytest.mark.parametrize("override, field", [
+    ({"stratified": "false"}, "stratified"),
+    ({"normalize_features": 1}, "normalize_features"),
+    ({"repeats": 2.5}, "repeats"),
+    ({"seed": True}, "seed"),
+    ({"budgets": [9.7]}, "budgets"),
+    ({"budgets": 6}, "budgets"),
+    ({"gcn": {"epochs": "5"}}, "epochs"),
+    ({"logreg": {"lr": float("inf")}}, "lr"),
+    ({"gcn": {"weight_decay": float("nan")}}, "weight_decay"),
+    ({"graph": {"k": "5"}}, "k"),
+    ({"graph": {"method": "epsilon", "eps": float("nan")}}, "eps"),
+    ({"dataset": {"synth": {"n": 60, "d": 4.0, "classes": 3}}}, "synth d"),
+], ids=["stratified-str", "normalize-int", "repeats-float", "seed-bool", "budget-float",
+        "budgets-int", "epochs-str", "lr-inf", "weight-decay-nan", "k-str", "eps-nan",
+        "synth-d-float"])
+def test_config_values_are_type_checked_not_coerced(override, field):
+    raw = {"dataset": {"synth": {"n": 60, "d": 4, "classes": 3}}, "budgets": [9], **override}
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        _config_dataset(config_from_dict(raw))
+
+
+def test_synth_spec_without_sep_matches_cli_synth_default(tmp_path):
+    from gcnbench.cli import main
+    from gcnbench.dataset import load_dataset
+
+    path = tmp_path / "blobs.csv"
+    assert main(["synth", "--n", "60", "--d", "4", "--classes", "3", "--out", str(path)]) == 0
+    cfg = config_from_dict({"dataset": {"synth": {"n": 60, "d": 4, "classes": 3}}, "budgets": [9]})
+    assert np.array_equal(_config_dataset(cfg).X, load_dataset(path).X)
