@@ -71,7 +71,8 @@ class ForwardCache:
     """Layer intermediates kept for backprop.
 
     SX = S @ X and SH1 = S @ H1 are stored alongside the activations because
-    the gradient of each parameter matrix contracts against them.
+    the gradient of each parameter matrix contracts against them.  SX has no
+    parameters, so train() computes it once per run and reuses it every epoch.
     """
 
     A1: np.ndarray
@@ -139,7 +140,11 @@ def forward(model: GcnModel, S: PropagationMatrix, X) -> ForwardCache:
     L1, _, _ = model.dims
     if X.ndim != 2 or X.shape != (S.n, L1):
         raise ValueError(f"X must be {S.n}x{L1}, got {X.shape}")
-    SX = S.matmul(X)
+    return _layers(model, S, S.matmul(X))
+
+
+def _layers(model: GcnModel, S: PropagationMatrix, SX: np.ndarray) -> ForwardCache:
+    """forward() from an already propagated SX = S @ X."""
     A1 = SX @ model.theta1
     H1 = relu(A1)
     SH1 = S.matmul(H1)
@@ -193,7 +198,8 @@ def train(model: GcnModel, S: PropagationMatrix, X, Y, labeled,
     trace of epochs+1 objective values, the initial one first.  The trace
     records the training objective, i.e. the masked cross-entropy plus the
     weight-decay penalty 0.5 * wd * (|theta1|^2 + |theta2|^2) when enabled.
-    Raises if the objective ever becomes non-finite.
+    S @ X is computed once per run, by the first forward(), and reused by
+    every epoch.  Raises if the parameters or the objective become non-finite.
     """
     current = GcnModel(theta1=model.theta1.copy(), theta2=model.theta2.copy())
     wd = hp.weight_decay
@@ -214,8 +220,9 @@ def train(model: GcnModel, S: PropagationMatrix, X, Y, labeled,
         t2 = current.theta2 - hp.lr * grads.g_theta2
         if not (np.isfinite(t1).all() and np.isfinite(t2).all()):
             raise ValueError(f"training diverged: non-finite parameters at epoch {epoch + 1}")
-        current = GcnModel(theta1=t1, theta2=t2)
-        cache = forward(current, S, X)
+        # t1, t2 keep their shapes and were just checked finite: no new GcnModel to re-validate
+        current.theta1, current.theta2 = t1, t2
+        cache = _layers(current, S, cache.SX)
         trace.append(objective(current, cache))
         if not np.isfinite(trace[-1]):
             raise ValueError(f"training diverged: non-finite loss at epoch {epoch + 1}")

@@ -106,12 +106,14 @@ class PropagationMatrix:
         return len(self.data)
 
     def matmul(self, M: np.ndarray) -> np.ndarray:
-        """S @ M for dense M, each row summed by np.add.reduceat in an order fixed for a
-        given NumPy build; that order is not a sequential ascending-column sum."""
+        """S @ M for dense M: the gathered rows M[indices], a copy, are scaled in place and
+        each row summed by np.add.reduceat in an order fixed for a given NumPy build;
+        that order is not a sequential ascending-column sum.  M is left unmodified."""
         M = np.asarray(M, dtype=np.float64)
         if M.shape[0] != self.n:
             raise ValueError(f"operand has {M.shape[0]} rows, matrix is {self.n}x{self.n}")
-        contrib = self.data[:, None] * M[self.indices]
+        contrib = M[self.indices]
+        contrib *= self.data[:, None]
         # reduceat is safe because the diagonal keeps every row segment non-empty
         return np.add.reduceat(contrib, self.indptr[:-1], axis=0)
 

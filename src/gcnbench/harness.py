@@ -137,6 +137,8 @@ _CONFIG_KEYS = {"version", "dataset", "graph", "budgets", *_PASSTHROUGH_KEYS, *M
 
 
 def _check_keys(section, raw, allowed):
+    if not isinstance(raw, dict):
+        raise ValueError(f"{section} must be a JSON object, got {raw!r}")
     extra = set(raw) - allowed
     if extra:
         raise ValueError(f"unknown {section} keys: {sorted(extra)}")
@@ -148,10 +150,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     _check_keys("config", raw, _CONFIG_KEYS)
     if raw.get("version", 1) != 1:
         raise ValueError(f"unsupported config version {raw.get('version')!r}")
-    dataset = raw.get("dataset")
-    if not isinstance(dataset, dict):
-        raise ValueError("config needs a 'dataset' object")
-    _check_keys("dataset", dataset, {"path", "synth"})
+    dataset = _check_keys("dataset", raw.get("dataset"), {"path", "synth"})
     path, synth = dataset.get("path"), dataset.get("synth")
     if synth is not None:
         _check_keys("synth", synth, _SYNTH_KEYS)

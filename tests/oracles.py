@@ -2,15 +2,16 @@
 
 Everything here deliberately avoids the library's computational paths:
 neighbor search uses pure-Python sorting over exact pairwise distances,
-the propagation matrix is assembled from explicit dense matrices, and the
-network forward pass is naive triple loops.
+the propagation matrix is assembled from explicit dense matrices, the
+network forward pass is naive triple loops, and training recomputes the
+whole forward pass, S @ X included, every epoch.
 """
 
 import math
 
 import numpy as np
 
-from gcnbench.gcn import forward, loss
+from gcnbench.gcn import GcnModel, backward, forward, loss
 
 
 def knn_oracle_edges(X, k):
@@ -101,3 +102,26 @@ def assert_gradients_match(analytic, fd, rel=1e-4, abs_small=1e-8, small=1e-4):
             assert abs(a - f) <= abs_small, f"entry {idx}: {a} vs fd {f}"
         else:
             assert abs(a - f) / abs(f) <= rel, f"entry {idx}: {a} vs fd {f}"
+
+
+def train_oracle(model, S, X, Y, labeled, hp):
+    """Gradient descent that calls forward() and backward() and builds a new GcnModel
+    every epoch; returns (model, objective trace) like gcn.train."""
+    current = GcnModel(theta1=model.theta1.copy(), theta2=model.theta2.copy())
+    wd = hp.weight_decay
+
+    def objective(m, cache):
+        value = loss(cache, Y, labeled)
+        if wd > 0:
+            value += 0.5 * wd * (float((m.theta1 ** 2).sum()) + float((m.theta2 ** 2).sum()))
+        return value
+
+    cache = forward(current, S, X)
+    trace = [objective(current, cache)]
+    for _ in range(hp.epochs):
+        grads = backward(current, S, X, cache, Y, labeled, weight_decay=wd)
+        current = GcnModel(theta1=current.theta1 - hp.lr * grads.g_theta1,
+                           theta2=current.theta2 - hp.lr * grads.g_theta2)
+        cache = forward(current, S, X)
+        trace.append(objective(current, cache))
+    return current, trace

@@ -85,6 +85,15 @@ def test_experiment_happy_path(tmp_path, blob_csv):
     assert md.read_text(encoding="utf-8").startswith("| model |")
 
 
+@pytest.mark.parametrize("text", ["5", "[1, 2]", '{"dataset": {"path": "x.csv"}, "gcn": [1]}'],
+                         ids=["int", "list", "gcn-list"])
+def test_experiment_non_object_config_exits_1(tmp_path, capsys, text):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text, encoding="utf-8")
+    assert main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "r.csv")]) == 1
+    assert re.match(r"error: (config|gcn) must be a JSON object", capsys.readouterr().err)
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["frobnicate"]) == 2
     assert "usage" in capsys.readouterr().err.lower()

@@ -17,9 +17,9 @@ from gcnbench.gcn import (
     softmax,
     train,
 )
-from gcnbench.graph import SparseAdjacency, knn_graph, normalize
+from gcnbench.graph import PropagationMatrix, SparseAdjacency, knn_graph, normalize
 from gcnbench.harness import accuracy
-from oracles import assert_gradients_match, fd_gcn_gradients, forward_oracle_dense
+from oracles import assert_gradients_match, fd_gcn_gradients, forward_oracle_dense, train_oracle
 
 
 def small_instance(seed, n=12, L1=7, L2=5, C=3, labeled=4):
@@ -208,6 +208,40 @@ def test_train_divergence_guard():
     ds, S, split, Y, model = small_instance(14)
     with np.errstate(all="ignore"), pytest.raises(ValueError, match="diverged"):
         train(model, S, ds.X, Y, split.labeled, Hyperparams(lr=1e30, epochs=50))
+
+
+def test_train_divergence_guard_names_the_epoch_of_non_finite_parameters():
+    ds, S, split, Y, model = small_instance(14)
+    with np.errstate(all="ignore"), pytest.raises(
+            ValueError, match="^training diverged: non-finite parameters at epoch 1$"):
+        train(model, S, ds.X * 1e200, Y, split.labeled, Hyperparams(lr=1e200, epochs=5))
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+def test_train_is_bit_identical_to_the_per_epoch_forward_loop(weight_decay):
+    ds, S, split, Y, model = small_instance(18, n=40, labeled=9)
+    hp = Hyperparams(lr=0.2, epochs=25, weight_decay=weight_decay)
+    trained, trace = train(model, S, ds.X, Y, split.labeled, hp)
+    expected, expected_trace = train_oracle(model, S, ds.X, Y, split.labeled, hp)
+    assert np.array_equal(trained.theta1, expected.theta1)
+    assert np.array_equal(trained.theta2, expected.theta2)
+    assert trace == expected_trace
+
+
+def test_train_propagates_the_features_once(monkeypatch):
+    ds, S, split, Y, model = small_instance(19)
+    operands = []
+    original = PropagationMatrix.matmul
+
+    def counting(self, M):
+        operands.append(M is ds.X)
+        return original(self, M)
+
+    monkeypatch.setattr(PropagationMatrix, "matmul", counting)
+    epochs = 6
+    train(model, S, ds.X, Y, split.labeled, Hyperparams(epochs=epochs))
+    assert operands.count(True) == 1
+    assert operands.count(False) == 2 * epochs + 1
 
 
 def test_train_deterministic():

@@ -182,6 +182,18 @@ def test_propagation_matmul_equals_dense_product():
     assert np.abs(S.matmul(M) - S.to_dense() @ M).max() <= 1e-12
 
 
+def test_propagation_matmul_keeps_operand_and_old_scale_then_sum_bits():
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((40, 5))
+    S = normalize(knn_graph(X, 6))
+    M = rng.standard_normal((40, 7))
+    before = M.copy()
+    out = S.matmul(M)
+    assert np.array_equal(M, before)
+    reference = np.add.reduceat(S.data[:, None] * M[S.indices], S.indptr[:-1], axis=0)
+    assert np.array_equal(out, reference)
+
+
 def test_graph_config_validation():
     with pytest.raises(ValueError):
         GraphBuildConfig(method="voronoi")

@@ -292,6 +292,23 @@ def test_config_values_are_type_checked_not_coerced(override, field):
         _config_dataset(config_from_dict(raw))
 
 
+@pytest.mark.parametrize("raw, section", [
+    (5, "config"),
+    ([1, 2], "config"),
+    (None, "config"),
+    ({"dataset": [1], "budgets": [9]}, "dataset"),
+    ({"budgets": [9]}, "dataset"),
+    ({"dataset": {"synth": 5}, "budgets": [9]}, "synth"),
+    ({"dataset": {"path": "x.csv"}, "budgets": [9], "graph": "knn"}, "graph"),
+    ({"dataset": {"path": "x.csv"}, "budgets": [9], "gcn": [1]}, "gcn"),
+    ({"dataset": {"path": "x.csv"}, "budgets": [9], "logreg": None}, "logreg"),
+], ids=["top-int", "top-list", "top-null", "dataset-list", "dataset-missing", "synth-int",
+        "graph-str", "gcn-list", "logreg-null"])
+def test_config_sections_must_be_objects(raw, section):
+    with pytest.raises(ValueError, match=f"^{section} must be a JSON object"):
+        config_from_dict(raw)
+
+
 def test_synth_spec_without_sep_matches_cli_synth_default(tmp_path):
     from gcnbench.cli import main
     from gcnbench.dataset import load_dataset
