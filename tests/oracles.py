@@ -14,22 +14,31 @@ import numpy as np
 from gcnbench.gcn import GcnModel, backward, forward, loss
 
 
-def knn_oracle_edges(X, k):
+def _oracle_distance(a, b, metric):
+    if metric == "euclidean":
+        return math.sqrt(math.fsum((x - y) ** 2 for x, y in zip(a, b)))
+    dot = math.fsum(x * y for x, y in zip(a, b))
+    return 1.0 - dot / math.sqrt(math.fsum(x * x for x in a) * math.fsum(y * y for y in b))
+
+
+def knn_oracle_edges(X, k, metric="euclidean"):
     """Sort-based brute-force k-NN with OR-symmetrization; ties go to the lower index."""
     pts = [[float(v) for v in row] for row in np.asarray(X)]
     n = len(pts)
     edges = set()
     for i in range(n):
-        dists = []
-        for j in range(n):
-            if j == i:
-                continue
-            d = math.sqrt(math.fsum((a - b) ** 2 for a, b in zip(pts[i], pts[j])))
-            dists.append((d, j))
-        dists.sort()
+        dists = sorted((_oracle_distance(pts[i], pts[j], metric), j) for j in range(n) if j != i)
         for _, j in dists[:k]:
             edges.add((min(i, j), max(i, j)))
     return edges
+
+
+def epsilon_oracle_edges(X, eps, metric="euclidean"):
+    """Every pair i < j at distance strictly below eps, the sums taken with math.fsum."""
+    pts = [[float(v) for v in row] for row in np.asarray(X)]
+    n = len(pts)
+    return {(i, j) for i in range(n) for j in range(i + 1, n)
+            if _oracle_distance(pts[i], pts[j], metric) < eps}
 
 
 def normalize_oracle_dense(n, edges):

@@ -94,6 +94,17 @@ def test_experiment_non_object_config_exits_1(tmp_path, capsys, text):
     assert re.match(r"error: (config|gcn) must be a JSON object", capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("config, field", [
+    ({"dataset": {"synth": {"n": 60, "d": 4, "classes": 3}}, "budgets": [9], "models": 5}, "models"),
+    ({"dataset": {"path": 7}, "budgets": [9]}, "dataset path"),
+], ids=["models-int", "path-int"])
+def test_experiment_mistyped_config_exits_1(tmp_path, capsys, config, field):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "r.csv")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {field} must be")
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["frobnicate"]) == 2
     assert "usage" in capsys.readouterr().err.lower()

@@ -3,6 +3,7 @@ import pytest
 
 from gcnbench.dataset import synth_blobs
 from gcnbench.graph import (
+    METRICS,
     GraphBuildConfig,
     SparseAdjacency,
     build_graph,
@@ -14,7 +15,7 @@ from gcnbench.graph import (
     pairwise_distance,
     save_graph,
 )
-from oracles import knn_oracle_edges, normalize_oracle_dense
+from oracles import epsilon_oracle_edges, knn_oracle_edges, normalize_oracle_dense
 
 
 def test_euclidean_345_triangle():
@@ -121,6 +122,42 @@ def test_epsilon_monotone_in_eps():
 def test_epsilon_rejects_nonpositive_eps():
     with pytest.raises(ValueError):
         epsilon_graph(np.eye(3), 0.0)
+
+
+@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.parametrize("data", ["random", "duplicate-rows"])
+@pytest.mark.parametrize("method", ["knn", "epsilon"])
+def test_builders_match_oracles(method, data, metric):
+    rng = np.random.default_rng(17)
+    if data == "random":
+        X = rng.standard_normal((40, 4))
+    else:
+        # 40 rows drawn from 6 distinct vectors: exact ties inside and across groups
+        X = rng.standard_normal((6, 4))[rng.integers(0, 6, size=40)]
+    if method == "knn":
+        for k in (1, 4, 9):
+            assert knn_graph(X, k, metric).edge_set() == knn_oracle_edges(X, k, metric)
+    else:
+        for eps in (1e-9, 0.4, 1.0) if metric == "cosine" else (1e-9, 1.5, 3.0):
+            assert epsilon_graph(X, eps, metric).edge_set() == epsilon_oracle_edges(X, eps, metric)
+
+
+@pytest.mark.parametrize("build, value, field", [
+    (knn_graph, 2.5, "k"),
+    (knn_graph, True, "k"),
+    (knn_graph, "3", "k"),
+    (epsilon_graph, float("nan"), "eps"),
+    (epsilon_graph, float("inf"), "eps"),
+    (epsilon_graph, "1.0", "eps"),
+], ids=["k-float", "k-bool", "k-str", "eps-nan", "eps-inf", "eps-str"])
+def test_builder_arguments_are_type_checked(build, value, field):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        build(np.eye(4), value)
+
+
+def test_epsilon_graph_needs_a_node():
+    with pytest.raises(ValueError, match="need n >= 1"):
+        epsilon_graph(np.empty((0, 3)), 1.0)
 
 
 @pytest.mark.parametrize("n,expected", [(1, 0), (2, 1), (3, 3), (6, 15)])

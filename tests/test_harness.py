@@ -283,9 +283,11 @@ def test_config_from_dict_defaults_and_validation():
     ({"graph": {"k": "5"}}, "k"),
     ({"graph": {"method": "epsilon", "eps": float("nan")}}, "eps"),
     ({"dataset": {"synth": {"n": 60, "d": 4.0, "classes": 3}}}, "synth d"),
+    ({"models": 5}, "models"),
+    ({"dataset": {"path": 7}}, "dataset path"),
 ], ids=["stratified-str", "normalize-int", "repeats-float", "seed-bool", "budget-float",
         "budgets-int", "epochs-str", "lr-inf", "weight-decay-nan", "k-str", "eps-nan",
-        "synth-d-float"])
+        "synth-d-float", "models-int", "path-int"])
 def test_config_values_are_type_checked_not_coerced(override, field):
     raw = {"dataset": {"synth": {"n": 60, "d": 4, "classes": 3}}, "budgets": [9], **override}
     with pytest.raises(ValueError, match=f"^{field} must be"):
