@@ -23,8 +23,11 @@ class LogRegModel:
     b: np.ndarray
 
     def __post_init__(self):
-        self.W = np.asarray(self.W, dtype=np.float64)
-        self.b = np.asarray(self.b, dtype=np.float64)
+        try:
+            self.W = np.asarray(self.W, dtype=np.float64)
+            self.b = np.asarray(self.b, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError("parameters must be arrays of numbers") from None
         if self.W.ndim != 2 or self.b.shape != (self.W.shape[1],):
             raise ValueError(f"shape mismatch: W is {self.W.shape}, b is {self.b.shape}")
         if not (np.isfinite(self.W).all() and np.isfinite(self.b).all()):

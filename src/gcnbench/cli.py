@@ -105,9 +105,8 @@ def _cmd_train(args):
     trained, trace, pred = harness.fit_predict(args.model, ds, S, split, hp)
     checkpoint.save_checkpoint(trained, args.out, hyperparams=hp)
     print(f"wrote {args.out}: final loss {trace[-1]:.6f}")
-    if len(split.unlabeled) and ds.truth is not None:
-        truth = full_truth(ds)
-        acc = accuracy(pred[split.unlabeled], truth[split.unlabeled])
+    if split.u and ds.truth is not None and None not in ds.truth:
+        acc = accuracy(pred[split.unlabeled], full_truth(ds)[split.unlabeled])
         print(f"unlabeled accuracy: {acc:.2f}% over {split.u} nodes")
 
 

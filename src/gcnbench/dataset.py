@@ -19,7 +19,8 @@ class EmbeddingDataset:
     ``truth`` is either None (no labels at all) or a length-n list whose
     entries are class indices in [0, C) or None for individually unlabeled
     rows.  ``class_names`` records the string-to-index mapping when the
-    source file carried non-integer labels.
+    source file carried non-integer labels.  Every rule on the data is
+    checked here; a fault in row i reads ``data row i+1:``, as in the CSV.
     """
 
     ids: list[str]
@@ -37,12 +38,12 @@ class EmbeddingDataset:
             raise ValueError(f"need at least one row and one column, got shape {self.X.shape}")
         if not np.isfinite(self.X).all():
             bad = int(np.argwhere(~np.isfinite(self.X))[0, 0])
-            raise ValueError(f"non-finite embedding value in data row {bad + 1}")
+            raise ValueError(f"data row {bad + 1}: non-finite embedding value")
         if len(self.ids) != n:
             raise ValueError(f"{len(self.ids)} ids for {n} rows")
         for i, text_id in enumerate(self.ids):
-            if not text_id or "," in text_id or "\n" in text_id:
-                raise ValueError(f"data row {i + 1}: id must be non-empty and comma-free")
+            if not text_id or "," in text_id or "\n" in text_id or "\r" in text_id:
+                raise ValueError(f"data row {i + 1}: id must be non-empty, with no comma or line break")
         if not isinstance(self.C, int) or self.C < 2:
             raise ValueError(f"class count must be an integer >= 2, got {self.C!r}")
         if self.truth is not None:
@@ -134,16 +135,14 @@ def l2_normalize_rows(X) -> np.ndarray:
 # (at most 17 significant digits), so load(save(ds)) reproduces X bit-exactly.
 
 
-def load_dataset(path, format: str = "csv") -> EmbeddingDataset:
+def load_dataset(path) -> EmbeddingDataset:
     """Read an embedding CSV file.
 
     C is taken from the ``#classes=`` comment when present, otherwise
-    inferred as max class index + 1 (floored at 2).  Raises ValueError with
-    the offending data-row number for malformed rows, non-numeric cells,
-    and class indices outside the declared range.
+    inferred as max class index + 1 (floored at 2).  This function only
+    decodes the file and EmbeddingDataset checks the decoded rows; a fault
+    in a data row raises ValueError starting with ``data row N:``.
     """
-    if format != "csv":
-        raise ValueError(f"unsupported format {format!r}")
     with open(path, encoding="utf-8") as fh:
         lines = [ln.rstrip("\r") for ln in fh.read().split("\n")]
     if lines and lines[-1] == "":
@@ -186,8 +185,6 @@ def load_dataset(path, format: str = "csv") -> EmbeddingDataset:
         cells = line.split(",")
         if len(cells) != width:
             raise ValueError(f"data row {r}: expected {width} columns, got {len(cells)}")
-        if not cells[0]:
-            raise ValueError(f"data row {r}: empty id")
         ids.append(cells[0])
         if has_label:
             raw_labels.append(cells[1] if cells[1] != "" else None)
@@ -198,24 +195,14 @@ def load_dataset(path, format: str = "csv") -> EmbeddingDataset:
     if not rows:
         raise ValueError("file contains no data rows")
     X = np.vstack(rows)
-    bad = np.argwhere(~np.isfinite(X))
-    if len(bad):
-        raise ValueError(f"data row {int(bad[0, 0]) + 1}: non-finite embedding value")
 
     truth, class_names = _decode_labels(raw_labels if has_label else None)
-    if truth is not None and class_names is None and declared_c is not None:
-        for r, t in enumerate(truth, start=1):
-            if t is not None and t >= declared_c:
-                raise ValueError(f"data row {r}: class index {t} >= declared C={declared_c}")
-
     if declared_c is not None:
         C = declared_c
     elif truth is not None and any(t is not None for t in truth):
         C = max(2, max(t for t in truth if t is not None) + 1)
     else:
         raise ValueError("class count unknown: file has no labels and no #classes comment")
-    if class_names is not None and len(class_names) > C:
-        raise ValueError(f"{len(class_names)} distinct labels but declared C={C}")
 
     return EmbeddingDataset(ids=ids, X=X, C=C, truth=truth, class_names=class_names)
 
@@ -233,11 +220,7 @@ def _decode_labels(raw_labels):
         names = sorted(present)
         index = {name: j for j, name in enumerate(names)}
         return [None if s is None else index[s] for s in raw_labels], names
-    truth = [None if s is None else as_int[s] for s in raw_labels]
-    for r, t in enumerate(truth, start=1):
-        if t is not None and t < 0:
-            raise ValueError(f"data row {r}: negative class index {t}")
-    return truth, None
+    return [None if s is None else as_int[s] for s in raw_labels], None
 
 
 def save_dataset(ds: EmbeddingDataset, path) -> None:
@@ -322,14 +305,18 @@ def make_split(ds: EmbeddingDataset, l: int, seed: int, stratified: bool = True)
     return LabeledSplit(labeled=labeled, unlabeled=np.flatnonzero(mask))
 
 
-def build_label_matrix(ds: EmbeddingDataset, split: LabeledSplit) -> LabelMatrix:
-    """One-hot rows for labeled nodes, zero rows for unlabeled nodes."""
+def labeled_classes(ds: EmbeddingDataset, split: LabeledSplit) -> np.ndarray:
+    """Class indices of the split's labeled nodes; only those nodes need ground truth."""
     if ds.truth is None:
         raise ValueError("dataset has no ground truth")
+    classes = [ds.truth[i] for i in split.labeled.tolist()]
+    if None in classes:
+        raise ValueError(f"labeled node {split.labeled[classes.index(None)]} has no ground truth")
+    return np.asarray(classes, dtype=np.int64)
+
+
+def build_label_matrix(ds: EmbeddingDataset, split: LabeledSplit) -> LabelMatrix:
+    """One-hot rows for labeled nodes, zero rows for unlabeled nodes."""
     Y = np.zeros((ds.n, ds.C))
-    for i in split.labeled:
-        t = ds.truth[int(i)]
-        if t is None:
-            raise ValueError(f"labeled node {int(i)} has no ground truth")
-        Y[i, t] = 1.0
+    Y[split.labeled, labeled_classes(ds, split)] = 1.0
     return LabelMatrix(Y=Y)

@@ -6,8 +6,9 @@ The network computes
     Z = softmax(S @ relu(S @ X @ theta1) @ theta2)
 
 where S is the renormalized propagation matrix, and is trained on the
-cross-entropy summed over labeled rows only.  All math is float64 with
-fixed accumulation order, so runs are bit-reproducible.
+cross-entropy summed over labeled rows only.  All math is float64, and runs
+are bit-reproducible on the same NumPy/BLAS build at the same BLAS thread
+count, which together fix the summation order of every product.
 """
 
 from __future__ import annotations
@@ -50,8 +51,11 @@ class GcnModel:
     theta2: np.ndarray
 
     def __post_init__(self):
-        self.theta1 = np.asarray(self.theta1, dtype=np.float64)
-        self.theta2 = np.asarray(self.theta2, dtype=np.float64)
+        try:
+            self.theta1 = np.asarray(self.theta1, dtype=np.float64)
+            self.theta2 = np.asarray(self.theta2, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError("parameters must be matrices of numbers") from None
         if self.theta1.ndim != 2 or self.theta2.ndim != 2:
             raise ValueError("parameter matrices must be 2-D")
         if self.theta1.shape[1] != self.theta2.shape[0]:

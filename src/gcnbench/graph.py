@@ -63,7 +63,10 @@ class SparseAdjacency:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"need n >= 1, got {self.n}")
-        edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        try:
+            edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        except OverflowError:
+            raise ValueError("edge endpoint outside the 64-bit integer range") from None
         if len(edges):
             if edges.min() < 0 or edges.max() >= self.n:
                 raise ValueError("edge endpoint outside 0..n-1")

@@ -6,8 +6,9 @@ split from a seed derived deterministically from (base seed, budget,
 repeat), trains every configured model, and scores it on all unlabeled
 nodes.  The graph is built once per dataset since it only depends on X.
 
-Everything a run produces is bit-reproducible given the config; the one
-intentionally volatile field is the measured wall time per cell.
+Given the config, everything a run produces is bit-reproducible on the same
+NumPy/BLAS build at the same BLAS thread count; the one intentionally
+volatile field is the measured wall time per cell.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .dataset import (
     build_label_matrix,
     full_truth,
     l2_normalize_rows,
+    labeled_classes,
     load_dataset,
     make_split,
     synth_blobs,
@@ -111,6 +113,12 @@ class ExperimentConfig:
             raise ValueError("config needs exactly one of a dataset path or a synth spec")
         if self.dataset_path is not None and not isinstance(self.dataset_path, str):
             raise ValueError(f"dataset path must be a string, got {self.dataset_path!r}")
+        if self.synth is not None:
+            missing = {"n", "d", "classes"} - set(_check_keys("synth", self.synth, _SYNTH_KEYS))
+            if missing:
+                raise ValueError(f"synth spec is missing {sorted(missing)}")
+            for key, value in self.synth.items():
+                check_type(f"synth {key}", value, float if key == "sep" else int)
         if not isinstance(self.models, (list, tuple)):
             raise ValueError(f"models must be a list of model names, got {self.models!r}")
         if not self.models:
@@ -156,8 +164,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ValueError(f"unsupported config version {raw.get('version')!r}")
     dataset = _check_keys("dataset", raw.get("dataset"), {"path", "synth"})
     path, synth = dataset.get("path"), dataset.get("synth")
-    if synth is not None:
-        _check_keys("synth", synth, _SYNTH_KEYS)
     given = {key: raw[key] for key in _PASSTHROUGH_KEYS if key in raw}
     given["graph"] = GraphBuildConfig(**_check_keys("graph", raw.get("graph", {}), _GRAPH_KEYS))
     for name, default in DEFAULT_HYPERPARAMS.items():
@@ -263,11 +269,6 @@ def _config_dataset(cfg: ExperimentConfig) -> EmbeddingDataset:
     if cfg.dataset_path is not None:
         return load_dataset(cfg.dataset_path)
     s = dict(cfg.synth)
-    missing = {"n", "d", "classes"} - set(s)
-    if missing:
-        raise ValueError(f"synth spec is missing {sorted(missing)}")
-    for key, value in s.items():
-        check_type(f"synth {key}", value, float if key == "sep" else int)
     return synth_blobs(n=s.pop("n"), d=s.pop("d"), C=s.pop("classes"), **s)
 
 
@@ -277,7 +278,7 @@ def fit_predict(name: str, ds: EmbeddingDataset, S, split, hp: Hyperparams):
         model = init_model(ds.L1, hp.hidden, ds.C, hp.seed)
         trained, trace = train(model, S, ds.X, build_label_matrix(ds, split), split.labeled, hp)
     else:
-        trained, trace = train_logreg(ds.X[split.labeled], full_truth(ds)[split.labeled], ds.C, hp)
+        trained, trace = train_logreg(ds.X[split.labeled], labeled_classes(ds, split), ds.C, hp)
     return trained, trace, predict_nodes(trained, ds.X, S)
 
 

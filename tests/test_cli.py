@@ -1,13 +1,13 @@
 import json
 import re
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
 from gcnbench.baseline import LOGREG_DEFAULTS
 from gcnbench.checkpoint import load_checkpoint
 from gcnbench.cli import main
-from gcnbench.dataset import load_dataset
+from gcnbench.dataset import load_dataset, make_split, save_dataset, synth_blobs
 from gcnbench.graph import load_graph
 from gcnbench.harness import config_from_dict, derive_seed, parse_report_csv, run_experiment
 
@@ -51,6 +51,22 @@ def test_train_logreg_without_graph(tmp_path, blob_csv):
                  "--labeled", "9", "--epochs", "100", "--out", str(ckpt)]) == 0
     _, meta = load_checkpoint(ckpt)
     assert meta["kind"] == "logreg"
+
+
+def test_train_on_partially_labeled_file(tmp_path, capsys):
+    ds = synth_blobs(n=20, d=3, C=2, sep=4.0, seed=0)
+    unlabeled = make_split(ds, 4, seed=3, stratified=False).unlabeled[:4].tolist()
+    ds = replace(ds, truth=[None if i in unlabeled else t for i, t in enumerate(ds.truth)])
+    data, edges = tmp_path / "partial.csv", tmp_path / "g.edges"
+    save_dataset(ds, data)
+    assert main(["build-graph", "--data", str(data), "--out", str(edges)]) == 0
+    for model in ("gcn", "logreg"):
+        ckpt = tmp_path / f"{model}.json"
+        assert main(["train", "--data", str(data), "--graph", str(edges), "--model", model,
+                     "--labeled", "4", "--uniform", "--seed", "3", "--out", str(ckpt)]) == 0
+        assert load_checkpoint(ckpt)[1]["kind"] == model
+    out = capsys.readouterr().out
+    assert "unlabeled accuracy" not in out
 
 
 def test_train_gcn_requires_graph(tmp_path, blob_csv, capsys):
@@ -172,7 +188,12 @@ def test_default_logreg_checkpoint_records_logreg_defaults(tmp_path, blob_csv):
     ("logreg", lambda p: p.pop("weights")),
     ("logreg", lambda p: p.pop("bias")),
     ("logreg", lambda p: p["dims"].update({"in": 5})),
-], ids=["no-theta1", "no-theta2", "gcn-dims", "no-weights", "no-bias", "logreg-dims"])
+    ("gcn", lambda p: p.update(theta1={"a": 1})),
+    ("gcn", lambda p: p["theta2"][0].__setitem__(0, 10 ** 400)),
+    ("logreg", lambda p: p.update(weights="abc")),
+    ("logreg", lambda p: p["bias"].__setitem__(0, {"a": 1})),
+], ids=["no-theta1", "no-theta2", "gcn-dims", "no-weights", "no-bias", "logreg-dims",
+        "theta1-object", "theta2-huge-int", "weights-string", "bias-object"])
 def test_eval_rejects_malformed_checkpoint(tmp_path, blob_csv, capsys, model, corrupt):
     edges, ckpt = tmp_path / "g.edges", tmp_path / "m.json"
     assert main(["build-graph", "--data", str(blob_csv), "--out", str(edges)]) == 0

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gcnbench.cli import main
 from gcnbench.dataset import (
     EmbeddingDataset,
     build_label_matrix,
@@ -48,15 +49,26 @@ def test_load_rejects_class_index_beyond_declared_c(tmp_path):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("rows, row, message", [
+    (["a,0,1.0", ",1,2.0", "c,0,3.0"], 2, "id must be non-empty"),
+    (["a,0,1.0", "b,1,2.0", "c,0,nan"], 3, "non-finite embedding value"),
+    (["a,0,-inf", "b,1,2.0"], 1, "non-finite embedding value"),
+    (["a,0,1.0", "b,1,2.0", "c,3,3.0"], 3, r"class index 3 outside \[0, 3\)"),
+    (["a,0,1.0", "b,-1,2.0"], 2, r"class index -1 outside \[0, 3\)"),
+    (["a,x,1.0", "b,y,2.0", "c,z,3.0", "d,w,4.0"], 3, r"class index 3 outside \[0, 3\)"),
+], ids=["empty-id", "nan", "inf", "index-at-c", "negative-index", "too-many-names"])
+def test_dataset_rule_faults_name_the_data_row(tmp_path, capsys, rows, row, message):
+    path = write_csv(tmp_path, "#classes=3\nid,label,e0\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match=f"^data row {row}: {message}"):
+        load_dataset(path)
+    assert main(["train", "--data", str(path), "--model", "logreg", "--labeled", "1",
+                 "--uniform", "--out", str(tmp_path / "m.json")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: data row {row}: ")
+
+
 def test_load_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_dataset(tmp_path / "nope.csv")
-
-
-def test_load_rejects_unknown_format(tmp_path):
-    path = write_csv(tmp_path, "id,e0\na,1.0\n")
-    with pytest.raises(ValueError, match="format"):
-        load_dataset(path, format="parquet")
 
 
 def test_load_corpus_scale_file(tmp_path):

@@ -277,6 +277,7 @@ def test_load_graph_rejects_bad_files(tmp_path):
         "malformed.edges": ("#nodes=4\n0 1\n", "malformed"),
         "order.edges": ("#nodes=4\n2\t1\n", "i < j"),
         "range.edges": ("#nodes=2\n0\t5\n", "outside"),
+        "huge.edges": ("#nodes=2\n0\t99999999999999999999\n", "outside"),
     }
     for name, (text, message) in cases.items():
         path = tmp_path / name

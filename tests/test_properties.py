@@ -1,0 +1,197 @@
+"""Property tests over the three file formats.
+
+Every writer is byte-stable (write, read, write again gives the same bytes
+and the same values, bit for bit), and every reader turns a damaged file
+into a ValueError and never into another exception.  The examples are
+derandomized, so the suite stays deterministic.
+"""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from gcnbench.baseline import LogRegModel
+from gcnbench.checkpoint import load_checkpoint, save_checkpoint
+from gcnbench.dataset import EmbeddingDataset, load_dataset, save_dataset, synth_blobs
+from gcnbench.gcn import GcnModel, Hyperparams, init_model
+from gcnbench.graph import SparseAdjacency, knn_graph, load_graph, normalize, save_graph
+from gcnbench.harness import predict_nodes
+
+# tmp_path is shared by the examples of one test; each example overwrites its files
+PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=100,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def matrices(rows, cols):
+    return st.lists(st.lists(FINITE, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@st.composite
+def datasets(draw):
+    n, d, C = draw(st.integers(1, 6)), draw(st.integers(1, 4)), draw(st.integers(2, 5))
+    id_chars = st.characters(exclude_categories=("Cs",), exclude_characters=",\n\r")
+    ids = st.text(id_chars, min_size=1, max_size=6)
+    labels = st.lists(st.none() | st.integers(0, C - 1), min_size=n, max_size=n)
+    return EmbeddingDataset(ids=draw(st.lists(ids, min_size=n, max_size=n)),
+                            X=np.array(draw(matrices(n, d))).reshape(n, d), C=C,
+                            truth=draw(st.none() | labels))
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(1, 12))
+    if n == 1:
+        return SparseAdjacency(n=1, edges=[])
+    pair = st.integers(0, n - 2).flatmap(lambda i: st.tuples(st.just(i), st.integers(i + 1, n - 1)))
+    return SparseAdjacency(n=n, edges=draw(st.lists(pair, unique=True, max_size=20)))
+
+
+@st.composite
+def models(draw):
+    din, hidden, C = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        return GcnModel(theta1=draw(matrices(din, hidden)), theta2=draw(matrices(hidden, C)))
+    return LogRegModel(W=draw(matrices(din, C)), b=draw(st.lists(FINITE, min_size=C, max_size=C)))
+
+
+HYPERPARAMS = st.none() | st.builds(
+    Hyperparams, lr=st.floats(0, 10), epochs=st.integers(0, 1000), seed=st.integers(0, 2 ** 64),
+    hidden=st.integers(1, 64), weight_decay=st.floats(0, 1))
+
+
+@PROPERTY
+@given(ds=datasets())
+def test_csv_round_trip(tmp_path, ds):
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    save_dataset(ds, first)
+    loaded = load_dataset(first)
+    save_dataset(loaded, second)
+    assert first.read_bytes() == second.read_bytes()
+    assert same_bits(loaded.X, ds.X)
+    assert (loaded.ids, loaded.C, loaded.truth) == (ds.ids, ds.C, ds.truth)
+
+
+@PROPERTY
+@given(A=graphs())
+def test_edge_list_round_trip(tmp_path, A):
+    first, second = tmp_path / "first.edges", tmp_path / "second.edges"
+    save_graph(A, first)
+    loaded = load_graph(first)
+    save_graph(loaded, second)
+    assert first.read_bytes() == second.read_bytes()
+    assert loaded.n == A.n and np.array_equal(loaded.edges, A.edges)
+
+
+@PROPERTY
+@given(model=models(), hp=HYPERPARAMS)
+def test_checkpoint_round_trip(tmp_path, model, hp):
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_checkpoint(model, first, hyperparams=hp)
+    loaded, meta = load_checkpoint(first)
+    saved_hp = meta["hyperparams"]
+    save_checkpoint(loaded, second, hyperparams=None if saved_hp is None else Hyperparams(**saved_hp))
+    assert first.read_bytes() == second.read_bytes()
+    params = ("theta1", "theta2") if isinstance(model, GcnModel) else ("W", "b")
+    assert all(same_bits(getattr(loaded, p), getattr(model, p)) for p in params)
+
+
+# Byte edits biased toward the characters and tokens the readers give meaning to.
+TOKENS = [b"", b",", b"\n", b"\r", b"\t", b"#", b"-", b"0", b"1", b"7", b"e", b".", b" ", b"nan",
+          b"inf", b"-1", b"99999999999999999999", b"#classes=", b"#nodes=", b"label", b"id",
+          b"x", b"\xff", b"{", b"]", b'"', b"null"]
+EDITS = st.lists(st.tuples(st.integers(0), st.integers(0, 4),
+                           st.sampled_from(TOKENS) | st.binary(max_size=3)), min_size=1, max_size=3)
+
+
+def mutate(data: bytes, edits) -> bytes:
+    """Apply (position, bytes to delete, bytes to insert) edits, positions taken modulo the length."""
+    for pos, cut, insert in edits:
+        pos %= len(data) + 1
+        data = data[:pos] + insert + data[pos + cut:]
+    return data
+
+
+@pytest.fixture(scope="module")
+def sample(tmp_path_factory):
+    """A partially labeled dataset, its CSV and k-NN edge-list bytes, and its propagation matrix."""
+    ds = synth_blobs(n=8, d=3, C=3, sep=4.0, seed=0)
+    ds = EmbeddingDataset(ids=ds.ids, X=ds.X, C=ds.C, truth=[None] + ds.truth[1:])
+    where = tmp_path_factory.mktemp("sample")
+    csv, edges = where / "sample.csv", where / "sample.edges"
+    save_dataset(ds, csv)
+    A = knn_graph(ds, k=2)
+    save_graph(A, edges)
+    return ds, csv.read_bytes(), edges.read_bytes(), normalize(A)
+
+
+@PROPERTY
+@given(edits=EDITS)
+def test_damaged_csv_fails_only_with_value_error(tmp_path, sample, edits):
+    _, csv, _, _ = sample
+    path = tmp_path / "damaged.csv"
+    path.write_bytes(mutate(csv, edits))
+    try:
+        ds = load_dataset(path)
+    except ValueError:
+        return
+    again = tmp_path / "again.csv"
+    save_dataset(ds, again)
+    reread = load_dataset(again)
+    assert same_bits(reread.X, ds.X) and (reread.ids, reread.truth) == (ds.ids, ds.truth)
+
+
+@PROPERTY
+@given(edits=EDITS)
+def test_damaged_edge_list_fails_only_with_value_error(tmp_path, sample, edits):
+    _, _, edges, _ = sample
+    path = tmp_path / "damaged.edges"
+    path.write_bytes(mutate(edges, edits))
+    try:
+        load_graph(path)
+    except ValueError:
+        pass
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+
+
+def slots(node):
+    """Every (container, key) pair inside a decoded JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield node, key
+        yield from slots(child)
+
+
+@PROPERTY
+@given(kind=st.sampled_from(["gcn", "logreg"]), data=st.data())
+def test_damaged_checkpoint_fails_only_with_value_error(tmp_path, sample, kind, data):
+    ds, _, _, S = sample
+    model = init_model(ds.L1, 4, ds.C, seed=0) if kind == "gcn" else LogRegModel(
+        W=np.ones((ds.L1, ds.C)), b=np.zeros(ds.C))
+    path = tmp_path / "damaged.json"
+    save_checkpoint(model, path, hyperparams=Hyperparams())
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    container, key = data.draw(st.sampled_from(list(slots(payload))))
+    if data.draw(st.booleans()):
+        del container[key]
+    else:
+        container[key] = data.draw(JSON_VALUES)
+    text = json.dumps(payload).encode("utf-8")
+    path.write_bytes(mutate(text, data.draw(EDITS)) if data.draw(st.booleans()) else text)
+    try:
+        predict_nodes(load_checkpoint(path)[0], ds.X, S)
+    except ValueError:
+        pass
