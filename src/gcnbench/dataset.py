@@ -275,17 +275,24 @@ def synth_blobs(n: int, d: int, C: int, sep: float = 6.0, seed: int = 0) -> Embe
 def make_split(ds: EmbeddingDataset, l: int, seed: int, stratified: bool = True) -> LabeledSplit:
     """Sample l labeled indices without replacement; deterministic given seed.
 
-    Stratified sampling (the default) keeps per-class labeled counts within
-    1 of each other and requires full ground truth and l >= C.
+    Only rows with ground truth are drawn, or any row when the dataset has
+    no ground truth at all.  Stratified sampling (the default) keeps
+    per-class labeled counts within 1 of each other and requires ground
+    truth and l >= C.  On a fully labeled dataset the draws are those of
+    sampling from all n rows.
     """
     n = ds.n
+    # class index per row, -1 where a row has no ground truth
+    truth = None if ds.truth is None else np.array([-1 if t is None else t for t in ds.truth])
+    candidates = np.arange(n) if truth is None else np.flatnonzero(truth >= 0)
     if l < 1:
         raise ValueError(f"need l >= 1, got {l}")
-    if l > n:
-        raise ValueError(f"need l <= n={n}, got {l}")
+    if l > len(candidates):
+        raise ValueError(f"need l <= {len(candidates)}, the rows that can be labeled, got {l}")
     rng = np.random.default_rng(seed)
     if stratified:
-        truth = full_truth(ds)
+        if truth is None:
+            raise ValueError("stratified split needs ground truth")
         if l < ds.C:
             raise ValueError(f"stratified split needs l >= C={ds.C}, got l={l}")
         base, extra = divmod(l, ds.C)
@@ -299,7 +306,7 @@ def make_split(ds: EmbeddingDataset, l: int, seed: int, stratified: bool = True)
             picks.append(rng.choice(pool, size=quota, replace=False))
         labeled = np.sort(np.concatenate(picks))
     else:
-        labeled = np.sort(rng.choice(n, size=l, replace=False))
+        labeled = np.sort(rng.choice(candidates, size=l, replace=False))
     mask = np.ones(n, dtype=bool)
     mask[labeled] = False
     return LabeledSplit(labeled=labeled, unlabeled=np.flatnonzero(mask))

@@ -77,6 +77,9 @@ class ForwardCache:
     SX = S @ X and SH1 = S @ H1 are stored alongside the activations because
     the gradient of each parameter matrix contracts against them.  SX has no
     parameters, so train() computes it once per run and reuses it every epoch.
+    forward() fills every row.  Inside train(), SH1 is propagated only on the
+    labeled rows and holds zero rows elsewhere, so A2 is zero and Z uniform
+    on the rows the masked loss never reads.
     """
 
     A1: np.ndarray
@@ -144,14 +147,28 @@ def forward(model: GcnModel, S: PropagationMatrix, X) -> ForwardCache:
     L1, _, _ = model.dims
     if X.ndim != 2 or X.shape != (S.n, L1):
         raise ValueError(f"X must be {S.n}x{L1}, got {X.shape}")
-    return _layers(model, S, S.matmul(X))
+    return _layers(model, S, S.matmul(X), None)
 
 
-def _layers(model: GcnModel, S: PropagationMatrix, SX: np.ndarray) -> ForwardCache:
-    """forward() from an already propagated SX = S @ X."""
+def _propagate(S: PropagationMatrix, M: np.ndarray, rows) -> np.ndarray:
+    """S @ M, or (rows given) S @ M on those rows and zero rows elsewhere.
+
+    The result always has all n rows, so the dense products that follow keep
+    their full-n shapes: a GEMM on a subset of rows may round differently,
+    while zero rows in a full-n GEMM leave its other rows and its sums over n
+    bit-identical."""
+    if rows is None:
+        return S.matmul(M)
+    out = np.zeros((S.n, M.shape[1]))
+    out[rows] = S.matmul(M, rows=rows)
+    return out
+
+
+def _layers(model: GcnModel, S: PropagationMatrix, SX: np.ndarray, rows) -> ForwardCache:
+    """forward() from an already propagated SX = S @ X; SH1 only on ``rows`` (None: all)."""
     A1 = SX @ model.theta1
     H1 = relu(A1)
-    SH1 = S.matmul(H1)
+    SH1 = _propagate(S, H1, rows)
     A2 = SH1 @ model.theta2
     return ForwardCache(A1=A1, H1=H1, A2=A2, Z=softmax(A2), SX=SX, SH1=SH1)
 
@@ -180,13 +197,19 @@ def backward(model: GcnModel, S: PropagationMatrix, X, cache: ForwardCache, Y, l
     L1, L2, C = model.dims
     if cache.Z.shape != (S.n, C) or cache.A1.shape != (S.n, L2) or X.shape != (S.n, L1):
         raise ValueError("cache does not match this model/graph/feature combination")
-    labeled = np.asarray(labeled, dtype=np.int64)
+    return _gradients(model, S, cache, Y, np.asarray(labeled, dtype=np.int64), weight_decay, None)
+
+
+def _gradients(model: GcnModel, S: PropagationMatrix, cache: ForwardCache, Y, labeled,
+               weight_decay: float, field) -> Gradients:
+    """backward() without its checks; G1 is propagated only on ``field`` (None: all rows),
+    which must hold every row of S that touches a labeled row, or G1 loses entries."""
     y = _label_array(Y)
     G2 = np.zeros_like(cache.Z)
     if len(labeled):
         G2[labeled] = cache.Z[labeled] - y[labeled]
     g_theta2 = cache.SH1.T @ G2
-    G1 = S.matmul(G2 @ model.theta2.T) * (cache.A1 > 0)
+    G1 = _propagate(S, G2 @ model.theta2.T, field) * (cache.A1 > 0)
     g_theta1 = cache.SX.T @ G1
     if weight_decay > 0:
         g_theta1 = g_theta1 + weight_decay * model.theta1
@@ -203,10 +226,22 @@ def train(model: GcnModel, S: PropagationMatrix, X, Y, labeled,
     records the training objective, i.e. the masked cross-entropy plus the
     weight-decay penalty 0.5 * wd * (|theta1|^2 + |theta2|^2) when enabled.
     S @ X is computed once per run, by the first forward(), and reused by
-    every epoch.  Raises if the parameters or the objective become non-finite.
+    every epoch.  After that, each epoch propagates only the rows the result
+    depends on: S @ H1 on the labeled rows L, which are all the masked loss
+    reads, and the layer-1 gradient on N1, the rows of S that touch L, where
+    alone it can be nonzero.  Each of those rows is summed over its full
+    segment, so the parameters and trace are bit-identical to full-graph
+    forward()/backward() steps.  Raises if the parameters or the objective
+    become non-finite.
     """
     current = GcnModel(theta1=model.theta1.copy(), theta2=model.theta2.copy())
     wd = hp.weight_decay
+    labeled = np.asarray(labeled, dtype=np.int64)
+    is_labeled = np.zeros(S.n, dtype=bool)
+    is_labeled[labeled] = True
+    # N1, the rows whose segment holds a labeled column; the diagonal keeps every
+    # segment non-empty, so reduceat sees each row once
+    field = np.flatnonzero(np.logical_or.reduceat(is_labeled[S.indices], S.indptr[:-1]))
 
     def objective(m, cache):
         value = loss(cache, Y, labeled)
@@ -219,14 +254,14 @@ def train(model: GcnModel, S: PropagationMatrix, X, Y, labeled,
     if not np.isfinite(trace[0]):
         raise ValueError("training diverged: non-finite loss at epoch 0")
     for epoch in range(hp.epochs):
-        grads = backward(current, S, X, cache, Y, labeled, weight_decay=wd)
+        grads = _gradients(current, S, cache, Y, labeled, wd, field)
         t1 = current.theta1 - hp.lr * grads.g_theta1
         t2 = current.theta2 - hp.lr * grads.g_theta2
         if not (np.isfinite(t1).all() and np.isfinite(t2).all()):
             raise ValueError(f"training diverged: non-finite parameters at epoch {epoch + 1}")
         # t1, t2 keep their shapes and were just checked finite: no new GcnModel to re-validate
         current.theta1, current.theta2 = t1, t2
-        cache = _layers(current, S, cache.SX)
+        cache = _layers(current, S, cache.SX, labeled)
         trace.append(objective(current, cache))
         if not np.isfinite(trace[-1]):
             raise ValueError(f"training diverged: non-finite loss at epoch {epoch + 1}")

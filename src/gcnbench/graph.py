@@ -14,6 +14,8 @@ import numpy as np
 
 METRICS = ("euclidean", "cosine")
 METHODS = ("knn", "epsilon", "full")
+# rows per block of PropagationMatrix.matmul; bounds its gather temporary to one block's nnz
+MATMUL_BLOCK_ROWS = 128
 
 
 def check_type(name: str, value, kind: type) -> None:
@@ -108,17 +110,34 @@ class PropagationMatrix:
     def nnz(self) -> int:
         return len(self.data)
 
-    def matmul(self, M: np.ndarray) -> np.ndarray:
-        """S @ M for dense M: the gathered rows M[indices], a copy, are scaled in place and
-        each row summed by np.add.reduceat in an order fixed for a given NumPy build;
-        that order is not a sequential ascending-column sum.  M is left unmodified."""
+    def matmul(self, M: np.ndarray, rows=None) -> np.ndarray:
+        """S @ M for dense M, or only its rows ``rows`` (any order) as (S @ M)[rows].
+
+        Rows go in blocks of at most MATMUL_BLOCK_ROWS.  A block gathers M at its rows'
+        full column segments, scales that copy in place and sums each segment with
+        np.add.reduceat, in an order fixed for a given NumPy build that is not a
+        sequential ascending-column sum.  Every row is summed over its whole segment
+        whatever the block or ``rows``, so each row's bits match the full product, and
+        the gather temporary holds one block's nnz x cols.  M is left unmodified."""
         M = np.asarray(M, dtype=np.float64)
         if M.shape[0] != self.n:
             raise ValueError(f"operand has {M.shape[0]} rows, matrix is {self.n}x{self.n}")
-        contrib = M[self.indices]
-        contrib *= self.data[:, None]
-        # reduceat is safe because the diagonal keeps every row segment non-empty
-        return np.add.reduceat(contrib, self.indptr[:-1], axis=0)
+        rows = np.arange(self.n) if rows is None else np.asarray(rows, dtype=np.int64)
+        if len(rows) and (rows.min() < 0 or rows.max() >= self.n):
+            raise ValueError(f"row index outside 0..{self.n - 1}")
+        out = np.empty((len(rows),) + M.shape[1:])
+        for first in range(0, len(rows), MATMUL_BLOCK_ROWS):
+            block = rows[first:first + MATMUL_BLOCK_ROWS]
+            lengths = self.indptr[block + 1] - self.indptr[block]
+            ends = np.cumsum(lengths)
+            offsets = ends - lengths
+            # the position in indices/data of every entry of the block's row segments
+            entries = np.arange(ends[-1]) + np.repeat(self.indptr[block] - offsets, lengths)
+            contrib = M[self.indices[entries]]
+            contrib *= self.data[entries, None]
+            # reduceat is safe because the diagonal keeps every row segment non-empty
+            out[first:first + len(block)] = np.add.reduceat(contrib, offsets, axis=0)
+        return out
 
     def to_dense(self) -> np.ndarray:
         dense = np.zeros((self.n, self.n))

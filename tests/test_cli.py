@@ -69,6 +69,18 @@ def test_train_on_partially_labeled_file(tmp_path, capsys):
     assert "unlabeled accuracy" not in out
 
 
+@pytest.mark.parametrize("split", [[], ["--uniform"]])
+def test_train_labels_only_rows_with_ground_truth(tmp_path, capsys, split):
+    ds = synth_blobs(n=20, d=3, C=2, sep=4.0, seed=0)
+    ds = replace(ds, truth=[None if i in (2, 7, 11, 18) else t for i, t in enumerate(ds.truth)])
+    data = tmp_path / "partial.csv"
+    save_dataset(ds, data)
+    for seed in range(6):
+        assert main(["train", "--data", str(data), "--model", "logreg", "--labeled", "4",
+                     "--seed", str(seed), *split, "--out", str(tmp_path / "m.json")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_train_gcn_requires_graph(tmp_path, blob_csv, capsys):
     code = main(["train", "--data", str(blob_csv), "--model", "gcn",
                  "--labeled", "9", "--out", str(tmp_path / "x.json")])

@@ -4,9 +4,11 @@ import pytest
 from gcnbench.cli import main
 from gcnbench.dataset import (
     EmbeddingDataset,
+    LabeledSplit,
     build_label_matrix,
     full_truth,
     l2_normalize_rows,
+    labeled_classes,
     load_dataset,
     make_split,
     save_dataset,
@@ -243,9 +245,34 @@ def test_build_label_matrix_unlabeled_rows_zero():
 
 def test_build_label_matrix_requires_truth_on_labeled():
     ds = EmbeddingDataset(ids=["a", "b"], X=np.eye(2), C=2, truth=[0, None])
-    split = make_split(ds, 2, seed=0, stratified=False)
+    # make_split no longer labels a row without ground truth, so the split is given directly
+    split = LabeledSplit(labeled=[0, 1], unlabeled=[])
     with pytest.raises(ValueError, match="no ground truth"):
         build_label_matrix(ds, split)
+
+
+def partially_labeled(n=20, missing=(2, 7, 11, 18)):
+    ds = synth_blobs(n=n, d=3, C=2, sep=4.0, seed=0)
+    return EmbeddingDataset(ids=ds.ids, X=ds.X, C=2,
+                            truth=[None if i in missing else t for i, t in enumerate(ds.truth)])
+
+
+@pytest.mark.parametrize("stratified", [True, False])
+def test_make_split_labels_only_rows_with_ground_truth(stratified):
+    ds = partially_labeled()
+    for seed in range(20):
+        split = make_split(ds, 16, seed=seed, stratified=stratified)
+        assert not {2, 7, 11, 18} & set(split.labeled.tolist())
+        assert len(labeled_classes(ds, split)) == 16
+    with pytest.raises(ValueError, match="need l <= 16"):
+        make_split(ds, 17, seed=0, stratified=stratified)
+
+
+def test_make_split_on_full_truth_draws_as_from_all_rows():
+    ds = synth_blobs(n=30, d=2, C=3, sep=2.0, seed=0)
+    for seed in range(5):
+        expected = np.sort(np.random.default_rng(seed).choice(30, size=7, replace=False))
+        assert np.array_equal(make_split(ds, 7, seed=seed, stratified=False).labeled, expected)
 
 
 def test_l2_normalize_rows():

@@ -230,18 +230,21 @@ def test_train_is_bit_identical_to_the_per_epoch_forward_loop(weight_decay):
 
 def test_train_propagates_the_features_once(monkeypatch):
     ds, S, split, Y, model = small_instance(19)
-    operands = []
+    operands, row_sets = [], []
     original = PropagationMatrix.matmul
 
-    def counting(self, M):
+    def counting(self, M, rows=None):
         operands.append(M is ds.X)
-        return original(self, M)
+        row_sets.append(rows)
+        return original(self, M, rows=rows)
 
     monkeypatch.setattr(PropagationMatrix, "matmul", counting)
     epochs = 6
     train(model, S, ds.X, Y, split.labeled, Hyperparams(epochs=epochs))
     assert operands.count(True) == 1
     assert operands.count(False) == 2 * epochs + 1
+    # the first forward() is full; every per-epoch product is row-restricted
+    assert [rows is None for rows in row_sets] == [True, True] + [False] * (2 * epochs)
 
 
 def test_train_deterministic():

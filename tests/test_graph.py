@@ -3,6 +3,7 @@ import pytest
 
 from gcnbench.dataset import synth_blobs
 from gcnbench.graph import (
+    MATMUL_BLOCK_ROWS,
     METRICS,
     GraphBuildConfig,
     SparseAdjacency,
@@ -229,6 +230,62 @@ def test_propagation_matmul_keeps_operand_and_old_scale_then_sum_bits():
     assert np.array_equal(M, before)
     reference = np.add.reduceat(S.data[:, None] * M[S.indices], S.indptr[:-1], axis=0)
     assert np.array_equal(out, reference)
+
+
+def one_shot_product(S, M):
+    """The unblocked kernel: one gather M[indices] for all rows, scaled in place, one reduceat."""
+    contrib = M[S.indices]
+    contrib *= S.data[:, None]
+    return np.add.reduceat(contrib, S.indptr[:-1], axis=0)
+
+
+def random_propagation(n, seed, edge_share=0.3):
+    """A random graph on n nodes whose first quarter of the nodes is isolated."""
+    rng = np.random.default_rng(seed)
+    i, j = np.triu_indices(n, k=1)
+    keep = (rng.random(len(i)) < edge_share) & (i >= n // 4)
+    return normalize(SparseAdjacency(n=n, edges=np.column_stack([i[keep], j[keep]])))
+
+
+@pytest.mark.parametrize("n", [1, 7, MATMUL_BLOCK_ROWS - 1, MATMUL_BLOCK_ROWS,
+                               MATMUL_BLOCK_ROWS + 1, 3 * MATMUL_BLOCK_ROWS + 5])
+@pytest.mark.parametrize("cols", [1, 16])
+def test_blocked_matmul_matches_the_one_shot_kernel(n, cols):
+    S = random_propagation(n, seed=n, edge_share=min(1.0, 8.0 / n))
+    assert (np.diff(S.indptr)[:n // 4] == 1).all()  # isolated nodes: the diagonal alone
+    M = np.random.default_rng(cols).standard_normal((n, cols))
+    expected = one_shot_product(S, M)
+    assert np.array_equal(S.matmul(M), expected)
+    rows = np.random.default_rng(0).permutation(n)[:max(1, n // 3)]
+    assert np.array_equal(S.matmul(M, rows=rows), expected[rows])
+    assert np.array_equal(S.matmul(M, rows=np.arange(n)[::-1]), expected[::-1])
+
+
+def test_matmul_rows_may_repeat_and_be_empty():
+    S = random_propagation(50, seed=1)
+    M = np.random.default_rng(2).standard_normal((50, 4))
+    expected = one_shot_product(S, M)
+    assert np.array_equal(S.matmul(M, rows=[3, 49, 3, 0]), expected[[3, 49, 3, 0]])
+    empty = S.matmul(M, rows=np.array([], dtype=np.int64))
+    assert empty.shape == (0, 4)
+    assert S.matmul(M, rows=[]).shape == (0, 4)
+
+
+@pytest.mark.parametrize("rows", [[50], [-1], [0, 50]])
+def test_matmul_rejects_rows_outside_the_matrix(rows):
+    S = random_propagation(50, seed=1)
+    with pytest.raises(ValueError, match="row index outside"):
+        S.matmul(np.ones((50, 2)), rows=rows)
+
+
+def test_blocked_matmul_matches_the_one_shot_kernel_on_the_wide_gcn_graph():
+    ds = synth_blobs(n=2000, d=64, C=10, sep=6.0, seed=0)  # the wide-gcn benchmark data, seed 0
+    S = normalize(knn_graph(ds, 10))
+    rows = np.random.default_rng(0).permutation(2000)[:700]
+    for M in (ds.X, np.random.default_rng(1).standard_normal((2000, 16))):
+        expected = one_shot_product(S, M)
+        assert np.array_equal(S.matmul(M), expected)
+        assert np.array_equal(S.matmul(M, rows=rows), expected[rows])
 
 
 def test_graph_config_validation():

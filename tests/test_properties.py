@@ -1,9 +1,11 @@
-"""Property tests over the three file formats.
+"""Property tests over the file formats and GCN training.
 
 Every writer is byte-stable (write, read, write again gives the same bytes
 and the same values, bit for bit), and every reader turns a damaged file
-into a ValueError and never into another exception.  The examples are
-derandomized, so the suite stays deterministic.
+into a ValueError and never into another exception.  Training, which
+propagates only the rows the loss and gradients depend on, is bit-identical
+to the full-graph oracle loop.  The examples are derandomized, so the suite
+stays deterministic.
 """
 
 import json
@@ -16,9 +18,17 @@ from hypothesis import strategies as st
 from gcnbench.baseline import LogRegModel
 from gcnbench.checkpoint import load_checkpoint, save_checkpoint
 from gcnbench.dataset import EmbeddingDataset, load_dataset, save_dataset, synth_blobs
-from gcnbench.gcn import GcnModel, Hyperparams, init_model
+from gcnbench.gcn import GcnModel, Hyperparams, init_model, train
 from gcnbench.graph import SparseAdjacency, knn_graph, load_graph, normalize, save_graph
-from gcnbench.harness import predict_nodes
+from gcnbench.harness import (
+    REPORT_HEADER,
+    CellResult,
+    EvalReport,
+    parse_report_csv,
+    predict_nodes,
+    render_report,
+)
+from oracles import train_oracle
 
 # tmp_path is shared by the examples of one test; each example overwrites its files
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=100,
@@ -66,6 +76,58 @@ def models(draw):
 HYPERPARAMS = st.none() | st.builds(
     Hyperparams, lr=st.floats(0, 10), epochs=st.integers(0, 1000), seed=st.integers(0, 2 ** 64),
     hidden=st.integers(1, 64), weight_decay=st.floats(0, 1))
+
+
+@st.composite
+def reports(draw):
+    names = st.sampled_from(["gcn", "logreg"]) | st.text(
+        st.characters(exclude_categories=("Cs",), exclude_characters=",\n"), max_size=5)
+    keys = draw(st.lists(st.tuples(names, st.integers(0, 10 ** 6), st.integers(0, 100)),
+                         min_size=1, max_size=8, unique=True))
+    return EvalReport(rows=[CellResult(model=model, budget=budget, repeat=repeat,
+                                       seed=draw(st.integers(0, 2 ** 64 - 1)),
+                                       accuracy_pct=draw(st.floats(0, 100)),
+                                       wall_ms=draw(st.floats(0, allow_infinity=False)))
+                            for model, budget, repeat in keys])
+
+
+@PROPERTY
+@given(report=reports())
+def test_report_round_trip(report):
+    text = render_report(report, "csv")
+    assert text.startswith(REPORT_HEADER + "\n")
+    assert render_report(parse_report_csv(text), "csv").encode("utf-8") == text.encode("utf-8")
+
+
+@st.composite
+def training_runs(draw):
+    """A model, graph, features, one-hot targets and a label set in any order: none,
+    all nodes or a random subset."""
+    A = draw(graphs())
+    n = A.n
+    din, hidden, C = draw(st.integers(1, 5)), draw(st.integers(1, 6)), draw(st.integers(2, 4))
+    X = np.array(draw(st.lists(st.lists(st.floats(-3, 3), min_size=din, max_size=din),
+                               min_size=n, max_size=n)))
+    labeled = draw(st.just([]) | st.just(list(range(n)))
+                   | st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    Y = np.zeros((n, C))
+    Y[labeled, draw(st.lists(st.integers(0, C - 1), min_size=len(labeled),
+                             max_size=len(labeled)))] = 1.0
+    hp = Hyperparams(lr=draw(st.floats(0.01, 0.5)), epochs=draw(st.integers(0, 8)),
+                     weight_decay=draw(st.just(0.0) | st.floats(1e-4, 0.1)))
+    model = init_model(din, hidden, C, seed=draw(st.integers(0, 1000)))
+    return model, normalize(A), X, Y, np.array(labeled, dtype=np.int64), hp
+
+
+@PROPERTY
+@given(run=training_runs())
+def test_train_is_bit_identical_to_the_full_graph_oracle(run):
+    model, S, X, Y, labeled, hp = run
+    trained, trace = train(model, S, X, Y, labeled, hp)
+    expected, expected_trace = train_oracle(model, S, X, Y, labeled, hp)
+    assert np.array_equal(trained.theta1, expected.theta1)
+    assert np.array_equal(trained.theta2, expected.theta2)
+    assert trace == expected_trace
 
 
 @PROPERTY
