@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: synth, build-graph, train, experiment, eval.  Usage errors
-exit with 2; I/O and validation failures print a diagnostic on stderr and
-exit with 1.
+exit with 2; I/O and validation failures, and any other exception a command
+raises, print a one-line diagnostic on stderr and exit with 1.
 """
 
 from __future__ import annotations
@@ -156,6 +156,9 @@ def main(argv=None) -> int:
         _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:  # a defect, not bad input; still one line and exit 1
+        print(f"error: internal {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     return 0
 

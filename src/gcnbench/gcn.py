@@ -77,9 +77,9 @@ class ForwardCache:
     SX = S @ X and SH1 = S @ H1 are stored alongside the activations because
     the gradient of each parameter matrix contracts against them.  SX has no
     parameters, so train() computes it once per run and reuses it every epoch.
-    forward() fills every row.  Inside train(), SH1 is propagated only on the
-    labeled rows and holds zero rows elsewhere, so A2 is zero and Z uniform
-    on the rows the masked loss never reads.
+    forward() fills every row.  Inside train(), SH1 is propagated and Z is
+    computed only on the labeled rows; SH1, A2 and Z hold zero rows on the
+    rows the masked loss never reads.
     """
 
     A1: np.ndarray
@@ -165,12 +165,18 @@ def _propagate(S: PropagationMatrix, M: np.ndarray, rows) -> np.ndarray:
 
 
 def _layers(model: GcnModel, S: PropagationMatrix, SX: np.ndarray, rows) -> ForwardCache:
-    """forward() from an already propagated SX = S @ X; SH1 only on ``rows`` (None: all)."""
+    """forward() from an already propagated SX = S @ X; SH1 and Z only on ``rows`` (None: all).
+    softmax works row by row, so the rows it computes are the full call's bits."""
     A1 = SX @ model.theta1
     H1 = relu(A1)
     SH1 = _propagate(S, H1, rows)
     A2 = SH1 @ model.theta2
-    return ForwardCache(A1=A1, H1=H1, A2=A2, Z=softmax(A2), SX=SX, SH1=SH1)
+    if rows is None:
+        Z = softmax(A2)
+    else:
+        Z = np.zeros_like(A2)
+        Z[rows] = softmax(A2[rows])
+    return ForwardCache(A1=A1, H1=H1, A2=A2, Z=Z, SX=SX, SH1=SH1)
 
 
 def loss(cache: ForwardCache, Y, labeled) -> float:

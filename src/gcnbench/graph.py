@@ -2,7 +2,10 @@
 
 Three constructions are supported: k-nearest-neighbor with OR-symmetrization,
 epsilon-neighborhood (strict <), and the fully connected graph.  Neighbor
-search is exact brute force, which is fine at desk scale (n up to ~10^4).
+search is exact and O(n^2), which is fine at desk scale (n up to ~10^4): blocks
+of rows get distance bounds from one GEMM each, and only rows those bounds
+leave undecided are recomputed with the exact per-row formula (filter and
+refine, _distance_bounds).
 """
 
 from __future__ import annotations
@@ -16,15 +19,18 @@ METRICS = ("euclidean", "cosine")
 METHODS = ("knn", "epsilon", "full")
 # rows per block of PropagationMatrix.matmul; bounds its gather temporary to one block's nnz
 MATMUL_BLOCK_ROWS = 128
+# rows per block of the k-NN and epsilon filters: two block x n float buffers
+DISTANCE_BLOCK_ROWS = 128
 
 
 def check_type(name: str, value, kind: type) -> None:
     """Raise ValueError naming ``name`` unless ``value`` is a ``kind``: int, float or bool.
-    A bool is no int or float, an int serves as a float, and a float must be finite."""
+    A bool is no int or float, an int serves as a float, and a float must be finite
+    (an int too, once converted: 10**400 is not)."""
     abc, expected = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a finite number"),
                      bool: (bool, "true or false")}[kind]
     if (not isinstance(value, abc) or isinstance(value, bool) != (kind is bool)
-            or (kind is float and not -np.inf < value < np.inf)):
+            or (kind is float and not abs(value) <= np.finfo(np.float64).max.item())):
         raise ValueError(f"{name} must be {expected}, got {value!r}")
 
 
@@ -74,10 +80,9 @@ class SparseAdjacency:
                 raise ValueError("edge endpoint outside 0..n-1")
             if (edges[:, 0] >= edges[:, 1]).any():
                 raise ValueError("edges must satisfy i < j (no self-loops)")
-            canon = np.unique(edges, axis=0)
-            if len(canon) != len(edges):
+            edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+            if (edges[1:] == edges[:-1]).all(axis=1).any():
                 raise ValueError("duplicate edge")
-            edges = canon
         self.edges = edges
 
     @property
@@ -173,18 +178,98 @@ def _features(ds) -> np.ndarray:
     return X
 
 
-def _distance_rows(X, metric):
-    """Iterate over the rows of the exact n x n distance matrix of X, each a fresh array.
-    The metric and zero cosine vectors are checked before the first row; a cosine
-    self-distance may miss 0 by rounding (pairwise_distance keeps it at exactly 0)."""
+def _row_norms(X, metric):
+    """The row norms cosine divides by (None for euclidean), checked before any distance."""
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}, expected one of {METRICS}")
     if metric == "euclidean":
-        return (np.sqrt(((X - x) ** 2).sum(axis=1)) for x in X)
+        return None
     norms = np.linalg.norm(X, axis=1)
     if (norms == 0.0).any():
         raise ValueError("cosine distance undefined for a zero vector")
-    return (1.0 - (X @ x) / (norms * norm) for x, norm in zip(X, norms))
+    return norms
+
+
+def _distance_rows(X, norms, rows):
+    """Yield (i, row i of the exact n x n distance matrix of X) for each i in ``rows``.
+
+    This is the exact formula, one fresh row at a time: euclidean
+    sqrt(sum((X - x)^2)), or cosine 1 - (X @ x) / (norms * norm) (``norms`` from
+    _row_norms; None means euclidean).  The blocked builders call it only for
+    the rows their rounding bounds cannot decide.  A cosine self-distance may
+    miss 0 by rounding (pairwise_distance keeps it at exactly 0)."""
+    for i in rows:
+        x = X[i]
+        if norms is None:
+            yield i, np.sqrt(((X - x) ** 2).sum(axis=1))
+        else:
+            yield i, 1.0 - (X @ x) / (norms * norms[i])
+
+
+def _distance_bounds(X, norms, upper):
+    """Yield (first, lo, hi) for blocks of DISTANCE_BLOCK_ROWS rows from row ``first``:
+    lo <= e <= hi for every pair, where e is what _distance_rows computes, squared
+    for euclidean.  Columns are 0..n-1, or first..n-1 if ``upper``.  lo and hi are
+    views of two buffers reused by the next block.  Yields nothing when X lies
+    outside the range where the bound below is proven.
+
+    The bound.  Let u = 2^-53, d the width of X and a, b two rows.  Every
+    rounded operation is off by at most u times its result, and a dot product
+    or sum of squares over d terms, whatever order and fused multiply-adds BLAS
+    uses, by at most d u sum_k |a_k b_k| <= d u |a| |b| (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 3).  To first order in u:
+
+    - euclidean, N = |a|^2 + |b|^2 and D = |a - b|^2 <= 2N.  The exact e^2 is
+      within (d + 4) u D <= (2d + 8) u N of D (difference, square, d - 1 sums,
+      sqrt, squared), and the estimate |a|^2 + |b|^2 - 2 a.b within (2d + 4) u N
+      (d u N from the norms, d u N from 2 a.b, 2 u N from each of two sums).
+      The margin c N, c = (4d + 24) u, is folded into the norms: hi adds
+      |a|^2 (1 + c) + p and |b|^2 (1 + c) + p to -2 a.b, lo the same with 1 - c
+      and -p.  Rounding the folded norms costs 3 u N, which leaves 9 u N for the
+      higher-order terms.  p = 2^-1000 exceeds the (4d + 2) 2^-1075 that
+      underflowing products can add.  Proven for d <= 10^6 and |x|^2 <= 2^1000,
+      where nothing overflows.
+    - cosine, t = 1 - cos(a, b) and |cos| <= 1.  Each norm is within
+      (d/2 + 1) u of the true one, so the exact 1 - (a.b) / (|a| |b|) is within
+      (2d + 6) u of t, and the estimate's (a / |a|) . b / |b| within (2d + 4) u
+      of cos.  With m = (4d + 24) u, hi = (1 + m) - estimate and
+      lo = (1 - m) - estimate cost 3 u to round, which leaves 11 u.  Proven for
+      d <= 10^6 and row norms within 2^-250..2^250, where no norm product
+      under- or overflows and underflowing products add under d 2^-825.
+    """
+    n, d = X.shape
+    if d > 10 ** 6:
+        return
+    margin = (4 * d + 24) * 2.0 ** -53
+    if norms is None:
+        sq = np.einsum("ij,ij->i", X, X)
+        if not sq.max(initial=0.0) <= 2.0 ** 1000:
+            return
+        add_lo = sq * (1.0 - margin) - 2.0 ** -1000
+        add_hi = sq * (1.0 + margin) + 2.0 ** -1000
+    elif not ((norms >= 2.0 ** -250) & (norms <= 2.0 ** 250)).all():
+        return
+    size = min(DISTANCE_BLOCK_ROWS, n) * n
+    lo_buf, hi_buf = np.empty(size), np.empty(size)
+    for first in range(0, n, DISTANCE_BLOCK_ROWS):
+        block = slice(first, min(first + DISTANCE_BLOCK_ROWS, n))
+        cols = slice(first if upper else 0, n)
+        shape = (block.stop - first, n - cols.start)
+        lo = lo_buf[:shape[0] * shape[1]].reshape(shape)
+        hi = hi_buf[:shape[0] * shape[1]].reshape(shape)
+        if norms is None:
+            # -2 a.b exactly as -2 times the dot product, as the scale is a power of two
+            np.matmul(-2.0 * X[block], X[cols].T, out=lo)
+            np.add(lo, add_hi[cols], out=hi)
+            hi += add_hi[block, None]
+            lo += add_lo[cols]
+            lo += add_lo[block, None]
+        else:
+            np.matmul(X[block] / norms[block, None], X[cols].T, out=lo)
+            lo /= norms[cols]
+            np.subtract(1.0 + margin, lo, out=hi)
+            np.subtract(1.0 - margin, lo, out=lo)
+        yield first, lo, hi
 
 
 def knn_graph(ds, k: int, metric: str = "euclidean") -> SparseAdjacency:
@@ -193,15 +278,30 @@ def knn_graph(ds, k: int, metric: str = "euclidean") -> SparseAdjacency:
     {i, j} is an edge if j is among the k nearest neighbors of i or i is
     among the k nearest of j.  Ties at the k-th distance admit the lower
     index, so each node contributes exactly its k nearest before the union.
-    Exact O(n^2) brute force: one distance row and one stable argsort per node.
+    Exact, by filter and refine: for each block of rows, one GEMM gives
+    bounds lo <= distance <= hi (_distance_bounds).  With T the k-th smallest
+    hi of a row, self excluded, every true neighbor has lo <= T; when exactly
+    k entries do, they are the k nearest.  Any other row gets its exact
+    distance row and the stable argsort, so the edges are those of one exact
+    row and one stable argsort per node, bit for bit.
     """
     check_type("k", k, int)
     X = _features(ds)
     n = len(X)
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= n-1={n - 1}, got k={k}")
+    norms = _row_norms(X, metric)
     nearest = np.empty((n, k), dtype=np.int64)
-    for i, d in enumerate(_distance_rows(X, metric)):
+    decided = np.zeros(n, dtype=bool)
+    for first, lo, hi in _distance_bounds(X, norms, upper=False):
+        rows = np.arange(len(lo))
+        lo[rows, first + rows] = hi[rows, first + rows] = np.inf
+        hi.partition(k - 1, axis=1)
+        candidate = lo <= hi[:, k - 1:k]
+        sure = np.count_nonzero(candidate, axis=1) == k
+        nearest[first + rows[sure]] = np.nonzero(candidate[sure])[1].reshape(-1, k)
+        decided[first:first + len(lo)] = sure
+    for i, d in _distance_rows(X, norms, np.flatnonzero(~decided)):
         d[i] = np.inf
         # stable sort keeps the lower index first among exact ties
         nearest[i] = np.argsort(d, kind="stable")[:k]
@@ -211,19 +311,41 @@ def knn_graph(ds, k: int, metric: str = "euclidean") -> SparseAdjacency:
 
 
 def epsilon_graph(ds, eps: float, metric: str = "euclidean") -> SparseAdjacency:
-    """Connect every pair at distance strictly smaller than eps."""
+    """Connect every pair at distance strictly smaller than eps.
+
+    Exact, by filter and refine like knn_graph: a pair j > i is in when its
+    bound hi < eps and out when lo >= eps (squared for euclidean, against
+    eps^2 rounded outward); a row with any other pair gets its exact distance
+    row and the strict < eps test."""
     check_type("eps", eps, float)
     if eps <= 0:
         raise ValueError(f"need eps > 0, got {eps}")
     X = _features(ds)
     n = len(X)
+    norms = _row_norms(X, metric)
+    eps_in = eps_out = eps
+    if norms is None:  # euclidean bounds are squared: eps^2 rounded down for "in", up for "out"
+        eps_in, eps_out = np.nextafter(eps * eps, -np.inf), np.nextafter(eps * eps, np.inf)
+    below_diagonal = np.tri(min(DISTANCE_BLOCK_ROWS, n), dtype=bool)
+    blocks, decided = [], np.zeros(n, dtype=bool)
+    for first, lo, hi in _distance_bounds(X, norms, upper=True):
+        r = len(lo)
+        # columns start at first: the block's j <= i form the lower triangle on the left
+        lo[:, :r][below_diagonal[:r, :r]] = hi[:, :r][below_diagonal[:r, :r]] = np.inf
+        inside = hi < eps_in
+        sure = ~((lo < eps_out) & ~inside).any(axis=1)
+        inside[~sure] = False
+        i, j = np.nonzero(inside)
+        blocks.append(np.column_stack([first + i, first + j]))
+        decided[first:first + r] = sure
     # flat int lists: one small array per row fragmented the heap (+5 MB peak RSS at n=5000)
     rows, cols = [], []
-    for i, d in enumerate(_distance_rows(X, metric)):
+    for i, d in _distance_rows(X, norms, np.flatnonzero(~decided)):
         js = (i + 1 + np.flatnonzero(d[i + 1:] < eps)).tolist()
         rows += [i] * len(js)
         cols += js
-    return SparseAdjacency(n=n, edges=np.column_stack([rows, cols]))
+    blocks.append(np.column_stack([np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)]))
+    return SparseAdjacency(n=n, edges=np.concatenate(blocks))
 
 
 def full_graph(n: int) -> SparseAdjacency:
@@ -283,9 +405,59 @@ def save_graph(A: SparseAdjacency, path) -> None:
 
 
 def load_graph(path) -> SparseAdjacency:
-    """Read an edge-list file; raises on self-loops, duplicates, malformed lines."""
+    """Read an edge-list file; raises on self-loops, duplicates, malformed lines.
+
+    A file the writer could have written is parsed in one vectorized pass; any
+    other file goes through the line-by-line parser, which accepts the same
+    lines as before and names the first bad one."""
     with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\r") for ln in fh.read().split("\n")]
+        text = fh.read()
+    parsed = _parse_canonical_edges(text)
+    if parsed is None:
+        return _parse_edge_lines(text)
+    n, edges = parsed
+    return SparseAdjacency(n=n, edges=edges)
+
+
+def _parse_canonical_edges(text):
+    """(n, edges) when ``text`` is an optional "#nodes=<digits>" line, then "i<TAB>j"
+    lines of ASCII digits with i < j, in strictly increasing order and at most 18
+    digits a number; None for anything else.  Where it returns a result,
+    _parse_edge_lines gives the same graph."""
+    n = None
+    if text.startswith("#"):
+        header, _, text = text.partition("\n")
+        digits = header[len("#nodes="):]
+        if not (header.startswith("#nodes=") and digits.isascii() and digits.isdigit()):
+            return None
+        n = int(digits)
+    if not text.isascii():
+        return None
+    if text and not text.endswith("\n"):
+        text += "\n"
+    data = text.encode("ascii")
+    raw = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero((raw < ord("0")) | (raw > ord("9")))  # the byte after each number
+    widths = np.diff(ends, prepend=-1) - 1
+    if (len(ends) % 2 or (raw[ends[0::2]] != ord("\t")).any() or (raw[ends[1::2]] != ord("\n")).any()
+            or widths.min(initial=1) < 1 or widths.max(initial=1) > 18):
+        return None
+    # every number is 1..18 ASCII digits, so it fits int64 and is read exactly
+    edges = np.fromstring(data, dtype=np.int64, sep=" ").reshape(-1, 2)
+    i, j = edges[:, 0], edges[:, 1]
+    # strictly increasing pairs, as the writer emits them, hold no duplicate
+    if (i >= j).any() or not ((i[1:] > i[:-1]) | ((i[1:] == i[:-1]) & (j[1:] > j[:-1]))).all():
+        return None
+    if n is None:
+        if not len(edges):
+            return None
+        n = int(j.max()) + 1
+    return n, edges
+
+
+def _parse_edge_lines(text) -> SparseAdjacency:
+    """The line-by-line edge-list parser: raises on the first bad line, naming it."""
+    lines = [ln.rstrip("\r") for ln in text.split("\n")]
     if lines and lines[-1] == "":
         lines.pop()
     n = None

@@ -1,7 +1,9 @@
 """Independent reference implementations the tests check the library against.
 
 Everything here deliberately avoids the library's computational paths:
-neighbor search uses pure-Python sorting over exact pairwise distances,
+neighbor search uses pure-Python sorting over exact pairwise distances, and
+the row loops (one exact distance row per node, as the builders were before
+their GEMM filter) give the edge arrays the builders must match bit for bit;
 the propagation matrix is assembled from explicit dense matrices, the
 network forward pass is naive triple loops, and training recomputes the
 whole forward pass, S @ X included, every epoch.
@@ -39,6 +41,36 @@ def epsilon_oracle_edges(X, eps, metric="euclidean"):
     n = len(pts)
     return {(i, j) for i in range(n) for j in range(i + 1, n)
             if _oracle_distance(pts[i], pts[j], metric) < eps}
+
+
+def _exact_rows(X, metric):
+    """Rows of the exact distance matrix, one at a time, by the formulas the builders refine with."""
+    if metric == "euclidean":
+        return (np.sqrt(((X - x) ** 2).sum(axis=1)) for x in X)
+    norms = np.linalg.norm(X, axis=1)
+    return (1.0 - (X @ x) / (norms * norm) for x, norm in zip(X, norms))
+
+
+def knn_row_loop_edges(X, k, metric="euclidean"):
+    """The k-NN builder as one exact distance row and one stable argsort per node:
+    the canonical (m, 2) edge array the blocked builder must equal bit for bit."""
+    X = np.asarray(X, dtype=np.float64)
+    n = len(X)
+    nearest = np.empty((n, k), dtype=np.int64)
+    for i, d in enumerate(_exact_rows(X, metric)):
+        d[i] = np.inf
+        nearest[i] = np.argsort(d, kind="stable")[:k]
+    pairs = np.column_stack([np.repeat(np.arange(n), k), nearest.ravel()])
+    pairs.sort(axis=1)
+    return np.unique(pairs, axis=0)
+
+
+def epsilon_row_loop_edges(X, eps, metric="euclidean"):
+    """The epsilon builder as one exact distance row and one strict < eps test per node."""
+    X = np.asarray(X, dtype=np.float64)
+    edges = [(i, j) for i, d in enumerate(_exact_rows(X, metric))
+             for j in (i + 1 + np.flatnonzero(d[i + 1:] < eps)).tolist()]
+    return np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
 
 
 def normalize_oracle_dense(n, edges):

@@ -4,6 +4,7 @@ from dataclasses import asdict, replace
 
 import pytest
 
+from gcnbench import cli
 from gcnbench.baseline import LOGREG_DEFAULTS
 from gcnbench.checkpoint import load_checkpoint
 from gcnbench.cli import main
@@ -154,6 +155,20 @@ def test_missing_data_file_exits_1(tmp_path, capsys):
                  "--out", str(tmp_path / "g.edges")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [TypeError("unsupported operand"), KeyError("k")])
+def test_any_other_exception_in_a_command_exits_1_without_a_traceback(
+        tmp_path, blob_csv, capsys, monkeypatch, error):
+    def broken(ds, config):
+        raise error
+
+    monkeypatch.setattr(cli, "build_graph", broken)
+    code = main(["build-graph", "--data", str(blob_csv), "--out", str(tmp_path / "g.edges")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: internal {type(error).__name__}: {error}\n"
+    assert not (tmp_path / "g.edges").exists()
 
 
 def test_help_exits_0(capsys):

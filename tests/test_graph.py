@@ -1,8 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from gcnbench import graph
 from gcnbench.dataset import synth_blobs
 from gcnbench.graph import (
+    DISTANCE_BLOCK_ROWS,
     MATMUL_BLOCK_ROWS,
     METRICS,
     GraphBuildConfig,
@@ -16,7 +20,13 @@ from gcnbench.graph import (
     pairwise_distance,
     save_graph,
 )
-from oracles import epsilon_oracle_edges, knn_oracle_edges, normalize_oracle_dense
+from oracles import (
+    epsilon_oracle_edges,
+    epsilon_row_loop_edges,
+    knn_oracle_edges,
+    knn_row_loop_edges,
+    normalize_oracle_dense,
+)
 
 
 def test_euclidean_345_triangle():
@@ -143,6 +153,99 @@ def test_builders_match_oracles(method, data, metric):
             assert epsilon_graph(X, eps, metric).edge_set() == epsilon_oracle_edges(X, eps, metric)
 
 
+@pytest.fixture
+def refined_rows(monkeypatch):
+    """The rows the builders recompute exactly, recorded as they ask for them."""
+    asked = []
+    exact = graph._distance_rows
+
+    def recording(X, norms, rows):
+        asked.extend(int(i) for i in rows)
+        return exact(X, norms, rows)
+
+    monkeypatch.setattr(graph, "_distance_rows", recording)
+    return asked
+
+
+def assert_builders_equal_the_row_loop(X, k, eps, metric):
+    assert np.array_equal(knn_graph(X, k, metric).edges, knn_row_loop_edges(X, k, metric))
+    assert np.array_equal(epsilon_graph(X, eps, metric).edges, epsilon_row_loop_edges(X, eps, metric))
+
+
+@pytest.mark.parametrize("metric, eps", [("euclidean", 10.5), ("cosine", 0.7)])
+def test_builders_equal_the_row_loop_on_wide_gcn_data(metric, eps):
+    X = synth_blobs(n=2000, d=64, C=10, sep=6.0, seed=0).X  # the wide-gcn benchmark data, seed 0
+    assert_builders_equal_the_row_loop(X, 10, eps, metric)
+
+
+@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.parametrize("n", [2, DISTANCE_BLOCK_ROWS - 1, DISTANCE_BLOCK_ROWS,
+                               DISTANCE_BLOCK_ROWS + 1, 2 * DISTANCE_BLOCK_ROWS + 5])
+def test_builders_equal_the_row_loop_across_block_edges(n, metric, refined_rows):
+    rng = np.random.default_rng(n)
+    # half the rows repeat others: exact ties at the k-th distance, decided by the exact rows
+    X = rng.standard_normal((n, 5))
+    X[n // 2:] = X[rng.integers(0, max(1, n // 2), size=n - n // 2)]
+    assert_builders_equal_the_row_loop(X, min(4, n - 1), 0.5 if metric == "cosine" else 2.0, metric)
+    assert refined_rows or n == 2  # two nodes leave no tie to break
+
+
+@pytest.mark.parametrize("metric, eps", [("euclidean", 3.0), ("cosine", 2e-12)])
+def test_builders_equal_the_row_loop_where_the_gemm_estimate_cancels(metric, eps, refined_rows):
+    # at 1e6 from the origin |a|^2 + |b|^2 - 2 a.b loses about 12 digits to cancellation
+    X = np.random.default_rng(3).standard_normal((150, 8)) + 1e6
+    assert_builders_equal_the_row_loop(X, 5, eps, metric)
+    assert len(set(refined_rows)) >= 50
+
+
+def test_rounding_that_crosses_the_kth_distance_and_eps_is_refined(refined_rows):
+    # node 1 is at distance 1 from node 0 and node 2 at 1 + 2^-29; at 1e6 the estimate
+    # |a|^2 + |b|^2 - 2ab ranks node 2 nearer and puts it inside eps = 1 + 2^-30
+    X = np.array([[1e6], [1e6 + 1.0], [1e6 - 1.0 - 2.0 ** -29], [1e6 + 50.0]])
+    eps = 1.0 + 2.0 ** -30
+    sq = X[:, 0] ** 2
+    estimate = sq[0] + sq - 2.0 * X[0, 0] * X[:, 0]
+    assert estimate[2] < estimate[1] and estimate[2] < eps * eps
+    assert knn_graph(X, 1).edge_set() == {(0, 1), (0, 2), (1, 3)}
+    assert 0 in refined_rows
+    refined_rows.clear()
+    assert epsilon_graph(X, eps).edge_set() == {(0, 1)}
+    assert 0 in refined_rows
+    assert_builders_equal_the_row_loop(X, 1, eps, "euclidean")
+
+
+@pytest.mark.parametrize("metric, data", [
+    ("euclidean", "random"), ("euclidean", "offset"), ("euclidean", "underflow"),
+    ("euclidean", "huge"), ("euclidean", "mixed-scales"),
+    ("cosine", "random"), ("cosine", "offset"), ("cosine", "near-parallel"),
+    ("cosine", "mixed-scales"),
+])
+def test_distance_bounds_hold_in_exact_arithmetic(metric, data):
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((40, 6))
+    X = {"random": X, "offset": X + 1e6, "underflow": X * 1e-160, "huge": X * 1e100,
+         "mixed-scales": X * 10.0 ** rng.integers(-60, 60, size=(40, 1)),
+         "near-parallel": 1.0 + 1e-7 * X}[data]
+    X[-3:] = X[:3]  # duplicate rows: distance 0
+    norms = graph._row_norms(X, metric)
+    exact = dict(graph._distance_rows(X, norms, range(len(X))))
+    blocks = list(graph._distance_bounds(X, norms, upper=False))
+    assert blocks
+    for first, lo, hi in blocks:
+        for r in range(len(lo)):
+            for j, e in enumerate(exact[first + r].tolist()):
+                e = Fraction(e) ** 2 if metric == "euclidean" else Fraction(e)
+                assert Fraction(lo[r, j]) <= e <= Fraction(hi[r, j]), (first + r, j)
+
+
+@pytest.mark.parametrize("metric, scale", [("euclidean", 1e152), ("cosine", 1e-100)])
+def test_builders_use_only_exact_rows_outside_the_proven_range(metric, scale, refined_rows):
+    X = np.random.default_rng(6).standard_normal((30, 3)) * scale
+    assert list(graph._distance_bounds(X, graph._row_norms(X, metric), upper=True)) == []
+    assert_builders_equal_the_row_loop(X, 3, 0.5, metric)
+    assert sorted(set(refined_rows)) == list(range(30))
+
+
 @pytest.mark.parametrize("build, value, field", [
     (knn_graph, 2.5, "k"),
     (knn_graph, True, "k"),
@@ -150,7 +253,8 @@ def test_builders_match_oracles(method, data, metric):
     (epsilon_graph, float("nan"), "eps"),
     (epsilon_graph, float("inf"), "eps"),
     (epsilon_graph, "1.0", "eps"),
-], ids=["k-float", "k-bool", "k-str", "eps-nan", "eps-inf", "eps-str"])
+    (epsilon_graph, 10 ** 400, "eps"),
+], ids=["k-float", "k-bool", "k-str", "eps-nan", "eps-inf", "eps-str", "eps-int-beyond-float"])
 def test_builder_arguments_are_type_checked(build, value, field):
     with pytest.raises(ValueError, match=f"^{field} must be"):
         build(np.eye(4), value)
@@ -325,6 +429,37 @@ def test_graph_round_trip_keeps_isolated_nodes(tmp_path):
     path = tmp_path / "iso.edges"
     save_graph(A, path)
     assert load_graph(path).n == 5
+
+
+@pytest.mark.parametrize("text", [
+    "#nodes=6\n0\t1\n2\t5\n",     # the writer's form
+    "0\t1\n2\t5",                   # no header, no final newline
+    "#nodes=6\n",                     # header alone
+    "#nodes=6\n2\t5\n0\t1\n",     # unsorted
+    "#nodes=06\n 0\t+1\n2\t0005\n",  # spellings int() accepts
+])
+def test_load_graph_reads_what_the_line_parser_reads(tmp_path, text):
+    path = tmp_path / "g.edges"
+    path.write_text(text, encoding="utf-8")
+    loaded, expected = load_graph(path), graph._parse_edge_lines(text)
+    assert loaded.n == expected.n == 6 and np.array_equal(loaded.edges, expected.edges)
+
+
+@pytest.mark.parametrize("line, edit, message", [
+    (702, "699\t700", "line 702: duplicate edge 699 700"),
+    (1500, "1500\t1500", "line 1500: self-loop 1500"),
+    (1999, "1999 2000", "line 1999: malformed edge line '1999 2000'"),
+    (2502, "2500\t2400", "line 2502: edge must satisfy 0 <= i < j, got 2500, 2400"),
+])
+def test_load_graph_names_the_first_bad_line_of_a_long_file(tmp_path, line, edit, message):
+    lines = ["#nodes=3000"] + [f"{i}\t{i + 1}" for i in range(2500)]
+    lines.insert(line - 1, edit)
+    lines.append("9000\t9000")  # a later bad line, in sorted order, is not the one named
+    path = tmp_path / "long.edges"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        load_graph(path)
+    assert str(info.value) == message
 
 
 def test_load_graph_rejects_bad_files(tmp_path):

@@ -2,7 +2,8 @@
 
 Every writer is byte-stable (write, read, write again gives the same bytes
 and the same values, bit for bit), and every reader turns a damaged file
-into a ValueError and never into another exception.  Training, which
+into a ValueError and never into another exception.  The vectorized
+edge-list reader gives the line-by-line parser's graph or message.  Training, which
 propagates only the rows the loss and gradients depend on, is bit-identical
 to the full-graph oracle loop.  The examples are derandomized, so the suite
 stays deterministic.
@@ -19,7 +20,14 @@ from gcnbench.baseline import LogRegModel
 from gcnbench.checkpoint import load_checkpoint, save_checkpoint
 from gcnbench.dataset import EmbeddingDataset, load_dataset, save_dataset, synth_blobs
 from gcnbench.gcn import GcnModel, Hyperparams, init_model, train
-from gcnbench.graph import SparseAdjacency, knn_graph, load_graph, normalize, save_graph
+from gcnbench.graph import (
+    SparseAdjacency,
+    _parse_edge_lines,
+    knn_graph,
+    load_graph,
+    normalize,
+    save_graph,
+)
 from gcnbench.harness import (
     REPORT_HEADER,
     CellResult,
@@ -221,6 +229,27 @@ def test_damaged_edge_list_fails_only_with_value_error(tmp_path, sample, edits):
         load_graph(path)
     except ValueError:
         pass
+
+
+def parse_outcome(parse, path):
+    try:
+        A = parse(path)
+    except ValueError as exc:
+        return str(exc)
+    return A.n, A.edges.tolist()
+
+
+@PROPERTY
+@given(edits=EDITS)
+def test_damaged_edge_list_reads_as_the_line_parser_reads_it(tmp_path, sample, edits):
+    _, _, edges, _ = sample
+    path = tmp_path / "damaged.edges"
+    path.write_bytes(mutate(edges, edits))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except ValueError:
+        return
+    assert parse_outcome(load_graph, path) == parse_outcome(lambda _: _parse_edge_lines(text), path)
 
 
 JSON_VALUES = st.recursive(
