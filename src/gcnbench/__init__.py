@@ -36,7 +36,6 @@ from .graph import (
     knn_graph,
     load_graph,
     normalize,
-    pairwise_distance,
     save_graph,
 )
 from .harness import (

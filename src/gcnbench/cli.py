@@ -96,6 +96,8 @@ def _propagation(args, ds, model_name, task):
 
 
 def _cmd_train(args):
+    if args.model != "gcn" and (args.hidden is not None or args.model_seed is not None):
+        raise ValueError("--hidden and --model-seed apply only to --model gcn")
     ds = load_dataset(args.data)
     S = _propagation(args, ds, args.model, "gcn training")
     split = make_split(ds, args.labeled, seed=args.seed, stratified=not args.uniform)

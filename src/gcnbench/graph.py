@@ -109,7 +109,6 @@ class PropagationMatrix:
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
-    d_hat: np.ndarray
 
     @property
     def nnz(self) -> int:
@@ -151,30 +150,14 @@ class PropagationMatrix:
         return dense
 
 
-def pairwise_distance(a, b, metric: str = "euclidean") -> float:
-    """Distance between two vectors: euclidean or cosine distance 1 - cos(a, b).  Its cosine
-    divides by sqrt(aa * bb), not by _distance_rows' norms * norm, so the last bit may differ."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValueError("vectors must be finite")
-    if metric == "euclidean":
-        return float(np.sqrt(((a - b) ** 2).sum()))
-    if metric == "cosine":
-        aa, bb = float(a @ a), float(b @ b)
-        if aa == 0.0 or bb == 0.0:
-            raise ValueError("cosine distance undefined for a zero vector")
-        # sqrt(aa * bb) keeps the distance of a vector to itself at exactly 0
-        return float(1.0 - (a @ b) / np.sqrt(aa * bb))
-    raise ValueError(f"unknown metric {metric!r}, expected one of {METRICS}")
-
-
 def _features(ds) -> np.ndarray:
+    """The builders' one input step: a 2-D, all-finite float matrix."""
     X = np.asarray(getattr(ds, "X", ds), dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("expected a 2-D feature matrix")
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"feature row {int(np.argmin(finite))}: non-finite value")
     return X
 
 
@@ -197,7 +180,7 @@ def _distance_rows(X, norms, rows):
     sqrt(sum((X - x)^2)), or cosine 1 - (X @ x) / (norms * norm) (``norms`` from
     _row_norms; None means euclidean).  The blocked builders call it only for
     the rows their rounding bounds cannot decide.  A cosine self-distance may
-    miss 0 by rounding (pairwise_distance keeps it at exactly 0)."""
+    miss 0 by rounding; the builders never use it."""
     for i in rows:
         x = X[i]
         if norms is None:
@@ -305,9 +288,10 @@ def knn_graph(ds, k: int, metric: str = "euclidean") -> SparseAdjacency:
         d[i] = np.inf
         # stable sort keeps the lower index first among exact ties
         nearest[i] = np.argsort(d, kind="stable")[:k]
-    pairs = np.column_stack([np.repeat(np.arange(n), k), nearest.ravel()])
-    pairs.sort(axis=1)
-    return SparseAdjacency(n=n, edges=np.unique(pairs, axis=0))
+    # one sort of the unordered pairs as keys min * n + max, which also drops repeats
+    i, j = np.repeat(np.arange(n), k), nearest.ravel()
+    keys = np.unique(np.minimum(i, j) * n + np.maximum(i, j))
+    return SparseAdjacency(n=n, edges=np.column_stack(np.divmod(keys, n)))
 
 
 def epsilon_graph(ds, eps: float, metric: str = "euclidean") -> SparseAdjacency:
@@ -382,7 +366,7 @@ def normalize(A: SparseAdjacency) -> PropagationMatrix:
     data = np.where(rows == cols, 1.0 / d_hat[rows], 1.0 / np.sqrt(d_hat[rows] * d_hat[cols]))
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return PropagationMatrix(n=n, indptr=indptr, indices=cols, data=data, d_hat=d_hat)
+    return PropagationMatrix(n=n, indptr=indptr, indices=cols, data=data)
 
 
 # --- edge-list file format ---------------------------------------------------

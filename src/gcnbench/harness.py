@@ -142,7 +142,9 @@ class ExperimentConfig:
 
 
 _SYNTH_KEYS = {"n", "d", "classes", "sep", "seed"}
-_HP_KEYS = {"lr", "epochs", "seed", "hidden", "weight_decay"}
+# the hyperparameters each model reads: logreg has no hidden layer and no random init
+_HP_KEYS = {"gcn": {"lr", "epochs", "seed", "hidden", "weight_decay"},
+            "logreg": {"lr", "epochs", "weight_decay"}}
 _GRAPH_KEYS = {"method", "k", "eps", "metric"}
 _PASSTHROUGH_KEYS = ("models", "repeats", "seed", "stratified", "normalize_features")
 _CONFIG_KEYS = {"version", "dataset", "graph", "budgets", *_PASSTHROUGH_KEYS, *MODEL_NAMES}
@@ -167,7 +169,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     given = {key: raw[key] for key in _PASSTHROUGH_KEYS if key in raw}
     given["graph"] = GraphBuildConfig(**_check_keys("graph", raw.get("graph", {}), _GRAPH_KEYS))
     for name, default in DEFAULT_HYPERPARAMS.items():
-        given[f"{name}_hp"] = replace(default, **_check_keys(name, raw.get(name, {}), _HP_KEYS))
+        given[f"{name}_hp"] = replace(default, **_check_keys(name, raw.get(name, {}), _HP_KEYS[name]))
     return ExperimentConfig(budgets=raw.get("budgets", []), dataset_path=path, synth=synth, **given)
 
 

@@ -89,6 +89,18 @@ def test_train_gcn_requires_graph(tmp_path, blob_csv, capsys):
     assert "needs --graph" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["--hidden", "64"], ["--model-seed", "7"],
+                                   ["--hidden", "64", "--model-seed", "7"]],
+                         ids=["hidden", "model-seed", "both"])
+def test_train_logreg_rejects_gcn_only_flags(tmp_path, blob_csv, capsys, flags):
+    ckpt = tmp_path / "logreg.json"
+    code = main(["train", "--data", str(blob_csv), "--model", "logreg", "--labeled", "9",
+                 *flags, "--out", str(ckpt)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: --hidden and --model-seed apply only to --model gcn\n"
+    assert not ckpt.exists()
+
+
 def test_experiment_happy_path(tmp_path, blob_csv):
     config = {
         "version": 1,
@@ -123,15 +135,18 @@ def test_experiment_non_object_config_exits_1(tmp_path, capsys, text):
     assert re.match(r"error: (config|gcn) must be a JSON object", capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("config, field", [
-    ({"dataset": {"synth": {"n": 60, "d": 4, "classes": 3}}, "budgets": [9], "models": 5}, "models"),
-    ({"dataset": {"path": 7}, "budgets": [9]}, "dataset path"),
-], ids=["models-int", "path-int"])
-def test_experiment_mistyped_config_exits_1(tmp_path, capsys, config, field):
+@pytest.mark.parametrize("config, message", [
+    ({"dataset": {"synth": {"n": 60, "d": 4, "classes": 3}}, "budgets": [9], "models": 5},
+     "models must be"),
+    ({"dataset": {"path": 7}, "budgets": [9]}, "dataset path must be"),
+    ({"dataset": {"synth": {"n": 60, "d": 4, "classes": 3}}, "budgets": [9],
+      "logreg": {"hidden": 999, "seed": 5}}, "unknown logreg keys: ['hidden', 'seed']"),
+], ids=["models-int", "path-int", "logreg-gcn-keys"])
+def test_experiment_mistyped_config_exits_1(tmp_path, capsys, config, message):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config), encoding="utf-8")
     assert main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "r.csv")]) == 1
-    assert capsys.readouterr().err.startswith(f"error: {field} must be")
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 def test_unknown_subcommand_exits_2(capsys):
@@ -191,8 +206,9 @@ def test_train_matches_the_experiment_cell(tmp_path, blob_csv, capsys, model):
     edges = tmp_path / "g.edges"
     assert main(["build-graph", "--data", str(blob_csv), "--k", "5", "--out", str(edges)]) == 0
     hp = config.gcn_hp if model == "gcn" else config.logreg_hp
-    flags = ["--lr", str(hp.lr), "--epochs", str(hp.epochs), "--hidden", str(hp.hidden),
-             "--weight-decay", str(hp.weight_decay), "--model-seed", str(hp.seed)]
+    flags = ["--lr", str(hp.lr), "--epochs", str(hp.epochs), "--weight-decay", str(hp.weight_decay)]
+    if model == "gcn":
+        flags += ["--hidden", str(hp.hidden), "--model-seed", str(hp.seed)]
     capsys.readouterr()
     assert main(["train", "--data", str(blob_csv), "--graph", str(edges), "--model", model,
                  "--labeled", "9", "--seed", str(derive_seed(0, 9, 0)), *flags,

@@ -17,7 +17,6 @@ from gcnbench.graph import (
     knn_graph,
     load_graph,
     normalize,
-    pairwise_distance,
     save_graph,
 )
 from oracles import (
@@ -27,33 +26,6 @@ from oracles import (
     knn_row_loop_edges,
     normalize_oracle_dense,
 )
-
-
-def test_euclidean_345_triangle():
-    assert pairwise_distance([0.0, 0.0], [3.0, 4.0]) == 5.0
-
-
-def test_cosine_distance_of_parallel_vectors_is_zero():
-    v = np.array([0.3, -1.2, 4.0])
-    assert pairwise_distance(v, v, metric="cosine") == 0.0
-    assert abs(pairwise_distance(v, 3.5 * v, metric="cosine")) <= 1e-15
-
-
-def test_distance_symmetry_property():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        a, b = rng.standard_normal((2, 7))
-        assert pairwise_distance(a, b) == pairwise_distance(b, a)
-        assert pairwise_distance(a, b, "cosine") == pairwise_distance(b, a, "cosine")
-
-
-def test_distance_errors():
-    with pytest.raises(ValueError, match="mismatch"):
-        pairwise_distance([1.0], [1.0, 2.0])
-    with pytest.raises(ValueError, match="zero vector"):
-        pairwise_distance([0.0, 0.0], [1.0, 2.0], metric="cosine")
-    with pytest.raises(ValueError, match="metric"):
-        pairwise_distance([1.0], [2.0], metric="manhattan")
 
 
 def test_knn_collinear_points():
@@ -246,18 +218,41 @@ def test_builders_use_only_exact_rows_outside_the_proven_range(metric, scale, re
     assert sorted(set(refined_rows)) == list(range(30))
 
 
-@pytest.mark.parametrize("build, value, field", [
-    (knn_graph, 2.5, "k"),
-    (knn_graph, True, "k"),
-    (knn_graph, "3", "k"),
-    (epsilon_graph, float("nan"), "eps"),
-    (epsilon_graph, float("inf"), "eps"),
-    (epsilon_graph, "1.0", "eps"),
-    (epsilon_graph, 10 ** 400, "eps"),
-], ids=["k-float", "k-bool", "k-str", "eps-nan", "eps-inf", "eps-str", "eps-int-beyond-float"])
-def test_builder_arguments_are_type_checked(build, value, field):
-    with pytest.raises(ValueError, match=f"^{field} must be"):
-        build(np.eye(4), value)
+@pytest.mark.parametrize("build, args, message", [
+    (knn_graph, (2.5,), "k must be"),
+    (knn_graph, (True,), "k must be"),
+    (knn_graph, ("3",), "k must be"),
+    (epsilon_graph, (float("nan"),), "eps must be"),
+    (epsilon_graph, (float("inf"),), "eps must be"),
+    (epsilon_graph, ("1.0",), "eps must be"),
+    (epsilon_graph, (10 ** 400,), "eps must be"),
+    (knn_graph, (2, "manhattan"), "unknown metric 'manhattan'"),
+    (epsilon_graph, (1.0, "manhattan"), "unknown metric 'manhattan'"),
+    (knn_graph, (2, "cosine"), "cosine distance undefined for a zero vector"),
+    (epsilon_graph, (1.0, "cosine"), "cosine distance undefined for a zero vector"),
+], ids=["k-float", "k-bool", "k-str", "eps-nan", "eps-inf", "eps-str", "eps-int-beyond-float",
+        "knn-metric", "eps-metric", "knn-cosine-zero-row", "eps-cosine-zero-row"])
+def test_builder_arguments_are_type_checked(build, args, message):
+    X = np.eye(4)
+    X[3] = 0.0  # a zero row, which only cosine has no distance for
+    with pytest.raises(ValueError, match=f"^{message}"):
+        build(X, *args)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("build", [
+    lambda X: knn_graph(X, 2),
+    lambda X: knn_graph(X, 2, "cosine"),
+    lambda X: epsilon_graph(X, 1.0),
+    lambda X: epsilon_graph(X, 0.5, "cosine"),
+    lambda X: build_graph(X, GraphBuildConfig(method="full")),
+], ids=["knn-euclidean", "knn-cosine", "epsilon-euclidean", "epsilon-cosine", "full"])
+def test_builders_reject_non_finite_features(build, value):
+    X = np.random.default_rng(0).standard_normal((6, 3))
+    X[2, 1] = value
+    X[4, 0] = np.nan
+    with pytest.raises(ValueError, match="^feature row 2: non-finite value$"):
+        build(X)
 
 
 def test_epsilon_graph_needs_a_node():

@@ -268,6 +268,9 @@ def test_config_from_dict_defaults_and_validation():
     with pytest.raises(ValueError, match="unknown gcn keys"):
         config_from_dict({"dataset": {"path": "x.csv"}, "budgets": [5],
                           "gcn": {"learning_rate": 0.1}})
+    for key in ("hidden", "seed"):
+        with pytest.raises(ValueError, match=rf"^unknown logreg keys: \['{key}'\]$"):
+            config_from_dict({"dataset": {"path": "x.csv"}, "budgets": [5], "logreg": {key: 5}})
 
 
 @pytest.mark.parametrize("override, field", [

@@ -5,24 +5,27 @@ and the same values, bit for bit), and every reader turns a damaged file
 into a ValueError and never into another exception.  The vectorized
 edge-list reader gives the line-by-line parser's graph or message.  Training, which
 propagates only the rows the loss and gradients depend on, is bit-identical
-to the full-graph oracle loop.  The examples are derandomized, so the suite
-stays deterministic.
+to the full-graph oracle loop.  Relabelling the nodes relabels the whole
+pipeline: edges, propagation matrix and network output.  The examples are
+derandomized, so the suite stays deterministic.
 """
 
 import json
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from gcnbench.baseline import LogRegModel
 from gcnbench.checkpoint import load_checkpoint, save_checkpoint
 from gcnbench.dataset import EmbeddingDataset, load_dataset, save_dataset, synth_blobs
-from gcnbench.gcn import GcnModel, Hyperparams, init_model, train
+from gcnbench.gcn import GcnModel, Hyperparams, forward, init_model, train
 from gcnbench.graph import (
+    METRICS,
     SparseAdjacency,
     _parse_edge_lines,
+    epsilon_graph,
     knn_graph,
     load_graph,
     normalize,
@@ -136,6 +139,42 @@ def test_train_is_bit_identical_to_the_full_graph_oracle(run):
     assert np.array_equal(trained.theta1, expected.theta1)
     assert np.array_equal(trained.theta2, expected.theta2)
     assert trace == expected_trace
+
+
+def approximate_distances(X, metric):
+    if metric == "euclidean":
+        return np.sqrt(((X[:, None] - X[None]) ** 2).sum(axis=2))
+    U = X / np.linalg.norm(X, axis=1, keepdims=True)
+    return 1.0 - U @ U.T
+
+
+@PROPERTY
+@given(n=st.integers(2, 30), d=st.integers(2, 6), seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_the_pipeline_is_equivariant_under_node_permutation(n, d, seed, data):
+    X = np.random.default_rng(seed).standard_normal((n, d))
+    perm = np.array(data.draw(st.permutations(range(n))))
+    inverse = np.argsort(perm)  # node i of X is node inverse[i] of X[perm]
+    k = data.draw(st.integers(1, n - 1))
+    eps = {"euclidean": data.draw(st.floats(0.5, 4.0)), "cosine": data.draw(st.floats(0.05, 1.5))}
+    off_diagonal = ~np.eye(n, dtype=bool)
+    for metric in METRICS:
+        # no ties: the ranks and the eps test do not hang on the last bits of a distance
+        D = approximate_distances(X, metric)[off_diagonal].reshape(n, n - 1)
+        assume((np.diff(np.sort(D, axis=1), axis=1) > 1e-9).all())
+        assume((np.abs(D - eps[metric]) > 1e-9).all())
+
+    def relabelled(A):
+        return SparseAdjacency(n=n, edges=np.sort(inverse[A.edges], axis=1)).edges
+
+    for metric in METRICS:
+        assert np.array_equal(knn_graph(X[perm], k, metric).edges, relabelled(knn_graph(X, k, metric)))
+        assert np.array_equal(epsilon_graph(X[perm], eps[metric], metric).edges,
+                              relabelled(epsilon_graph(X, eps[metric], metric)))
+    S, S_perm = normalize(knn_graph(X, k)), normalize(knn_graph(X[perm], k))
+    assert np.array_equal(S_perm.to_dense(), S.to_dense()[np.ix_(perm, perm)])
+    # not bitwise: reduceat sums each row's segment in another column order
+    model = init_model(d, 4, 3, seed=data.draw(st.integers(0, 1000)))
+    assert np.abs(forward(model, S_perm, X[perm]).Z - forward(model, S, X).Z[perm]).max() <= 1e-12
 
 
 @PROPERTY
