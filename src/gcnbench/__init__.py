@@ -5,7 +5,6 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .dataset import (
     EmbeddingDataset,
     LabeledSplit,
-    LabelMatrix,
     build_label_matrix,
     load_dataset,
     make_split,

@@ -13,7 +13,7 @@ from dataclasses import replace
 
 from . import checkpoint, harness
 from .dataset import full_truth, load_dataset, make_split, save_dataset, synth_blobs
-from .graph import METHODS, METRICS, GraphBuildConfig, build_graph, load_graph, normalize, save_graph
+from .graph import METHODS, METRICS, build_graph, graph_config, load_graph, normalize, save_graph
 from .harness import accuracy
 
 
@@ -40,7 +40,7 @@ def _build_parser():
 
     p = sub.add_parser("train", help="train one model on a labeled split and save a checkpoint")
     p.add_argument("--data", required=True, help="embedding CSV path (needs labels)")
-    p.add_argument("--graph", default=None, help="edge-list path (required for gcn)")
+    p.add_argument("--graph", default=None, help="edge-list path (gcn only, and required there)")
     p.add_argument("--model", choices=harness.MODEL_NAMES, default="gcn")
     p.add_argument("--labeled", type=int, required=True, help="label budget l")
     p.add_argument("--seed", type=int, default=0, help="split seed")
@@ -61,7 +61,7 @@ def _build_parser():
     p = sub.add_parser("eval", help="score a checkpoint on a labeled dataset")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True, help="embedding CSV path (needs labels)")
-    p.add_argument("--graph", default=None, help="edge-list path (required for gcn)")
+    p.add_argument("--graph", default=None, help="edge-list path (gcn only, and required there)")
     return parser
 
 
@@ -76,30 +76,35 @@ def _cmd_synth(args):
 
 
 def _cmd_build_graph(args):
-    cfg = GraphBuildConfig(**_given(method=args.method, k=args.k, eps=args.eps, metric=args.metric))
+    cfg = graph_config(_given(method=args.method, k=args.k, eps=args.eps, metric=args.metric), "--")
     ds = load_dataset(args.data)
     A = build_graph(ds, cfg)
     save_graph(A, args.out)
     print(f"wrote {args.out}: n={A.n} edges={A.num_edges}")
 
 
-def _propagation(args, ds, model_name, task):
-    """The normalized --graph for a model that needs one, else None."""
-    if model_name not in harness.GRAPH_MODELS:
-        return None
-    if args.graph is None:
+def _inputs(args, model_name, task):
+    """--data, and the normalized --graph for a model that needs one (else None).
+    Whether --graph fits the model is checked before any file is read."""
+    uses_graph = model_name in harness.GRAPH_MODELS
+    if uses_graph and args.graph is None:
         raise ValueError(f"{task} needs --graph")
+    if not uses_graph and args.graph is not None:
+        raise ValueError(f"--graph applies only to {', '.join(harness.GRAPH_MODELS)}; "
+                         f"{model_name} uses no graph")
+    ds = load_dataset(args.data)
+    if not uses_graph:
+        return ds, None
     A = load_graph(args.graph)
     if A.n != ds.n:
         raise ValueError(f"graph has {A.n} nodes, dataset has {ds.n}")
-    return normalize(A)
+    return ds, normalize(A)
 
 
 def _cmd_train(args):
     if args.model != "gcn" and (args.hidden is not None or args.model_seed is not None):
         raise ValueError("--hidden and --model-seed apply only to --model gcn")
-    ds = load_dataset(args.data)
-    S = _propagation(args, ds, args.model, "gcn training")
+    ds, S = _inputs(args, args.model, "gcn training")
     split = make_split(ds, args.labeled, seed=args.seed, stratified=not args.uniform)
     hp = replace(harness.DEFAULT_HYPERPARAMS[args.model],
                  **_given(lr=args.lr, epochs=args.epochs, weight_decay=args.weight_decay,
@@ -132,9 +137,8 @@ def _cmd_experiment(args):
 
 def _cmd_eval(args):
     model, meta = checkpoint.load_checkpoint(args.checkpoint)
-    ds = load_dataset(args.data)
+    ds, S = _inputs(args, meta["kind"], "evaluating a gcn checkpoint")
     truth = full_truth(ds)
-    S = _propagation(args, ds, meta["kind"], "evaluating a gcn checkpoint")
     pred = harness.predict_nodes(model, ds.X, S)
     print(f"accuracy: {accuracy(pred, truth):.2f}% over {ds.n} nodes")
 

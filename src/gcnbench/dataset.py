@@ -89,23 +89,6 @@ class LabeledSplit:
         return len(self.unlabeled)
 
 
-@dataclass
-class LabelMatrix:
-    """n-by-C 0/1 matrix: labeled rows one-hot, unlabeled rows all zero."""
-
-    Y: np.ndarray
-
-    def __post_init__(self):
-        self.Y = np.asarray(self.Y, dtype=np.float64)
-        if self.Y.ndim != 2:
-            raise ValueError("Y must be a 2-D matrix")
-        if not np.isin(self.Y, (0.0, 1.0)).all():
-            raise ValueError("Y entries must be 0 or 1")
-        row_sums = self.Y.sum(axis=1)
-        if not np.isin(row_sums, (0.0, 1.0)).all():
-            raise ValueError("each row of Y must sum to 0 (unlabeled) or 1 (one-hot)")
-
-
 def full_truth(ds: EmbeddingDataset) -> np.ndarray:
     """Ground-truth class indices as an int array; every row must be labeled."""
     if ds.truth is None or any(t is None for t in ds.truth):
@@ -322,8 +305,8 @@ def labeled_classes(ds: EmbeddingDataset, split: LabeledSplit) -> np.ndarray:
     return np.asarray(classes, dtype=np.int64)
 
 
-def build_label_matrix(ds: EmbeddingDataset, split: LabeledSplit) -> LabelMatrix:
-    """One-hot rows for labeled nodes, zero rows for unlabeled nodes."""
+def build_label_matrix(ds: EmbeddingDataset, split: LabeledSplit) -> np.ndarray:
+    """The float64 n-by-C training targets: one-hot rows for labeled nodes, zero rows elsewhere."""
     Y = np.zeros((ds.n, ds.C))
     Y[split.labeled, labeled_classes(ds, split)] = 1.0
-    return LabelMatrix(Y=Y)
+    return Y

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import LabelMatrix
 from .graph import PropagationMatrix, check_type
 
 
@@ -77,9 +76,9 @@ class ForwardCache:
     SX = S @ X and SH1 = S @ H1 are stored alongside the activations because
     the gradient of each parameter matrix contracts against them.  SX has no
     parameters, so train() computes it once per run and reuses it every epoch.
-    forward() fills every row.  Inside train(), SH1 is propagated and Z is
-    computed only on the labeled rows; SH1, A2 and Z hold zero rows on the
-    rows the masked loss never reads.
+    forward() fills every row.  train() propagates SH1 and computes Z only on
+    the labeled rows, in every epoch including the first; there SH1, A2 and Z
+    hold zero rows on the rows the masked loss never reads.
     """
 
     A1: np.ndarray
@@ -132,10 +131,6 @@ def log_softmax(z, axis=-1):
     return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
 
-def _label_array(Y) -> np.ndarray:
-    return Y.Y if isinstance(Y, LabelMatrix) else np.asarray(Y, dtype=np.float64)
-
-
 def forward(model: GcnModel, S: PropagationMatrix, X) -> ForwardCache:
     """Run both graph-convolution layers.
 
@@ -143,11 +138,16 @@ def forward(model: GcnModel, S: PropagationMatrix, X) -> ForwardCache:
     Z = row-softmax(A2).  The sparse product is applied first in each
     layer; that multiplication order is fixed.
     """
+    return _layers(model, S, S.matmul(_features(model, S, X)), None)
+
+
+def _features(model: GcnModel, S: PropagationMatrix, X) -> np.ndarray:
+    """X as float64, checked to hold one row per node of S and one column per model input."""
     X = np.asarray(X, dtype=np.float64)
     L1, _, _ = model.dims
     if X.ndim != 2 or X.shape != (S.n, L1):
         raise ValueError(f"X must be {S.n}x{L1}, got {X.shape}")
-    return _layers(model, S, S.matmul(X), None)
+    return X
 
 
 def _propagate(S: PropagationMatrix, M: np.ndarray, rows) -> np.ndarray:
@@ -184,7 +184,7 @@ def loss(cache: ForwardCache, Y, labeled) -> float:
     labeled = np.asarray(labeled, dtype=np.int64)
     if len(labeled) == 0:
         return 0.0
-    y = _label_array(Y)
+    y = np.asarray(Y, dtype=np.float64)
     log_z = log_softmax(cache.A2[labeled])
     return float(-(y[labeled] * log_z).sum())
 
@@ -210,7 +210,7 @@ def _gradients(model: GcnModel, S: PropagationMatrix, cache: ForwardCache, Y, la
                weight_decay: float, field) -> Gradients:
     """backward() without its checks; G1 is propagated only on ``field`` (None: all rows),
     which must hold every row of S that touches a labeled row, or G1 loses entries."""
-    y = _label_array(Y)
+    y = np.asarray(Y, dtype=np.float64)
     G2 = np.zeros_like(cache.Z)
     if len(labeled):
         G2[labeled] = cache.Z[labeled] - y[labeled]
@@ -231,15 +231,16 @@ def train(model: GcnModel, S: PropagationMatrix, X, Y, labeled,
     trace of epochs+1 objective values, the initial one first.  The trace
     records the training objective, i.e. the masked cross-entropy plus the
     weight-decay penalty 0.5 * wd * (|theta1|^2 + |theta2|^2) when enabled.
-    S @ X is computed once per run, by the first forward(), and reused by
-    every epoch.  After that, each epoch propagates only the rows the result
-    depends on: S @ H1 on the labeled rows L, which are all the masked loss
-    reads, and the layer-1 gradient on N1, the rows of S that touch L, where
-    alone it can be nonzero.  Each of those rows is summed over its full
-    segment, so the parameters and trace are bit-identical to full-graph
+    S @ X is computed once per run and reused by every epoch.  Every epoch,
+    the first included, propagates only the rows the result depends on:
+    S @ H1 on the labeled rows L, which are all the masked loss reads, and
+    the layer-1 gradient on N1, the rows of S that touch L, where alone it
+    can be nonzero.  Each of those rows is summed over its full segment, so
+    the parameters and trace are bit-identical to full-graph
     forward()/backward() steps.  Raises if the parameters or the objective
     become non-finite.
     """
+    SX = S.matmul(_features(model, S, X))
     current = GcnModel(theta1=model.theta1.copy(), theta2=model.theta2.copy())
     wd = hp.weight_decay
     labeled = np.asarray(labeled, dtype=np.int64)
@@ -249,28 +250,24 @@ def train(model: GcnModel, S: PropagationMatrix, X, Y, labeled,
     # segment non-empty, so reduceat sees each row once
     field = np.flatnonzero(np.logical_or.reduceat(is_labeled[S.indices], S.indptr[:-1]))
 
-    def objective(m, cache):
+    trace = []
+    for epoch in range(hp.epochs + 1):
+        if epoch:
+            grads = _gradients(current, S, cache, Y, labeled, wd, field)
+            t1 = current.theta1 - hp.lr * grads.g_theta1
+            t2 = current.theta2 - hp.lr * grads.g_theta2
+            if not (np.isfinite(t1).all() and np.isfinite(t2).all()):
+                raise ValueError(f"training diverged: non-finite parameters at epoch {epoch}")
+            # t1, t2 keep their shapes and were just checked finite: no new GcnModel to re-validate
+            current.theta1, current.theta2 = t1, t2
+        cache = _layers(current, S, SX, labeled)
         value = loss(cache, Y, labeled)
         if wd > 0:
-            value += 0.5 * wd * (float((m.theta1 ** 2).sum()) + float((m.theta2 ** 2).sum()))
-        return value
-
-    cache = forward(current, S, X)
-    trace = [objective(current, cache)]
-    if not np.isfinite(trace[0]):
-        raise ValueError("training diverged: non-finite loss at epoch 0")
-    for epoch in range(hp.epochs):
-        grads = _gradients(current, S, cache, Y, labeled, wd, field)
-        t1 = current.theta1 - hp.lr * grads.g_theta1
-        t2 = current.theta2 - hp.lr * grads.g_theta2
-        if not (np.isfinite(t1).all() and np.isfinite(t2).all()):
-            raise ValueError(f"training diverged: non-finite parameters at epoch {epoch + 1}")
-        # t1, t2 keep their shapes and were just checked finite: no new GcnModel to re-validate
-        current.theta1, current.theta2 = t1, t2
-        cache = _layers(current, S, cache.SX, labeled)
-        trace.append(objective(current, cache))
-        if not np.isfinite(trace[-1]):
-            raise ValueError(f"training diverged: non-finite loss at epoch {epoch + 1}")
+            value += 0.5 * wd * (float((current.theta1 ** 2).sum())
+                                 + float((current.theta2 ** 2).sum()))
+        trace.append(value)
+        if not np.isfinite(value):
+            raise ValueError(f"training diverged: non-finite loss at epoch {epoch}")
     return current, trace
 
 

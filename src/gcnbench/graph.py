@@ -16,7 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 METRICS = ("euclidean", "cosine")
-METHODS = ("knn", "epsilon", "full")
+# the GraphBuildConfig settings each method reads besides its name
+METHOD_SETTINGS = {"knn": ("k", "metric"), "epsilon": ("eps", "metric"), "full": ()}
+METHODS = tuple(METHOD_SETTINGS)
 # rows per block of PropagationMatrix.matmul; bounds its gather temporary to one block's nnz
 MATMUL_BLOCK_ROWS = 128
 # rows per block of the k-NN and epsilon filters: two block x n float buffers
@@ -55,6 +57,17 @@ class GraphBuildConfig:
             raise ValueError(f"knn needs k >= 1, got k={self.k}")
         if self.method == "epsilon" and (self.eps is None or self.eps <= 0):
             raise ValueError(f"epsilon graph needs eps > 0, got {self.eps}")
+
+
+def graph_config(settings: dict, prefix: str = "") -> GraphBuildConfig:
+    """GraphBuildConfig from the settings a user gave; one that its method never reads
+    is a ValueError naming it, with ``prefix`` (a CLI flag's "--") before each name."""
+    cfg = GraphBuildConfig(**settings)
+    unread = [name for name in settings if name not in ("method", *METHOD_SETTINGS[cfg.method])]
+    if unread:
+        names = ", ".join(prefix + name for name in unread)
+        raise ValueError(f"graph method {cfg.method!r} does not read {names}")
+    return cfg
 
 
 @dataclass

@@ -31,7 +31,7 @@ from .dataset import (
     synth_blobs,
 )
 from .gcn import GcnModel, Hyperparams, forward, init_model, predict, train
-from .graph import GraphBuildConfig, build_graph, check_type, normalize
+from .graph import GraphBuildConfig, build_graph, check_type, graph_config, normalize
 
 # Every model a run can fit, with its default hyperparameters; only the GCN uses the graph.
 DEFAULT_HYPERPARAMS = {"gcn": Hyperparams(), "logreg": LOGREG_DEFAULTS}
@@ -167,7 +167,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     dataset = _check_keys("dataset", raw.get("dataset"), {"path", "synth"})
     path, synth = dataset.get("path"), dataset.get("synth")
     given = {key: raw[key] for key in _PASSTHROUGH_KEYS if key in raw}
-    given["graph"] = GraphBuildConfig(**_check_keys("graph", raw.get("graph", {}), _GRAPH_KEYS))
+    given["graph"] = graph_config(_check_keys("graph", raw.get("graph", {}), _GRAPH_KEYS))
     for name, default in DEFAULT_HYPERPARAMS.items():
         given[f"{name}_hp"] = replace(default, **_check_keys(name, raw.get(name, {}), _HP_KEYS[name]))
     return ExperimentConfig(budgets=raw.get("budgets", []), dataset_path=path, synth=synth, **given)
@@ -249,7 +249,7 @@ class EvalReport:
         for agg in self.aggregates():
             if agg.model == model and agg.budget == budget:
                 return agg.mean_pct
-        raise KeyError(f"no rows for model {model!r} at budget {budget}")
+        raise ValueError(f"no rows for model {model!r} at budget {budget}")
 
 
 def derive_seed(base: int, budget: int, repeat: int) -> int:

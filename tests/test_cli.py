@@ -61,9 +61,9 @@ def test_train_on_partially_labeled_file(tmp_path, capsys):
     data, edges = tmp_path / "partial.csv", tmp_path / "g.edges"
     save_dataset(ds, data)
     assert main(["build-graph", "--data", str(data), "--out", str(edges)]) == 0
-    for model in ("gcn", "logreg"):
+    for model, graph in (("gcn", ["--graph", str(edges)]), ("logreg", [])):
         ckpt = tmp_path / f"{model}.json"
-        assert main(["train", "--data", str(data), "--graph", str(edges), "--model", model,
+        assert main(["train", "--data", str(data), *graph, "--model", model,
                      "--labeled", "4", "--uniform", "--seed", "3", "--out", str(ckpt)]) == 0
         assert load_checkpoint(ckpt)[1]["kind"] == model
     out = capsys.readouterr().out
@@ -141,7 +141,17 @@ def test_experiment_non_object_config_exits_1(tmp_path, capsys, text):
     ({"dataset": {"path": 7}, "budgets": [9]}, "dataset path must be"),
     ({"dataset": {"synth": {"n": 60, "d": 4, "classes": 3}}, "budgets": [9],
       "logreg": {"hidden": 999, "seed": 5}}, "unknown logreg keys: ['hidden', 'seed']"),
-], ids=["models-int", "path-int", "logreg-gcn-keys"])
+    ({"dataset": {"synth": {"n": 60, "d": 4, "classes": 3}}, "budgets": [9],
+      "graph": {"method": "knn", "k": 3, "eps": 0.5}}, "graph method 'knn' does not read eps"),
+    ({"dataset": {"synth": {"n": 60, "d": 4, "classes": 3}}, "budgets": [9],
+      "graph": {"method": "epsilon", "eps": 0.5, "k": 7}}, "graph method 'epsilon' does not read k"),
+    ({"dataset": {"synth": {"n": 60, "d": 4, "classes": 3}}, "budgets": [9],
+      "graph": {"method": "full", "k": 7, "metric": "cosine"}},
+     "graph method 'full' does not read k, metric"),
+    ({"dataset": {"synth": {"n": 60, "d": 4, "classes": 3}}, "budgets": [9],
+      "graph": {"method": "voronoi", "eps": 0.5}}, "unknown graph method 'voronoi'"),
+], ids=["models-int", "path-int", "logreg-gcn-keys", "knn-eps", "epsilon-k", "full-k-metric",
+        "unknown-method"])
 def test_experiment_mistyped_config_exits_1(tmp_path, capsys, config, message):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config), encoding="utf-8")
@@ -156,6 +166,39 @@ def test_unknown_subcommand_exits_2(capsys):
 
 def test_unknown_flag_exits_2(capsys):
     assert main(["synth", "--bogus", "1"]) == 2
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--method", "knn", "--eps", "0.5"], "graph method 'knn' does not read --eps"),
+    (["--eps", "0.5"], "graph method 'knn' does not read --eps"),
+    (["--method", "epsilon", "--eps", "0.5", "--k", "7"], "graph method 'epsilon' does not read --k"),
+    (["--method", "full", "--k", "7", "--metric", "cosine"],
+     "graph method 'full' does not read --k, --metric"),
+], ids=["knn-eps", "default-knn-eps", "epsilon-k", "full-k-metric"])
+def test_build_graph_rejects_flags_the_method_never_reads(tmp_path, capsys, flags, message):
+    # the data file does not exist: the flags are rejected before it is read
+    code = main(["build-graph", "--data", str(tmp_path / "absent.csv"), *flags,
+                 "--out", str(tmp_path / "g.edges")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "g.edges").exists()
+
+
+def test_graph_is_rejected_for_a_model_that_uses_none(tmp_path, blob_csv, capsys):
+    message = "error: --graph applies only to gcn; logreg uses no graph\n"
+    # neither file exists: train fails before it reads any
+    assert main(["train", "--data", str(tmp_path / "absent.csv"), "--model", "logreg",
+                 "--graph", str(tmp_path / "nonexistent.edges"), "--labeled", "9",
+                 "--out", str(tmp_path / "m.json")]) == 1
+    assert capsys.readouterr().err == message
+    ckpt, edges = tmp_path / "logreg.json", tmp_path / "g.edges"
+    assert main(["build-graph", "--data", str(blob_csv), "--out", str(edges)]) == 0
+    assert main(["train", "--data", str(blob_csv), "--model", "logreg", "--labeled", "9",
+                 "--out", str(ckpt)]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt), "--data", str(blob_csv),
+                 "--graph", str(edges)]) == 1
+    assert capsys.readouterr().err == message
 
 
 def test_invalid_k_exits_1(tmp_path, blob_csv, capsys):
@@ -208,9 +251,9 @@ def test_train_matches_the_experiment_cell(tmp_path, blob_csv, capsys, model):
     hp = config.gcn_hp if model == "gcn" else config.logreg_hp
     flags = ["--lr", str(hp.lr), "--epochs", str(hp.epochs), "--weight-decay", str(hp.weight_decay)]
     if model == "gcn":
-        flags += ["--hidden", str(hp.hidden), "--model-seed", str(hp.seed)]
+        flags += ["--graph", str(edges), "--hidden", str(hp.hidden), "--model-seed", str(hp.seed)]
     capsys.readouterr()
-    assert main(["train", "--data", str(blob_csv), "--graph", str(edges), "--model", model,
+    assert main(["train", "--data", str(blob_csv), "--model", model,
                  "--labeled", "9", "--seed", str(derive_seed(0, 9, 0)), *flags,
                  "--out", str(tmp_path / "m.json")]) == 0
     printed = re.search(r"unlabeled accuracy: ([0-9.]+)%", capsys.readouterr().out).group(1)
@@ -240,12 +283,12 @@ def test_default_logreg_checkpoint_records_logreg_defaults(tmp_path, blob_csv):
 def test_eval_rejects_malformed_checkpoint(tmp_path, blob_csv, capsys, model, corrupt):
     edges, ckpt = tmp_path / "g.edges", tmp_path / "m.json"
     assert main(["build-graph", "--data", str(blob_csv), "--out", str(edges)]) == 0
-    assert main(["train", "--data", str(blob_csv), "--graph", str(edges), "--model", model,
+    graph = ["--graph", str(edges)] if model == "gcn" else []
+    assert main(["train", "--data", str(blob_csv), *graph, "--model", model,
                  "--labeled", "9", "--epochs", "5", "--out", str(ckpt)]) == 0
     payload = json.loads(ckpt.read_text(encoding="utf-8"))
     corrupt(payload)
     ckpt.write_text(json.dumps(payload), encoding="utf-8")
     capsys.readouterr()
-    assert main(["eval", "--checkpoint", str(ckpt), "--data", str(blob_csv),
-                 "--graph", str(edges)]) == 1
+    assert main(["eval", "--checkpoint", str(ckpt), "--data", str(blob_csv), *graph]) == 1
     assert capsys.readouterr().err.startswith("error: ")

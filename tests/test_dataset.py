@@ -227,7 +227,7 @@ def test_make_split_errors():
 def test_build_label_matrix_one_hot_rows():
     ds = EmbeddingDataset(ids=["a", "b", "c"], X=np.eye(3), C=3, truth=[2, 0, 1])
     split = make_split(ds, 3, seed=0, stratified=True)
-    Y = build_label_matrix(ds, split).Y
+    Y = build_label_matrix(ds, split)
     assert np.array_equal(Y[0], [0.0, 0.0, 1.0])
     assert Y.sum() == 3.0
 
@@ -235,7 +235,7 @@ def test_build_label_matrix_one_hot_rows():
 def test_build_label_matrix_unlabeled_rows_zero():
     ds = synth_blobs(n=40, d=3, C=4, sep=2.0, seed=7)
     split = make_split(ds, 4, seed=1)
-    Y = build_label_matrix(ds, split).Y
+    Y = build_label_matrix(ds, split)
     assert Y.sum() == 4.0
     assert np.array_equal(Y[split.unlabeled].sum(axis=1), np.zeros(36))
     truth = full_truth(ds)

@@ -243,8 +243,8 @@ def test_train_propagates_the_features_once(monkeypatch):
     train(model, S, ds.X, Y, split.labeled, Hyperparams(epochs=epochs))
     assert operands.count(True) == 1
     assert operands.count(False) == 2 * epochs + 1
-    # the first forward() is full; every per-epoch product is row-restricted
-    assert [rows is None for rows in row_sets] == [True, True] + [False] * (2 * epochs)
+    # S @ X is full; every product after it is row-restricted, the first epoch's too
+    assert [rows is None for rows in row_sets] == [True] + [False] * (2 * epochs + 1)
 
 
 def test_train_deterministic():

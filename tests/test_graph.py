@@ -72,17 +72,6 @@ def test_knn_k_out_of_range():
         knn_graph(ds, 10)
 
 
-def test_knn_permutation_equivariance():
-    rng = np.random.default_rng(7)
-    X = rng.standard_normal((30, 3))
-    perm = rng.permutation(30)
-    inverse = np.empty_like(perm)
-    inverse[perm] = np.arange(30)
-    relabeled = {(min(inverse[i], inverse[j]), max(inverse[i], inverse[j]))
-                 for i, j in knn_graph(X, 4).edge_set()}
-    assert knn_graph(X[perm], 4).edge_set() == relabeled
-
-
 def test_epsilon_extremes_and_strictness():
     X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
     assert epsilon_graph(X, 0.5).num_edges == 0

@@ -236,6 +236,10 @@ def test_render_rejects_empty_or_unknown():
     report = EvalReport(rows=[CellResult("gcn", 5, 0, 1, 50.0, 1.0)])
     with pytest.raises(ValueError):
         render_report(report, "yaml")
+    ragged = EvalReport(rows=[CellResult("gcn", 10, 0, 1, 50.0, 1.0),
+                              CellResult("logreg", 20, 0, 2, 60.0, 1.0)])
+    with pytest.raises(ValueError, match="^no rows for model 'gcn' at budget 20$"):
+        render_report(ragged, "markdown")
 
 
 def test_report_validation():
@@ -262,9 +266,23 @@ def test_config_from_dict_defaults_and_validation():
         config_from_dict({"version": 2, "dataset": {"path": "x.csv"}, "budgets": [5]})
     with pytest.raises(ValueError):
         config_from_dict({"dataset": {}, "budgets": [5]})
-    with pytest.raises(ValueError, match="graph method"):
+    with pytest.raises(ValueError, match="unknown graph method"):
         config_from_dict({"dataset": {"path": "x.csv"}, "budgets": [5],
                           "graph": {"method": "voronoi"}})
+    with pytest.raises(ValueError, match="unknown graph method"):
+        config_from_dict({"dataset": {"path": "x.csv"}, "budgets": [5],
+                          "graph": {"method": "voronoi", "k": 3, "eps": 0.5}})
+    for graph, unread in (({"method": "knn", "k": 3, "eps": 0.5}, "eps"),
+                          ({"eps": 0.5}, "eps"),
+                          ({"method": "epsilon", "eps": 0.5, "k": 7}, "k"),
+                          ({"method": "full", "k": 7, "metric": "cosine"}, "k, metric"),
+                          ({"method": "full", "eps": 0.5}, "eps")):
+        with pytest.raises(ValueError, match=rf"^graph method '\w+' does not read {unread}$"):
+            config_from_dict({"dataset": {"path": "x.csv"}, "budgets": [5], "graph": graph})
+    for graph in ({"method": "knn", "k": 3, "metric": "cosine"},
+                  {"method": "epsilon", "eps": 0.5, "metric": "cosine"}, {"method": "full"}):
+        assert config_from_dict({"dataset": {"path": "x.csv"}, "budgets": [5],
+                                 "graph": graph}).graph.method == graph["method"]
     with pytest.raises(ValueError, match="unknown gcn keys"):
         config_from_dict({"dataset": {"path": "x.csv"}, "budgets": [5],
                           "gcn": {"learning_rate": 0.1}})
