@@ -5,10 +5,10 @@ The network computes
 
     Z = softmax(S @ relu(S @ X @ theta1) @ theta2)
 
-where S is the renormalized propagation matrix, and is trained on the
-cross-entropy summed over labeled rows only.  All math is float64, and runs
-are bit-reproducible on the same NumPy/BLAS build at the same BLAS thread
-count, which together fix the summation order of every product.
+where S is the renormalized propagation matrix, and is trained on the cross-entropy
+summed over labeled rows only, through S cut once per run to those rows and their
+neighbours.  All math is float64, and runs are bit-reproducible on the same NumPy/BLAS
+build at the same BLAS thread count, which together fix the summation order of every product.
 """
 
 from __future__ import annotations
@@ -76,9 +76,8 @@ class ForwardCache:
     SX = S @ X and SH1 = S @ H1 are stored alongside the activations because
     the gradient of each parameter matrix contracts against them.  SX has no
     parameters, so train() computes it once per run and reuses it every epoch.
-    forward() fills every row.  train() propagates SH1 and computes Z only on
-    the labeled rows, in every epoch including the first; there SH1, A2 and Z
-    hold zero rows on the rows the masked loss never reads.
+    forward() fills every row; train(), through S cut to the labeled rows, fills
+    SH1, A2 and Z only there and leaves zero rows where the loss never reads.
     """
 
     A1: np.ndarray
@@ -138,7 +137,7 @@ def forward(model: GcnModel, S: PropagationMatrix, X) -> ForwardCache:
     Z = row-softmax(A2).  The sparse product is applied first in each
     layer; that multiplication order is fixed.
     """
-    return _layers(model, S, S.matmul(_features(model, S, X)), None)
+    return _layers(model, S, S.matmul(_features(model, S, X)))
 
 
 def _features(model: GcnModel, S: PropagationMatrix, X) -> np.ndarray:
@@ -150,32 +149,26 @@ def _features(model: GcnModel, S: PropagationMatrix, X) -> np.ndarray:
     return X
 
 
-def _propagate(S: PropagationMatrix, M: np.ndarray, rows) -> np.ndarray:
-    """S @ M, or (rows given) S @ M on those rows and zero rows elsewhere.
+def _propagate(P: PropagationMatrix, M: np.ndarray) -> np.ndarray:
+    """P @ M on P's rows (all of S, or a cut) and zero rows elsewhere.
 
-    The result always has all n rows, so the dense products that follow keep
-    their full-n shapes: a GEMM on a subset of rows may round differently,
-    while zero rows in a full-n GEMM leave its other rows and its sums over n
-    bit-identical."""
-    if rows is None:
-        return S.matmul(M)
-    out = np.zeros((S.n, M.shape[1]))
-    out[rows] = S.matmul(M, rows=rows)
+    The result always has all n rows, so the dense products that follow keep their full-n
+    shapes: a GEMM on a subset of rows may round differently, while zero rows in a full-n
+    GEMM leave its other rows and its sums over n bit-identical."""
+    out = np.zeros((P.n, M.shape[1]))
+    out[P.rows] = P.matmul(M)
     return out
 
 
-def _layers(model: GcnModel, S: PropagationMatrix, SX: np.ndarray, rows) -> ForwardCache:
-    """forward() from an already propagated SX = S @ X; SH1 and Z only on ``rows`` (None: all).
-    softmax works row by row, so the rows it computes are the full call's bits."""
+def _layers(model: GcnModel, S2: PropagationMatrix, SX: np.ndarray) -> ForwardCache:
+    """forward() from an already propagated SX = S @ X; SH1 and Z only on S2's rows (S or a
+    cut).  softmax works row by row, so the rows it computes are the full call's bits."""
     A1 = SX @ model.theta1
     H1 = relu(A1)
-    SH1 = _propagate(S, H1, rows)
+    SH1 = _propagate(S2, H1)
     A2 = SH1 @ model.theta2
-    if rows is None:
-        Z = softmax(A2)
-    else:
-        Z = np.zeros_like(A2)
-        Z[rows] = softmax(A2[rows])
+    Z = np.zeros_like(A2)
+    Z[S2.rows] = softmax(A2[S2.rows])
     return ForwardCache(A1=A1, H1=H1, A2=A2, Z=Z, SX=SX, SH1=SH1)
 
 
@@ -203,19 +196,18 @@ def backward(model: GcnModel, S: PropagationMatrix, X, cache: ForwardCache, Y, l
     L1, L2, C = model.dims
     if cache.Z.shape != (S.n, C) or cache.A1.shape != (S.n, L2) or X.shape != (S.n, L1):
         raise ValueError("cache does not match this model/graph/feature combination")
-    return _gradients(model, S, cache, Y, np.asarray(labeled, dtype=np.int64), weight_decay, None)
+    return _gradients(model, S, cache, Y, np.asarray(labeled, dtype=np.int64), weight_decay)
 
 
-def _gradients(model: GcnModel, S: PropagationMatrix, cache: ForwardCache, Y, labeled,
-               weight_decay: float, field) -> Gradients:
-    """backward() without its checks; G1 is propagated only on ``field`` (None: all rows),
-    which must hold every row of S that touches a labeled row, or G1 loses entries."""
+def _gradients(model: GcnModel, S1: PropagationMatrix, cache: ForwardCache, Y, labeled,
+               weight_decay: float) -> Gradients:
+    """backward() without its checks; G1 is propagated only on S1's rows (S or a cut), which
+    must hold every row of S that touches a labeled row, or G1 loses entries."""
     y = np.asarray(Y, dtype=np.float64)
     G2 = np.zeros_like(cache.Z)
-    if len(labeled):
-        G2[labeled] = cache.Z[labeled] - y[labeled]
+    G2[labeled] = cache.Z[labeled] - y[labeled]
     g_theta2 = cache.SH1.T @ G2
-    G1 = _propagate(S, G2 @ model.theta2.T, field) * (cache.A1 > 0)
+    G1 = _propagate(S1, G2 @ model.theta2.T) * (cache.A1 > 0)
     g_theta1 = cache.SX.T @ G1
     if weight_decay > 0:
         g_theta1 = g_theta1 + weight_decay * model.theta1
@@ -231,36 +223,33 @@ def train(model: GcnModel, S: PropagationMatrix, X, Y, labeled,
     trace of epochs+1 objective values, the initial one first.  The trace
     records the training objective, i.e. the masked cross-entropy plus the
     weight-decay penalty 0.5 * wd * (|theta1|^2 + |theta2|^2) when enabled.
-    S @ X is computed once per run and reused by every epoch.  Every epoch,
-    the first included, propagates only the rows the result depends on:
-    S @ H1 on the labeled rows L, which are all the masked loss reads, and
-    the layer-1 gradient on N1, the rows of S that touch L, where alone it
-    can be nonzero.  Each of those rows is summed over its full segment, so
-    the parameters and trace are bit-identical to full-graph
-    forward()/backward() steps.  Raises if the parameters or the objective
-    become non-finite.
+    S @ X and two cuts of S are computed once per run.  Every epoch, the
+    first included, propagates only the rows the result depends on: S @ H1
+    on the labeled rows L, which are all the masked loss reads, and the
+    layer-1 gradient on N1, the rows of S that touch L, where alone it can be
+    nonzero.  Each of those rows is summed over its full segment, so the
+    parameters and trace are bit-identical to full-graph forward()/backward()
+    steps.  Raises if the parameters or the objective become non-finite.
     """
     SX = S.matmul(_features(model, S, X))
     current = GcnModel(theta1=model.theta1.copy(), theta2=model.theta2.copy())
     wd = hp.weight_decay
     labeled = np.asarray(labeled, dtype=np.int64)
-    is_labeled = np.zeros(S.n, dtype=bool)
-    is_labeled[labeled] = True
-    # N1, the rows whose segment holds a labeled column; the diagonal keeps every
-    # segment non-empty, so reduceat sees each row once
-    field = np.flatnonzero(np.logical_or.reduceat(is_labeled[S.indices], S.indptr[:-1]))
+    S_L = S.take_rows(labeled)
+    # N1: S is symmetric, so the rows that touch L are the columns of L's rows
+    S_N1 = S.take_rows(np.unique(S_L.indices))
 
     trace = []
     for epoch in range(hp.epochs + 1):
         if epoch:
-            grads = _gradients(current, S, cache, Y, labeled, wd, field)
+            grads = _gradients(current, S_N1, cache, Y, labeled, wd)
             t1 = current.theta1 - hp.lr * grads.g_theta1
             t2 = current.theta2 - hp.lr * grads.g_theta2
             if not (np.isfinite(t1).all() and np.isfinite(t2).all()):
                 raise ValueError(f"training diverged: non-finite parameters at epoch {epoch}")
             # t1, t2 keep their shapes and were just checked finite: no new GcnModel to re-validate
             current.theta1, current.theta2 = t1, t2
-        cache = _layers(current, S, SX, labeled)
+        cache = _layers(current, S_L, SX)
         value = loss(cache, Y, labeled)
         if wd > 0:
             value += 0.5 * wd * (float((current.theta1 ** 2).sum())

@@ -93,9 +93,10 @@ class SparseAdjacency:
                 raise ValueError("edge endpoint outside 0..n-1")
             if (edges[:, 0] >= edges[:, 1]).any():
                 raise ValueError("edges must satisfy i < j (no self-loops)")
-            edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
-            if (edges[1:] == edges[:-1]).all(axis=1).any():
-                raise ValueError("duplicate edge")
+            if not _strictly_increasing(edges):
+                edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+                if not _strictly_increasing(edges):
+                    raise ValueError("duplicate edge")
         self.edges = edges
 
     @property
@@ -109,6 +110,12 @@ class SparseAdjacency:
         return {(int(i), int(j)) for i, j in self.edges}
 
 
+def _strictly_increasing(edges) -> bool:
+    """Whether the (m, 2) pairs are sorted and unique, as the builders and edge loader give them."""
+    i, j = edges[:, 0], edges[:, 1]
+    return bool(((i[1:] > i[:-1]) | ((i[1:] == i[:-1]) & (j[1:] > j[:-1]))).all())
+
+
 @dataclass
 class PropagationMatrix:
     """Sparse symmetric smoothing operator: adjacency plus self-loops, degree-renormalized.
@@ -116,50 +123,55 @@ class PropagationMatrix:
     With A_hat = A + I and d_hat the row sums of A_hat, the entry for a
     connected pair (i, j) is 1/sqrt(d_hat_i * d_hat_j) and the diagonal is
     1/d_hat_i.  Stored in CSR form; every row holds at least the diagonal.
+    Stored row r is node rows[r]'s: all n in order, or those of a take_rows cut.
     """
 
     n: int
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
+    rows: np.ndarray
 
     @property
     def nnz(self) -> int:
         return len(self.data)
 
-    def matmul(self, M: np.ndarray, rows=None) -> np.ndarray:
-        """S @ M for dense M, or only its rows ``rows`` (any order) as (S @ M)[rows].
+    def take_rows(self, rows) -> PropagationMatrix:
+        """The cut to stored rows ``rows`` (any order, repeats allowed), full segments kept."""
+        rows = np.asarray(rows, dtype=np.int64)
+        if len(rows) and (rows.min() < 0 or rows.max() >= len(self.rows)):
+            raise ValueError(f"row index outside 0..{len(self.rows) - 1}")
+        lengths = self.indptr[rows + 1] - self.indptr[rows]
+        indptr = np.concatenate([[0], np.cumsum(lengths)])
+        # the position in indices/data of every entry of the chosen row segments
+        entries = np.arange(indptr[-1]) + np.repeat(self.indptr[rows] - indptr[:-1], lengths)
+        return PropagationMatrix(self.n, indptr, self.indices[entries], self.data[entries],
+                                 self.rows[rows])
 
-        Rows go in blocks of at most MATMUL_BLOCK_ROWS.  A block gathers M at its rows'
-        full column segments, scales that copy in place and sums each segment with
+    def matmul(self, M: np.ndarray) -> np.ndarray:
+        """The stored rows of S @ M for dense M: all of S @ M, or a cut's rows in its order.
+
+        Rows go in contiguous blocks of at most MATMUL_BLOCK_ROWS.  A block gathers M at
+        its rows' column segments, scales that copy in place and sums each segment with
         np.add.reduceat, in an order fixed for a given NumPy build that is not a
         sequential ascending-column sum.  Every row is summed over its whole segment
-        whatever the block or ``rows``, so each row's bits match the full product, and
-        the gather temporary holds one block's nnz x cols.  M is left unmodified."""
+        whatever the block or cut, so each row's bits match the full product, and the
+        gather temporary holds one block's nnz x cols.  M is left unmodified."""
         M = np.asarray(M, dtype=np.float64)
         if M.shape[0] != self.n:
-            raise ValueError(f"operand has {M.shape[0]} rows, matrix is {self.n}x{self.n}")
-        rows = np.arange(self.n) if rows is None else np.asarray(rows, dtype=np.int64)
-        if len(rows) and (rows.min() < 0 or rows.max() >= self.n):
-            raise ValueError(f"row index outside 0..{self.n - 1}")
-        out = np.empty((len(rows),) + M.shape[1:])
-        for first in range(0, len(rows), MATMUL_BLOCK_ROWS):
-            block = rows[first:first + MATMUL_BLOCK_ROWS]
-            lengths = self.indptr[block + 1] - self.indptr[block]
-            ends = np.cumsum(lengths)
-            offsets = ends - lengths
-            # the position in indices/data of every entry of the block's row segments
-            entries = np.arange(ends[-1]) + np.repeat(self.indptr[block] - offsets, lengths)
-            contrib = M[self.indices[entries]]
-            contrib *= self.data[entries, None]
+            raise ValueError(f"operand has {M.shape[0]} rows, matrix is {len(self.rows)}x{self.n}")
+        out = np.empty((len(self.rows),) + M.shape[1:])
+        for i in range(0, len(self.rows), MATMUL_BLOCK_ROWS):
+            ptr = self.indptr[i:i + MATMUL_BLOCK_ROWS + 1]
+            contrib = M[self.indices[ptr[0]:ptr[-1]]]
+            contrib *= self.data[ptr[0]:ptr[-1], None]
             # reduceat is safe because the diagonal keeps every row segment non-empty
-            out[first:first + len(block)] = np.add.reduceat(contrib, offsets, axis=0)
+            out[i:i + MATMUL_BLOCK_ROWS] = np.add.reduceat(contrib, ptr[:-1] - ptr[0], axis=0)
         return out
 
     def to_dense(self) -> np.ndarray:
         dense = np.zeros((self.n, self.n))
-        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
-        dense[rows, self.indices] = self.data
+        dense[np.repeat(self.rows, np.diff(self.indptr)), self.indices] = self.data
         return dense
 
 
@@ -377,9 +389,8 @@ def normalize(A: SparseAdjacency) -> PropagationMatrix:
     order = np.lexsort((cols, rows))
     rows, cols = rows[order], cols[order]
     data = np.where(rows == cols, 1.0 / d_hat[rows], 1.0 / np.sqrt(d_hat[rows] * d_hat[cols]))
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return PropagationMatrix(n=n, indptr=indptr, indices=cols, data=data)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    return PropagationMatrix(n=n, indptr=indptr, indices=cols, data=data, rows=np.arange(n))
 
 
 # --- edge-list file format ---------------------------------------------------
@@ -441,14 +452,12 @@ def _parse_canonical_edges(text):
         return None
     # every number is 1..18 ASCII digits, so it fits int64 and is read exactly
     edges = np.fromstring(data, dtype=np.int64, sep=" ").reshape(-1, 2)
-    i, j = edges[:, 0], edges[:, 1]
-    # strictly increasing pairs, as the writer emits them, hold no duplicate
-    if (i >= j).any() or not ((i[1:] > i[:-1]) | ((i[1:] == i[:-1]) & (j[1:] > j[:-1]))).all():
+    if (edges[:, 0] >= edges[:, 1]).any() or not _strictly_increasing(edges):
         return None
     if n is None:
         if not len(edges):
             return None
-        n = int(j.max()) + 1
+        n = int(edges[:, 1].max()) + 1
     return n, edges
 
 

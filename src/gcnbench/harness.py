@@ -132,8 +132,10 @@ class ExperimentConfig:
             raise ValueError(f"budgets must be a list of integers, got {self.budgets!r}")
         if not self.budgets:
             raise ValueError("config lists no label budgets")
-        for l in self.budgets:
+        for k, l in enumerate(self.budgets):
             check_type("budgets", l, int)
+            if l in self.budgets[:k]:
+                raise ValueError(f"duplicate label budget {l}")
         for name, kind in (("repeats", int), ("seed", int), ("stratified", bool),
                            ("normalize_features", bool)):
             check_type(name, getattr(self, name), kind)

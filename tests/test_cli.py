@@ -150,8 +150,10 @@ def test_experiment_non_object_config_exits_1(tmp_path, capsys, text):
      "graph method 'full' does not read k, metric"),
     ({"dataset": {"synth": {"n": 60, "d": 4, "classes": 3}}, "budgets": [9],
       "graph": {"method": "voronoi", "eps": 0.5}}, "unknown graph method 'voronoi'"),
+    ({"dataset": {"synth": {"n": 60, "d": 4, "classes": 3}}, "budgets": [9, 12, 9]},
+     "duplicate label budget 9"),
 ], ids=["models-int", "path-int", "logreg-gcn-keys", "knn-eps", "epsilon-k", "full-k-metric",
-        "unknown-method"])
+        "unknown-method", "duplicate-budget"])
 def test_experiment_mistyped_config_exits_1(tmp_path, capsys, config, message):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config), encoding="utf-8")

@@ -230,21 +230,28 @@ def test_train_is_bit_identical_to_the_per_epoch_forward_loop(weight_decay):
 
 def test_train_propagates_the_features_once(monkeypatch):
     ds, S, split, Y, model = small_instance(19)
-    operands, row_sets = [], []
-    original = PropagationMatrix.matmul
+    products, cuts = [], []
+    original_matmul, original_take_rows = PropagationMatrix.matmul, PropagationMatrix.take_rows
 
-    def counting(self, M, rows=None):
-        operands.append(M is ds.X)
-        row_sets.append(rows)
-        return original(self, M, rows=rows)
+    def counting_matmul(self, M):
+        products.append((self, M is ds.X))
+        return original_matmul(self, M)
 
-    monkeypatch.setattr(PropagationMatrix, "matmul", counting)
+    def counting_take_rows(self, rows):
+        cuts.append(original_take_rows(self, rows))
+        return cuts[-1]
+
+    monkeypatch.setattr(PropagationMatrix, "matmul", counting_matmul)
+    monkeypatch.setattr(PropagationMatrix, "take_rows", counting_take_rows)
     epochs = 6
     train(model, S, ds.X, Y, split.labeled, Hyperparams(epochs=epochs))
-    assert operands.count(True) == 1
-    assert operands.count(False) == 2 * epochs + 1
-    # S @ X is full; every product after it is row-restricted, the first epoch's too
-    assert [rows is None for rows in row_sets] == [True] + [False] * (2 * epochs + 1)
+    # the rows of S at L and at N1, each cut once per run
+    assert len(cuts) == 2
+    assert np.array_equal(cuts[0].rows, split.labeled)
+    # S @ X is full; every product after it runs on a cut, the first epoch's too
+    assert products[0][0] is S and products[0][1]
+    assert len(products) == 2 * epochs + 2
+    assert all(any(P is cut for cut in cuts) and not features for P, features in products[1:])
 
 
 def test_train_deterministic():

@@ -345,25 +345,38 @@ def test_blocked_matmul_matches_the_one_shot_kernel(n, cols):
     expected = one_shot_product(S, M)
     assert np.array_equal(S.matmul(M), expected)
     rows = np.random.default_rng(0).permutation(n)[:max(1, n // 3)]
-    assert np.array_equal(S.matmul(M, rows=rows), expected[rows])
-    assert np.array_equal(S.matmul(M, rows=np.arange(n)[::-1]), expected[::-1])
+    assert np.array_equal(S.take_rows(rows).matmul(M), expected[rows])
+    assert np.array_equal(S.take_rows(np.arange(n)[::-1]).matmul(M), expected[::-1])
 
 
 def test_matmul_rows_may_repeat_and_be_empty():
     S = random_propagation(50, seed=1)
     M = np.random.default_rng(2).standard_normal((50, 4))
     expected = one_shot_product(S, M)
-    assert np.array_equal(S.matmul(M, rows=[3, 49, 3, 0]), expected[[3, 49, 3, 0]])
-    empty = S.matmul(M, rows=np.array([], dtype=np.int64))
+    assert np.array_equal(S.take_rows([3, 49, 3, 0]).matmul(M), expected[[3, 49, 3, 0]])
+    empty = S.take_rows(np.array([], dtype=np.int64)).matmul(M)
     assert empty.shape == (0, 4)
-    assert S.matmul(M, rows=[]).shape == (0, 4)
+    assert S.take_rows([]).matmul(M).shape == (0, 4)
 
 
 @pytest.mark.parametrize("rows", [[50], [-1], [0, 50]])
 def test_matmul_rejects_rows_outside_the_matrix(rows):
     S = random_propagation(50, seed=1)
     with pytest.raises(ValueError, match="row index outside"):
-        S.matmul(np.ones((50, 2)), rows=rows)
+        S.take_rows(rows)
+
+
+@pytest.mark.parametrize("rows", [[], [7], [3, 49, 3, 0], np.arange(50)[::-1]],
+                         ids=["empty", "one", "repeats", "reversed"])
+def test_a_cut_is_the_dense_matrix_on_its_rows_and_counts_their_entries(rows):
+    S, rows = random_propagation(50, seed=3), np.asarray(rows, dtype=np.int64)
+    cut = S.take_rows(rows)
+    dense = cut.to_dense()
+    chosen = np.isin(np.arange(50), rows)
+    assert np.array_equal(cut.rows, rows)
+    assert np.array_equal(dense[chosen], S.to_dense()[chosen])
+    assert not dense[~chosen].any()
+    assert cut.nnz == np.diff(S.indptr)[rows].sum()
 
 
 def test_blocked_matmul_matches_the_one_shot_kernel_on_the_wide_gcn_graph():
@@ -373,7 +386,7 @@ def test_blocked_matmul_matches_the_one_shot_kernel_on_the_wide_gcn_graph():
     for M in (ds.X, np.random.default_rng(1).standard_normal((2000, 16))):
         expected = one_shot_product(S, M)
         assert np.array_equal(S.matmul(M), expected)
-        assert np.array_equal(S.matmul(M, rows=rows), expected[rows])
+        assert np.array_equal(S.take_rows(rows).matmul(M), expected[rows])
 
 
 def test_graph_config_validation():
@@ -394,6 +407,14 @@ def test_save_graph_format_example(tmp_path):
     path = tmp_path / "g.edges"
     save_graph(SparseAdjacency(n=3, edges=[(1, 2), (0, 1)]), path)
     assert path.read_text() == "#nodes=3\n0\t1\n1\t2\n"
+
+
+@pytest.mark.parametrize("edges", [[(2, 3), (0, 1), (2, 3)], [(0, 1), (0, 1)],
+                                   [(1, 2), (0, 4), (1, 2), (0, 1)]],
+                         ids=["unsorted", "sorted", "unsorted-apart"])
+def test_sparse_adjacency_rejects_a_duplicate_edge_in_any_order(edges):
+    with pytest.raises(ValueError, match="^duplicate edge$"):
+        SparseAdjacency(n=5, edges=edges)
 
 
 def test_graph_round_trip(tmp_path):
