@@ -119,62 +119,58 @@ def l2_normalize_rows(X) -> np.ndarray:
 
 
 def load_dataset(path) -> EmbeddingDataset:
-    """Read an embedding CSV file.
+    """Read an embedding CSV file one row at a time.
 
     C is taken from the ``#classes=`` comment when present, otherwise
     inferred as max class index + 1 (floored at 2).  This function only
-    decodes the file and EmbeddingDataset checks the decoded rows; a fault
-    in a data row raises ValueError starting with ``data row N:``.
+    parses the rows and EmbeddingDataset checks them once every row is
+    parsed; a fault in a data row raises ValueError starting with
+    ``data row N:``.
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\r") for ln in fh.read().split("\n")]
-    if lines and lines[-1] == "":
-        lines.pop()
-
     declared_c = None
-    pos = 0
-    while pos < len(lines) and lines[pos].startswith("#"):
-        comment = lines[pos]
-        if not comment.startswith("#classes="):
-            raise ValueError(f"unrecognized comment line before header: {comment!r}")
-        if declared_c is not None:
-            raise ValueError("duplicate #classes comment")
-        try:
-            declared_c = int(comment[len("#classes="):])
-        except ValueError:
-            raise ValueError(f"malformed #classes comment: {comment!r}") from None
-        pos += 1
-    if pos >= len(lines):
-        raise ValueError("missing header line")
+    # universal-newline text mode: "\r\n" and "\r" arrive as "\n"
+    with open(path, encoding="utf-8") as fh:
+        lines = (line.removesuffix("\n") for line in fh)
+        for line in lines:
+            if not line.startswith("#"):
+                break
+            if not line.startswith("#classes="):
+                raise ValueError(f"unrecognized comment line before header: {line!r}")
+            if declared_c is not None:
+                raise ValueError("duplicate #classes comment")
+            try:
+                declared_c = int(line[len("#classes="):])
+            except ValueError:
+                raise ValueError(f"malformed #classes comment: {line!r}") from None
+        else:
+            raise ValueError("missing header line")
+        header = line.split(",")
+        if header[0] != "id":
+            raise ValueError("header must start with 'id'")
+        has_label = len(header) > 1 and header[1] == "label"
+        embed_cols = header[2:] if has_label else header[1:]
+        if not embed_cols:
+            raise ValueError("header declares no embedding columns")
+        for j, name in enumerate(embed_cols):
+            if name != f"e{j}":
+                raise ValueError(f"embedding column {j} must be named 'e{j}', got {name!r}")
+        width = len(header)
+        skip = 1 + int(has_label)
 
-    header = lines[pos].split(",")
-    if not header or header[0] != "id":
-        raise ValueError("header must start with 'id'")
-    has_label = len(header) > 1 and header[1] == "label"
-    embed_cols = header[2:] if has_label else header[1:]
-    if not embed_cols:
-        raise ValueError("header declares no embedding columns")
-    for j, name in enumerate(embed_cols):
-        if name != f"e{j}":
-            raise ValueError(f"embedding column {j} must be named 'e{j}', got {name!r}")
-    L1 = len(embed_cols)
-    width = 1 + int(has_label) + L1
-    skip = 1 + int(has_label)
-
-    ids = []
-    raw_labels = []
-    rows = []
-    for r, line in enumerate(lines[pos + 1:], start=1):
-        cells = line.split(",")
-        if len(cells) != width:
-            raise ValueError(f"data row {r}: expected {width} columns, got {len(cells)}")
-        ids.append(cells[0])
-        if has_label:
-            raw_labels.append(cells[1] if cells[1] != "" else None)
-        try:
-            rows.append(np.asarray(cells[skip:], dtype=np.float64))
-        except ValueError:
-            raise ValueError(f"data row {r}: non-numeric embedding cell") from None
+        ids = []
+        raw_labels = []
+        rows = []
+        for r, line in enumerate(lines, start=1):
+            cells = line.split(",")
+            if len(cells) != width:
+                raise ValueError(f"data row {r}: expected {width} columns, got {len(cells)}")
+            ids.append(cells[0])
+            if has_label:
+                raw_labels.append(cells[1] if cells[1] != "" else None)
+            try:
+                rows.append(np.asarray(cells[skip:], dtype=np.float64))
+            except ValueError:
+                raise ValueError(f"data row {r}: non-numeric embedding cell") from None
     if not rows:
         raise ValueError("file contains no data rows")
     X = np.vstack(rows)
@@ -207,20 +203,19 @@ def _decode_labels(raw_labels):
 
 
 def save_dataset(ds: EmbeddingDataset, path) -> None:
-    """Write the embedding CSV format; load(save(ds)) reproduces X bit-exactly."""
-    lines = [f"#classes={ds.C}"]
+    """Write the embedding CSV format row by row; load(save(ds)) reproduces X bit-exactly."""
     label_col = ds.truth is not None
     header = ["id"] + (["label"] if label_col else []) + [f"e{j}" for j in range(ds.L1)]
-    lines.append(",".join(header))
-    for i in range(ds.n):
-        cells = [ds.ids[i]]
-        if label_col:
-            t = ds.truth[i]
-            cells.append("" if t is None else str(t))
-        cells.extend(repr(float(v)) for v in ds.X[i])
-        lines.append(",".join(cells))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"#classes={ds.C}\n{','.join(header)}\n")
+        for i, row in enumerate(ds.X):
+            cells = [ds.ids[i]]
+            if label_col:
+                t = ds.truth[i]
+                cells.append("" if t is None else str(t))
+            # repr of a Python float is its shortest round-trip decimal
+            cells.extend(map(repr, row.tolist()))
+            fh.write(",".join(cells) + "\n")
 
 
 def synth_blobs(n: int, d: int, C: int, sep: float = 6.0, seed: int = 0) -> EmbeddingDataset:
@@ -237,8 +232,10 @@ def synth_blobs(n: int, d: int, C: int, sep: float = 6.0, seed: int = 0) -> Embe
         raise ValueError(f"need n >= C, got n={n}, C={C}")
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
-    if sep < 0:
-        raise ValueError(f"separation must be >= 0, got {sep}")
+    if not (math.isfinite(sep) and sep >= 0):
+        raise ValueError(f"separation must be finite and >= 0, got {sep}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
     centers = np.zeros((C, d))
     if d >= C:
@@ -268,6 +265,8 @@ def make_split(ds: EmbeddingDataset, l: int, seed: int, stratified: bool = True)
     # class index per row, -1 where a row has no ground truth
     truth = None if ds.truth is None else np.array([-1 if t is None else t for t in ds.truth])
     candidates = np.arange(n) if truth is None else np.flatnonzero(truth >= 0)
+    if seed < 0:
+        raise ValueError(f"split seed must be >= 0, got {seed}")
     if l < 1:
         raise ValueError(f"need l >= 1, got {l}")
     if l > len(candidates):

@@ -31,9 +31,9 @@ class Hyperparams:
     weight_decay: float = 0.0
 
     def __post_init__(self):
-        check_type("seed", self.seed, int)
         for name, kind, low, what in (("lr", float, 0, "learning rate"),
                                       ("epochs", int, 0, "epoch count"),
+                                      ("seed", int, 0, "model seed"),
                                       ("hidden", int, 1, "hidden width"),
                                       ("weight_decay", float, 0, "weight decay")):
             value = getattr(self, name)

@@ -463,7 +463,7 @@ def _parse_canonical_edges(text):
 
 def _parse_edge_lines(text) -> SparseAdjacency:
     """The line-by-line edge-list parser: raises on the first bad line, naming it."""
-    lines = [ln.rstrip("\r") for ln in text.split("\n")]
+    lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     n = None

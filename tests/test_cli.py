@@ -101,6 +101,32 @@ def test_train_logreg_rejects_gcn_only_flags(tmp_path, blob_csv, capsys, flags):
     assert not ckpt.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["synth", "--n", "30", "--d", "4", "--classes", "3", "--sep", "nan", "--out", "{out}"],
+     "separation must be finite and >= 0, got nan"),
+    (["synth", "--n", "30", "--d", "4", "--classes", "3", "--sep", "inf", "--out", "{out}"],
+     "separation must be finite and >= 0, got inf"),
+    (["synth", "--n", "30", "--d", "4", "--classes", "3", "--seed", "-1", "--out", "{out}"],
+     "seed must be >= 0, got -1"),
+    (["train", "--data", "{csv}", "--model", "logreg", "--labeled", "9", "--seed", "-1",
+      "--out", "{out}"], "split seed must be >= 0, got -1"),
+    (["train", "--data", "{csv}", "--graph", "{edges}", "--labeled", "9", "--model-seed", "-1",
+      "--out", "{out}"], "model seed must be >= 0, got -1"),
+    (["experiment", "--config", "{config}", "--out", "{out}"], "model seed must be >= 0, got -1"),
+], ids=["synth-sep-nan", "synth-sep-inf", "synth-seed", "train-seed", "train-model-seed",
+        "config-gcn-seed"])
+def test_out_of_range_separation_or_seed_exits_1_naming_it(tmp_path, blob_csv, capsys, argv, message):
+    paths = {"csv": blob_csv, "edges": tmp_path / "g.edges", "config": tmp_path / "cfg.json",
+             "out": tmp_path / "out"}
+    assert main(["build-graph", "--data", str(blob_csv), "--out", str(paths["edges"])]) == 0
+    paths["config"].write_text(json.dumps({"dataset": {"path": str(blob_csv)}, "budgets": [9],
+                                           "gcn": {"seed": -1}}), encoding="utf-8")
+    capsys.readouterr()
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not paths["out"].exists()
+
+
 def test_experiment_happy_path(tmp_path, blob_csv):
     config = {
         "version": 1,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from gcnbench.dataset import (
     save_dataset,
     synth_blobs,
 )
+from gcnbench.graph import knn_graph, load_graph, save_graph
 
 
 def write_csv(tmp_path, text, name="data.csv"):
@@ -132,6 +135,47 @@ def test_csv_round_trip_is_bit_exact_and_byte_stable(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+def test_csv_and_edge_list_with_other_line_breaks_load_as_their_lf_twins(tmp_path, newline):
+    ds = synth_blobs(n=30, d=3, C=3, seed=0)
+    save_dataset(ds, tmp_path / "lf.csv")
+    save_graph(knn_graph(ds, k=3), tmp_path / "lf.edges")
+    header, *pairs = (tmp_path / "lf.edges").read_text(encoding="utf-8").splitlines()
+    # reversed lines are not in the writer's form, so they go through the line-by-line parser
+    (tmp_path / "lf-reversed.edges").write_text("\n".join([header, *pairs[::-1]]), encoding="utf-8")
+    for name in ("lf.csv", "lf.edges", "lf-reversed.edges"):
+        (tmp_path / f"other-{name}").write_bytes((tmp_path / name).read_bytes().replace(b"\n", newline))
+
+    loaded = load_dataset(tmp_path / "other-lf.csv")
+    assert np.array_equal(loaded.X, ds.X) and (loaded.ids, loaded.truth, loaded.C) == (ds.ids, ds.truth, ds.C)
+    for name in ("lf.edges", "lf-reversed.edges"):
+        lf, other = load_graph(tmp_path / name), load_graph(tmp_path / f"other-{name}")
+        assert other.n == lf.n and np.array_equal(other.edges, lf.edges)
+
+
+def traced_peak(run) -> int:
+    """The most bytes that Python objects and NumPy arrays made by ``run()`` held at once."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_load_dataset_peak_is_at_most_three_matrices(tmp_path):
+    # rows are parsed as the file is read: no whole-file text, no list of lines
+    ds = synth_blobs(n=2000, d=128, C=4)
+    save_dataset(ds, tmp_path / "blobs.csv")
+    assert traced_peak(lambda: load_dataset(tmp_path / "blobs.csv")) <= 3 * ds.X.nbytes
+
+
+def test_save_dataset_peak_is_at_most_one_matrix(tmp_path):
+    # each row is written as soon as it is formatted
+    ds = synth_blobs(n=2000, d=128, C=4)
+    assert traced_peak(lambda: save_dataset(ds, tmp_path / "blobs.csv")) <= ds.X.nbytes
+
+
 def test_synth_blobs_balanced_and_deterministic():
     ds = synth_blobs(n=300, d=5, C=3, sep=4.0, seed=11)
     counts = np.bincount(full_truth(ds))
@@ -169,6 +213,12 @@ def test_synth_blobs_center_separation():
 def test_synth_blobs_rejects_n_below_c():
     with pytest.raises(ValueError):
         synth_blobs(n=2, d=2, C=3, sep=1.0, seed=0)
+
+
+@pytest.mark.parametrize("sep", [float("nan"), float("inf"), -1.0])
+def test_synth_blobs_rejects_a_separation_that_is_not_finite_and_non_negative(sep):
+    with pytest.raises(ValueError, match=f"^separation must be finite and >= 0, got {sep}$"):
+        synth_blobs(n=6, d=2, C=3, sep=sep)
 
 
 def test_make_split_is_partition():
