@@ -70,15 +70,17 @@ def train_logreg(X_l, y_l, C: int, hp: Hyperparams = LOGREG_DEFAULTS) -> tuple[L
         raise ValueError(f"class index outside [0, {C})")
     W = np.zeros((X_l.shape[1], C))
     b = np.zeros(C)
-    value, g_W, g_b = logreg_loss_grad(W, b, X_l, y_l, hp.weight_decay)
-    trace = [value]
-    for epoch in range(hp.epochs):
-        W = W - hp.lr * g_W
-        b = b - hp.lr * g_b
+    # an overflow here ends as a non-finite loss, which raises below
+    with np.errstate(over="ignore", invalid="ignore"):
         value, g_W, g_b = logreg_loss_grad(W, b, X_l, y_l, hp.weight_decay)
-        trace.append(value)
-        if not np.isfinite(value):
-            raise ValueError(f"training diverged: non-finite loss at epoch {epoch + 1}")
+        trace = [value]
+        for epoch in range(hp.epochs):
+            W = W - hp.lr * g_W
+            b = b - hp.lr * g_b
+            value, g_W, g_b = logreg_loss_grad(W, b, X_l, y_l, hp.weight_decay)
+            trace.append(value)
+            if not np.isfinite(value):
+                raise ValueError(f"training diverged: non-finite loss at epoch {epoch + 1}")
     return LogRegModel(W=W, b=b), trace
 
 

@@ -104,11 +104,11 @@ def _inputs(args, model_name, task):
 def _cmd_train(args):
     if args.model != "gcn" and (args.hidden is not None or args.model_seed is not None):
         raise ValueError("--hidden and --model-seed apply only to --model gcn")
-    ds, S = _inputs(args, args.model, "gcn training")
-    split = make_split(ds, args.labeled, seed=args.seed, stratified=not args.uniform)
     hp = replace(harness.DEFAULT_HYPERPARAMS[args.model],
                  **_given(lr=args.lr, epochs=args.epochs, weight_decay=args.weight_decay,
                           hidden=args.hidden, seed=args.model_seed))
+    ds, S = _inputs(args, args.model, "gcn training")
+    split = make_split(ds, args.labeled, seed=args.seed, stratified=not args.uniform)
     trained, trace, pred = harness.fit_predict(args.model, ds, S, split, hp)
     checkpoint.save_checkpoint(trained, args.out, hyperparams=hp)
     print(f"wrote {args.out}: final loss {trace[-1]:.6f}")

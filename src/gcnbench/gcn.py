@@ -223,13 +223,17 @@ def train(model: GcnModel, S: PropagationMatrix, X, Y, labeled,
     trace of epochs+1 objective values, the initial one first.  The trace
     records the training objective, i.e. the masked cross-entropy plus the
     weight-decay penalty 0.5 * wd * (|theta1|^2 + |theta2|^2) when enabled.
-    S @ X and two cuts of S are computed once per run.  Every epoch, the
+    S @ X and the cuts of S are computed once per run.  Every epoch, the
     first included, propagates only the rows the result depends on: S @ H1
     on the labeled rows L, which are all the masked loss reads, and the
     layer-1 gradient on N1, the rows of S that touch L, where alone it can be
-    nonzero.  Each of those rows is summed over its full segment, so the
-    parameters and trace are bit-identical to full-graph forward()/backward()
-    steps.  Raises if the parameters or the objective become non-finite.
+    nonzero.  That gradient's operand is exactly +-0 off L, and adding +-0 to a
+    nonzero partial sum changes nothing, so an N1 row with at most two entries
+    in L's columns sums those alone; one or two terms add the same in any order,
+    and a row with more sums its full segment.  The parameters and trace are
+    thus bit-identical to full-graph forward()/backward() steps, except that an
+    exactly zero sum may carry the other sign.  Raises if the parameters or the
+    objective become non-finite.
     """
     SX = S.matmul(_features(model, S, X))
     current = GcnModel(theta1=model.theta1.copy(), theta2=model.theta2.copy())
@@ -238,25 +242,33 @@ def train(model: GcnModel, S: PropagationMatrix, X, Y, labeled,
     S_L = S.take_rows(labeled)
     # N1: S is symmetric, so the rows that touch L are the columns of L's rows
     S_N1 = S.take_rows(np.unique(S_L.indices))
+    # an N1 row with at most two entries in L's columns keeps only those (see above)
+    in_L = np.zeros(S.n, dtype=bool)
+    in_L[labeled] = True
+    hits = in_L[S_N1.indices]
+    per_row = np.diff(np.concatenate([[0], np.cumsum(hits)])[S_N1.indptr])
+    S_N1 = S_N1.take_entries(hits | np.repeat(per_row > 2, np.diff(S_N1.indptr)))
 
     trace = []
-    for epoch in range(hp.epochs + 1):
-        if epoch:
-            grads = _gradients(current, S_N1, cache, Y, labeled, wd)
-            t1 = current.theta1 - hp.lr * grads.g_theta1
-            t2 = current.theta2 - hp.lr * grads.g_theta2
-            if not (np.isfinite(t1).all() and np.isfinite(t2).all()):
-                raise ValueError(f"training diverged: non-finite parameters at epoch {epoch}")
-            # t1, t2 keep their shapes and were just checked finite: no new GcnModel to re-validate
-            current.theta1, current.theta2 = t1, t2
-        cache = _layers(current, S_L, SX)
-        value = loss(cache, Y, labeled)
-        if wd > 0:
-            value += 0.5 * wd * (float((current.theta1 ** 2).sum())
-                                 + float((current.theta2 ** 2).sum()))
-        trace.append(value)
-        if not np.isfinite(value):
-            raise ValueError(f"training diverged: non-finite loss at epoch {epoch}")
+    # an overflow here ends as a non-finite parameter or objective, which raises below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(hp.epochs + 1):
+            if epoch:
+                grads = _gradients(current, S_N1, cache, Y, labeled, wd)
+                t1 = current.theta1 - hp.lr * grads.g_theta1
+                t2 = current.theta2 - hp.lr * grads.g_theta2
+                if not (np.isfinite(t1).all() and np.isfinite(t2).all()):
+                    raise ValueError(f"training diverged: non-finite parameters at epoch {epoch}")
+                # t1, t2 keep their shapes and were just checked finite: no new GcnModel
+                current.theta1, current.theta2 = t1, t2
+            cache = _layers(current, S_L, SX)
+            value = loss(cache, Y, labeled)
+            if wd > 0:
+                value += 0.5 * wd * (float((current.theta1 ** 2).sum())
+                                     + float((current.theta2 ** 2).sum()))
+            trace.append(value)
+            if not np.isfinite(value):
+                raise ValueError(f"training diverged: non-finite loss at epoch {epoch}")
     return current, trace
 
 

@@ -122,7 +122,8 @@ class PropagationMatrix:
 
     With A_hat = A + I and d_hat the row sums of A_hat, the entry for a
     connected pair (i, j) is 1/sqrt(d_hat_i * d_hat_j) and the diagonal is
-    1/d_hat_i.  Stored in CSR form; every row holds at least the diagonal.
+    1/d_hat_i.  Stored in CSR form, and no stored row is empty: a full or take_rows
+    matrix holds every diagonal, and take_entries rejects a cut that leaves a row empty.
     Stored row r is node rows[r]'s: all n in order, or those of a take_rows cut.
     """
 
@@ -148,15 +149,27 @@ class PropagationMatrix:
         return PropagationMatrix(self.n, indptr, self.indices[entries], self.data[entries],
                                  self.rows[rows])
 
+    def take_entries(self, keep) -> PropagationMatrix:
+        """The same stored rows with only the entries where ``keep`` (one bool per stored
+        entry) is true, in their order.  Raises if a row would be left with no entry."""
+        keep = np.asarray(keep, dtype=bool)
+        if keep.shape != self.data.shape:
+            raise ValueError(f"need one flag per stored entry ({self.nnz}), got {keep.shape}")
+        indptr = np.concatenate([[0], np.cumsum(keep)])[self.indptr]
+        empty = np.flatnonzero(indptr[1:] == indptr[:-1])
+        if len(empty):
+            raise ValueError(f"row {self.rows[empty[0]]} would keep no entry")
+        return PropagationMatrix(self.n, indptr, self.indices[keep], self.data[keep], self.rows)
+
     def matmul(self, M: np.ndarray) -> np.ndarray:
         """The stored rows of S @ M for dense M: all of S @ M, or a cut's rows in its order.
 
         Rows go in contiguous blocks of at most MATMUL_BLOCK_ROWS.  A block gathers M at
         its rows' column segments, scales that copy in place and sums each segment with
         np.add.reduceat, in an order fixed for a given NumPy build that is not a
-        sequential ascending-column sum.  Every row is summed over its whole segment
-        whatever the block or cut, so each row's bits match the full product, and the
-        gather temporary holds one block's nnz x cols.  M is left unmodified."""
+        sequential ascending-column sum.  Every row is summed over its whole stored segment
+        whatever the block, so a take_rows cut's rows match the full product bit for bit,
+        and the gather temporary holds one block's nnz x cols.  M is left unmodified."""
         M = np.asarray(M, dtype=np.float64)
         if M.shape[0] != self.n:
             raise ValueError(f"operand has {M.shape[0]} rows, matrix is {len(self.rows)}x{self.n}")
@@ -165,7 +178,7 @@ class PropagationMatrix:
             ptr = self.indptr[i:i + MATMUL_BLOCK_ROWS + 1]
             contrib = M[self.indices[ptr[0]:ptr[-1]]]
             contrib *= self.data[ptr[0]:ptr[-1], None]
-            # reduceat is safe because the diagonal keeps every row segment non-empty
+            # reduceat is safe because no stored row segment is empty (see the class docstring)
             out[i:i + MATMUL_BLOCK_ROWS] = np.add.reduceat(contrib, ptr[:-1] - ptr[0], axis=0)
         return out
 

@@ -229,6 +229,36 @@ def test_graph_is_rejected_for_a_model_that_uses_none(tmp_path, blob_csv, capsys
     assert capsys.readouterr().err == message
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--lr", "-1"], "learning rate must be >= 0, got -1.0"),
+    (["--epochs", "-1"], "epoch count must be >= 0, got -1"),
+    (["--hidden", "0"], "hidden width must be >= 1, got 0"),
+], ids=["lr", "epochs", "hidden"])
+def test_train_rejects_an_out_of_range_hyperparameter_before_reading_a_file(
+        tmp_path, capsys, flags, message):
+    # neither file exists: the hyperparameters are checked before either is read
+    code = main(["train", "--data", str(tmp_path / "absent.csv"),
+                 "--graph", str(tmp_path / "absent.edges"), "--labeled", "9", *flags,
+                 "--out", str(tmp_path / "m.json")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("model, message", [
+    ("gcn", "training diverged: non-finite parameters at epoch 1"),
+    ("logreg", "training diverged: non-finite loss at epoch 1"),
+], ids=["gcn", "logreg"])
+def test_a_diverging_fit_exits_1_with_one_line(tmp_path, blob_csv, capsys, model, message):
+    edges, ckpt = tmp_path / "g.edges", tmp_path / "m.json"
+    assert main(["build-graph", "--data", str(blob_csv), "--out", str(edges)]) == 0
+    graph = ["--graph", str(edges)] if model == "gcn" else []
+    capsys.readouterr()
+    assert main(["train", "--data", str(blob_csv), *graph, "--model", model, "--labeled", "9",
+                 "--lr", "1e308", "--out", str(ckpt)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not ckpt.exists()
+
+
 def test_invalid_k_exits_1(tmp_path, blob_csv, capsys):
     code = main(["build-graph", "--data", str(blob_csv), "--method", "knn",
                  "--k", "0", "--out", str(tmp_path / "g.edges")])

@@ -17,7 +17,7 @@ from gcnbench.gcn import (
     softmax,
     train,
 )
-from gcnbench.graph import PropagationMatrix, SparseAdjacency, knn_graph, normalize
+from gcnbench.graph import PropagationMatrix, SparseAdjacency, full_graph, knn_graph, normalize
 from gcnbench.harness import accuracy
 from oracles import assert_gradients_match, fd_gcn_gradients, forward_oracle_dense, train_oracle
 
@@ -230,8 +230,9 @@ def test_train_is_bit_identical_to_the_per_epoch_forward_loop(weight_decay):
 
 def test_train_propagates_the_features_once(monkeypatch):
     ds, S, split, Y, model = small_instance(19)
-    products, cuts = [], []
+    products, cuts, entry_cuts = [], [], []
     original_matmul, original_take_rows = PropagationMatrix.matmul, PropagationMatrix.take_rows
+    original_take_entries = PropagationMatrix.take_entries
 
     def counting_matmul(self, M):
         products.append((self, M is ds.X))
@@ -241,17 +242,61 @@ def test_train_propagates_the_features_once(monkeypatch):
         cuts.append(original_take_rows(self, rows))
         return cuts[-1]
 
+    def counting_take_entries(self, keep):
+        entry_cuts.append((self, original_take_entries(self, keep)))
+        return entry_cuts[-1][1]
+
     monkeypatch.setattr(PropagationMatrix, "matmul", counting_matmul)
     monkeypatch.setattr(PropagationMatrix, "take_rows", counting_take_rows)
+    monkeypatch.setattr(PropagationMatrix, "take_entries", counting_take_entries)
     epochs = 6
     train(model, S, ds.X, Y, split.labeled, Hyperparams(epochs=epochs))
     # the rows of S at L and at N1, each cut once per run
     assert len(cuts) == 2
     assert np.array_equal(cuts[0].rows, split.labeled)
-    # S @ X is full; every product after it runs on a cut, the first epoch's too
+    # N1's cut is cut once more, to the entries the layer-1 gradient reads, on the same rows
+    assert len(entry_cuts) == 1 and entry_cuts[0][0] is cuts[1]
+    S_N1 = entry_cuts[0][1]
+    assert np.array_equal(S_N1.rows, cuts[1].rows)
+    # S @ X is full; every product after it runs on L's cut or on N1's entry cut, the first
+    # epoch's too: the loss on L, then each epoch the layer-1 gradient on N1 and the loss
     assert products[0][0] is S and products[0][1]
     assert len(products) == 2 * epochs + 2
-    assert all(any(P is cut for cut in cuts) and not features for P, features in products[1:])
+    assert not any(features for _, features in products[1:])
+    assert [P for P, _ in products[1:]] == [cuts[0]] + [S_N1, cuts[0]] * epochs
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
+@pytest.mark.parametrize("graph", ["full", "knn"])
+def test_train_sums_an_n1_row_with_at_most_two_labeled_entries_over_those_alone(
+        monkeypatch, graph, weight_decay):
+    ds, S, split, Y, model = small_instance(18, n=40, labeled=9)
+    if graph == "full":  # every row touches all 9 labeled rows, so every row stays whole
+        S = normalize(full_graph(ds.n))
+    entry_cuts = []
+    original_take_entries = PropagationMatrix.take_entries
+
+    def recording_take_entries(self, keep):
+        entry_cuts.append((self, original_take_entries(self, keep)))
+        return entry_cuts[-1][1]
+
+    monkeypatch.setattr(PropagationMatrix, "take_entries", recording_take_entries)
+    hp = Hyperparams(lr=0.2, epochs=25, weight_decay=weight_decay)
+    trained, trace = train(model, S, ds.X, Y, split.labeled, hp)
+    expected, expected_trace = train_oracle(model, S, ds.X, Y, split.labeled, hp)
+    assert np.array_equal(trained.theta1, expected.theta1)
+    assert np.array_equal(trained.theta2, expected.theta2)
+    assert trace == expected_trace
+    [(rows_cut, entry_cut)] = entry_cuts
+    whole, kept = np.diff(rows_cut.indptr), np.diff(entry_cut.indptr)
+    hits = np.add.reduceat(np.isin(rows_cut.indices, split.labeled).astype(np.int64),
+                           rows_cut.indptr[:-1])
+    assert np.array_equal(kept, np.where(hits <= 2, hits, whole))
+    assert (hits > 2).any()
+    if graph == "full":
+        assert np.array_equal(kept, whole)
+    else:
+        assert set(kept[kept < whole]) == {1, 2}
 
 
 def test_train_deterministic():

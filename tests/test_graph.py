@@ -379,6 +379,40 @@ def test_a_cut_is_the_dense_matrix_on_its_rows_and_counts_their_entries(rows):
     assert cut.nnz == np.diff(S.indptr)[rows].sum()
 
 
+def test_an_entry_cut_keeps_its_rows_and_the_chosen_entries_in_order():
+    S = random_propagation(50, seed=3)
+    cut = S.take_rows([7, 30, 3, 30, 45])
+    rng = np.random.default_rng(4)
+    keep = rng.random(cut.nnz) < 0.5
+    keep[cut.indptr[:-1]] = True  # each row's first entry, so none is left empty
+    kept = cut.take_entries(keep)
+    assert np.array_equal(kept.rows, cut.rows)
+    assert np.array_equal(kept.indices, cut.indices[keep])
+    assert np.array_equal(kept.data, cut.data[keep])
+    assert np.array_equal(np.diff(kept.indptr),
+                          np.add.reduceat(keep.astype(np.int64), cut.indptr[:-1]))
+    assert (np.diff(kept.indptr) < np.diff(cut.indptr)).any()
+    # the dense product of each stored row restricted to its kept entries
+    dense = np.zeros((len(cut.rows), 50))
+    stored_row = np.repeat(np.arange(len(cut.rows)), np.diff(cut.indptr))
+    dense[stored_row[keep], cut.indices[keep]] = cut.data[keep]
+    M = rng.standard_normal((50, 4))
+    assert np.allclose(kept.matmul(M), dense @ M, rtol=1e-12, atol=1e-15)
+    empty = S.take_rows([]).take_entries(np.zeros(0, dtype=bool))
+    assert len(empty.rows) == 0 and empty.nnz == 0
+    assert empty.matmul(M).shape == (0, 4)
+
+
+def test_an_entry_cut_rejects_an_emptied_row_or_a_wrong_length_mask():
+    cut = random_propagation(50, seed=3).take_rows([7, 30])
+    keep = np.ones(cut.nnz, dtype=bool)
+    keep[cut.indptr[1]:cut.indptr[2]] = False
+    with pytest.raises(ValueError, match="^row 30 would keep no entry$"):
+        cut.take_entries(keep)
+    with pytest.raises(ValueError, match="one flag per stored entry"):
+        cut.take_entries(keep[:-1])
+
+
 def test_blocked_matmul_matches_the_one_shot_kernel_on_the_wide_gcn_graph():
     ds = synth_blobs(n=2000, d=64, C=10, sep=6.0, seed=0)  # the wide-gcn benchmark data, seed 0
     S = normalize(knn_graph(ds, 10))
