@@ -8,6 +8,7 @@ raises, print a one-line diagnostic on stderr and exit with 1.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -67,6 +68,14 @@ def _build_parser():
 
 def _given(**options):
     return {name: value for name, value in options.items() if value is not None}
+
+
+def _check_output_dirs(args):
+    """Each output path's directory must exist; checked before a command reads or computes anything."""
+    for option in ("out", "agg_out", "md_out"):
+        folder = os.path.dirname(getattr(args, option, None) or "")
+        if folder and not os.path.isdir(folder):
+            raise ValueError(f"--{option.replace('_', '-')} directory {folder!r} does not exist")
 
 
 def _cmd_synth(args):
@@ -159,6 +168,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
+        _check_output_dirs(args)
         _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

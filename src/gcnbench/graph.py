@@ -188,14 +188,25 @@ class PropagationMatrix:
         return dense
 
 
-def _features(ds) -> np.ndarray:
-    """The builders' one input step: a 2-D, all-finite float matrix."""
+def _features(ds, metric=None) -> np.ndarray:
+    """The builders' one input step: a 2-D, all-finite float matrix.
+
+    Cosine ignores each row's scale, so for cosine a row whose largest |x| lies
+    outside 2^-400..2^400, where its norm or products could over- or underflow,
+    is scaled by a power of two, which is exact, to bring that into [0.5, 1).
+    Rows inside that range are left as they are, bit for bit."""
     X = np.asarray(getattr(ds, "X", ds), dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("expected a 2-D feature matrix")
     finite = np.isfinite(X).all(axis=1)
     if not finite.all():
         raise ValueError(f"feature row {int(np.argmin(finite))}: non-finite value")
+    if metric == "cosine":
+        peak = np.maximum(X.max(axis=1, initial=0.0), -X.min(axis=1, initial=0.0))
+        far = (peak < 2.0 ** -400) | (peak > 2.0 ** 400)
+        if far.any():
+            X = X.copy()
+            X[far] = np.ldexp(X[far], -np.frexp(peak[far])[1][:, None])
     return X
 
 
@@ -218,11 +229,17 @@ def _distance_rows(X, norms, rows):
     sqrt(sum((X - x)^2)), or cosine 1 - (X @ x) / (norms * norm) (``norms`` from
     _row_norms; None means euclidean).  The blocked builders call it only for
     the rows their rounding bounds cannot decide.  A cosine self-distance may
-    miss 0 by rounding; the builders never use it."""
+    miss 0 by rounding; the builders never use it.  A euclidean distance beyond
+    the float64 range is a ValueError, as no graph can be built from it."""
     for i in rows:
         x = X[i]
         if norms is None:
-            yield i, np.sqrt(((X - x) ** 2).sum(axis=1))
+            with np.errstate(over="ignore"):
+                d = np.sqrt(((X - x) ** 2).sum(axis=1))
+            if np.isinf(d).any():  # an overflow anywhere in the formula ends as inf
+                raise ValueError(f"feature row {i}: euclidean distance overflows float64; "
+                                 f"scale the features down")
+            yield i, d
         else:
             yield i, 1.0 - (X @ x) / (norms * norms[i])
 
@@ -307,7 +324,7 @@ def knn_graph(ds, k: int, metric: str = "euclidean") -> SparseAdjacency:
     row and one stable argsort per node, bit for bit.
     """
     check_type("k", k, int)
-    X = _features(ds)
+    X = _features(ds, metric)
     n = len(X)
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= n-1={n - 1}, got k={k}")
@@ -342,7 +359,7 @@ def epsilon_graph(ds, eps: float, metric: str = "euclidean") -> SparseAdjacency:
     check_type("eps", eps, float)
     if eps <= 0:
         raise ValueError(f"need eps > 0, got {eps}")
-    X = _features(ds)
+    X = _features(ds, metric)
     n = len(X)
     norms = _row_norms(X, metric)
     eps_in = eps_out = eps

@@ -14,6 +14,7 @@ volatile field is the measured wall time per cell.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass, field, replace
 
@@ -294,7 +295,15 @@ def predict_nodes(model, X, S):
 
 
 def run_experiment(cfg: ExperimentConfig) -> EvalReport:
-    """Run the full sweep; deterministic given the config (wall times aside)."""
+    """Run the full sweep; deterministic given the config (wall times aside).
+
+    The graph and every cell's split come first, in this process and in sweep
+    order, so a bad budget or split is raised before any fit.  The cells then run
+    on the CPUs this process may use (os.sched_getaffinity): in this process when
+    that is one CPU, else in a pool of forked workers that inherit the dataset and
+    graph, and whose rows come back in sweep order.  Either way the rows, and the
+    first failing cell's error, are those of the serial sweep.
+    """
     ds = _config_dataset(cfg)
     if cfg.normalize_features:
         ds = EmbeddingDataset(ids=ds.ids, X=l2_normalize_rows(ds.X), C=ds.C,
@@ -305,21 +314,64 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
             raise ValueError(f"budget {l} outside [C={ds.C}, n={ds.n})")
     A = build_graph(ds, cfg.graph)
     S = normalize(A)
-    rows = []
+    cells = []
     for budget in cfg.budgets:
         for repeat in range(cfg.repeats):
             cell_seed = derive_seed(cfg.seed, budget, repeat)
             split = make_split(ds, budget, seed=cell_seed, stratified=cfg.stratified)
-            for name in cfg.models:
-                start = time.perf_counter()
-                _, _, pred = fit_predict(name, ds, S, split, getattr(cfg, f"{name}_hp"))
-                wall_ms = (time.perf_counter() - start) * 1000.0
-                rows.append(CellResult(model=name, budget=budget, repeat=repeat,
-                                       seed=cell_seed,
-                                       accuracy_pct=accuracy(pred[split.unlabeled],
-                                                             truth[split.unlabeled]),
-                                       wall_ms=wall_ms))
+            cells.extend((name, budget, repeat, cell_seed, split) for name in cfg.models)
+    shared = (cfg, ds, S, truth)
+    try:
+        workers = min(len(cells), len(os.sched_getaffinity(0)))
+    except AttributeError:  # a platform without CPU affinity
+        workers = 1
+    if workers == 1:
+        return EvalReport(rows=[_cell(shared, cell) for cell in cells])
+    import multiprocessing  # here, so that importing the package does not pay for it
+
+    # fork, not spawn: the workers inherit ``shared`` with no fresh import and no copy of
+    # the graph; only cells and rows are pickled
+    pool = multiprocessing.get_context("fork").Pool(workers, initializer=_start_worker,
+                                                    initargs=shared)
+    try:
+        rows = list(pool.imap(_worker_cell, cells))
+        pool.close()
+    except BaseException:
+        pool.terminate()
+        raise
+    finally:
+        pool.join()
     return EvalReport(rows=rows)
+
+
+def _cell(shared, cell) -> CellResult:
+    """Fit and score one (model, budget, repeat) cell of the sweep ``shared`` describes."""
+    cfg, ds, S, truth = shared
+    name, budget, repeat, cell_seed, split = cell
+    start = time.perf_counter()
+    _, _, pred = fit_predict(name, ds, S, split, getattr(cfg, f"{name}_hp"))
+    wall_ms = (time.perf_counter() - start) * 1000.0
+    return CellResult(model=name, budget=budget, repeat=repeat, seed=cell_seed,
+                      accuracy_pct=accuracy(pred[split.unlabeled], truth[split.unlabeled]),
+                      wall_ms=wall_ms)
+
+
+# a pool worker's (cfg, ds, S, truth), inherited from the sweep that forked it; only
+# _start_worker sets it, and only in a worker process
+_worker_shared = None
+
+
+def _start_worker(*shared):
+    import signal
+
+    global _worker_shared
+    _worker_shared = shared
+    # Ctrl-C reaches the whole process group; the parent alone handles it, by terminating the pool
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+def _worker_cell(cell) -> CellResult:
+    return _cell(_worker_shared, cell)
 
 
 def render_report(report: EvalReport, format: str) -> str:

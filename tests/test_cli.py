@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+import os
 import re
 from dataclasses import asdict, replace
 
@@ -271,6 +273,41 @@ def test_missing_data_file_exits_1(tmp_path, capsys):
                  "--out", str(tmp_path / "g.edges")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["synth", "--n", "60", "--d", "4", "--classes", "3", "--out", "{nodir}/x.csv"], "--out"),
+    (["build-graph", "--data", "{absent}.csv", "--out", "{nodir}/g.edges"], "--out"),
+    (["train", "--data", "{absent}.csv", "--graph", "{absent}.edges", "--labeled", "9",
+      "--out", "{nodir}/m.json"], "--out"),
+    (["experiment", "--config", "{absent}.json", "--out", "{nodir}/r.csv"], "--out"),
+    (["experiment", "--config", "{absent}.json", "--out", "{tmp}/r.csv",
+      "--agg-out", "{nodir}/a.csv"], "--agg-out"),
+    (["experiment", "--config", "{absent}.json", "--out", "{tmp}/r.csv",
+      "--md-out", "{nodir}/r.md"], "--md-out"),
+], ids=["synth", "build-graph", "train", "experiment", "experiment-agg", "experiment-md"])
+def test_a_missing_output_directory_exits_1_before_any_input_is_read(tmp_path, capsys, argv, option):
+    # the input files do not exist either: the output directory is checked first
+    paths = {"nodir": tmp_path / "nodir", "absent": tmp_path / "absent", "tmp": tmp_path}
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    assert capsys.readouterr().err == f"error: {option} directory {str(paths['nodir'])!r} does not exist\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "pool"])
+def test_a_diverging_sweep_exits_1_with_the_first_cells_line(tmp_path, blob_csv, capsys,
+                                                           monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    config = {"dataset": {"path": str(blob_csv)}, "budgets": [9], "repeats": 2,
+              "gcn": {"lr": 1e308, "epochs": 5}, "logreg": {"lr": 1e308, "epochs": 5}}
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "r.csv"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    capsys.readouterr()
+    # every cell diverges, logreg's with another message: the first cell, a gcn's, is reported
+    assert main(["experiment", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: training diverged: non-finite parameters at epoch 1\n"
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("error", [TypeError("unsupported operand"), KeyError("k")])

@@ -244,6 +244,38 @@ def test_builders_reject_non_finite_features(build, value):
         build(X)
 
 
+@pytest.mark.parametrize("scale", [1e160, 1e307, 1e-300])
+@pytest.mark.parametrize("build", [
+    lambda X: knn_graph(X, 5, "cosine"),
+    lambda X: epsilon_graph(X, 0.5, "cosine"),
+], ids=["knn", "epsilon"])
+def test_cosine_builds_the_unscaled_graph_far_from_norm_1(build, scale):
+    # cosine ignores scale; unscaled, the epsilon graph has 582 edges
+    X = synth_blobs(n=60, d=4, C=3, sep=5.0, seed=0).X
+    assert build(X * scale).edge_set() == build(X).edge_set()
+
+
+def test_cosine_rows_scaled_by_powers_of_two_give_the_same_edges_bit_for_bit():
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((40, 5))
+    scaled = X * 2.0 ** rng.integers(-900, 900, size=(40, 1))  # exact: every entry stays normal
+    assert np.array_equal(knn_graph(scaled, 4, "cosine").edges, knn_row_loop_edges(X, 4, "cosine"))
+    assert np.array_equal(epsilon_graph(scaled, 0.5, "cosine").edges,
+                          epsilon_row_loop_edges(X, 0.5, "cosine"))
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e307])
+@pytest.mark.parametrize("build", [
+    lambda X: knn_graph(X, 5),
+    lambda X: epsilon_graph(X, 1.0),
+], ids=["knn", "epsilon"])
+def test_a_euclidean_distance_beyond_float64_is_an_error(build, scale):
+    # finite features whose distances overflow: a ValueError, and no RuntimeWarning
+    X = synth_blobs(n=60, d=4, C=3, sep=5.0, seed=0).X * scale
+    with pytest.raises(ValueError, match="^feature row 0: euclidean distance overflows float64"):
+        build(X)
+
+
 def test_epsilon_graph_needs_a_node():
     with pytest.raises(ValueError, match="need n >= 1"):
         epsilon_graph(np.empty((0, 3)), 1.0)

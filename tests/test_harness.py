@@ -1,6 +1,13 @@
+import multiprocessing
+import os
+import subprocess
+import sys
+import time
+
 import numpy as np
 import pytest
 
+from gcnbench import harness
 from gcnbench.baseline import train_logreg
 from gcnbench.checkpoint import save_checkpoint
 from gcnbench.dataset import EmbeddingDataset, build_label_matrix, full_truth, make_split, save_dataset, synth_blobs
@@ -130,6 +137,82 @@ def test_run_experiment_validates_budgets_and_truth(tmp_path):
     save_dataset(unlabeled, path)
     with pytest.raises(ValueError, match="ground truth"):
         run_experiment(quick_config(budgets=[3], synth=None, dataset_path=str(path)))
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set how many CPUs run_experiment sees: 1 runs the cells in-process, more in a pool."""
+    def use(count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    return use
+
+
+def test_pooled_rows_equal_the_in_process_rows(cpus):
+    cfg = quick_config(budgets=[9, 18], repeats=2)
+    reports = []
+    for count in (1, 2, 3):
+        cpus(count)
+        reports.append(run_experiment(cfg))
+        assert multiprocessing.active_children() == []
+    rows = [[(r.model, r.budget, r.repeat, r.seed, r.accuracy_pct) for r in report.rows]
+            for report in reports]
+    assert len(rows[0]) == 8
+    assert rows[1] == rows[0] and rows[2] == rows[0]
+
+
+def test_pooled_cells_run_in_worker_processes(cpus, monkeypatch):
+    parent, fit_predict = os.getpid(), harness.fit_predict
+
+    def in_a_worker(*args):
+        assert os.getpid() != parent
+        return fit_predict(*args)
+
+    monkeypatch.setattr(harness, "fit_predict", in_a_worker)
+    cpus(2)
+    assert len(run_experiment(quick_config(repeats=2)).rows) == 4
+
+
+@pytest.mark.parametrize("count", [1, 2], ids=["in-process", "pool"])
+def test_the_first_failing_cell_is_the_error_raised(cpus, monkeypatch, count):
+    first = make_split(_config_dataset(quick_config()), 9, seed=derive_seed(0, 9, 0))
+
+    def failing(name, ds, S, split, hp):
+        if name == "gcn" and np.array_equal(split.labeled, first.labeled):
+            time.sleep(0.2)  # the first cell fails last
+        raise ValueError(f"{name} cell labeled {split.labeled.tolist()}")
+
+    monkeypatch.setattr(harness, "fit_predict", failing)
+    cpus(count)
+    with pytest.raises(ValueError) as raised:
+        run_experiment(quick_config(repeats=3))
+    assert str(raised.value) == f"gcn cell labeled {first.labeled.tolist()}"
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("count", [1, 2], ids=["in-process", "pool"])
+def test_a_split_error_is_raised_before_any_fit(cpus, monkeypatch, tmp_path, count):
+    # class 0 has 10 points: budget 9 splits, budget 45 (15 a class) does not
+    truth = [0] * 10 + [1] * 25 + [2] * 25
+    ds = EmbeddingDataset(ids=[f"p{i}" for i in range(60)],
+                          X=np.random.default_rng(0).standard_normal((60, 4)), C=3, truth=truth)
+    path = tmp_path / "imbalanced.csv"
+    save_dataset(ds, path)
+
+    def no_fit(*args):
+        raise AssertionError("a cell was fitted")
+
+    monkeypatch.setattr(harness, "fit_predict", no_fit)
+    cpus(count)
+    with pytest.raises(ValueError, match="^class 0 has 10 points but the split needs 15$"):
+        run_experiment(quick_config(budgets=[9, 45], synth=None, dataset_path=str(path)))
+
+
+def test_importing_the_package_does_not_import_multiprocessing():
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    code = "import sys, gcnbench; print('multiprocessing' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "False\n"
 
 
 def test_config_rejects_unknown_model():
