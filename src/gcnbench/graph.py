@@ -11,6 +11,7 @@ refine, _distance_bounds).
 from __future__ import annotations
 
 import numbers
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,26 +189,40 @@ class PropagationMatrix:
         return dense
 
 
-def _features(ds, metric=None) -> np.ndarray:
-    """The builders' one input step: a 2-D, all-finite float matrix.
+def _features(ds, metric=None):
+    """The builders' one input step: (X, shift) with X a 2-D, all-finite float matrix
+    whose distances are the input's times 2^shift.
 
     Cosine ignores each row's scale, so for cosine a row whose largest |x| lies
     outside 2^-400..2^400, where its norm or products could over- or underflow,
     is scaled by a power of two, which is exact, to bring that into [0.5, 1).
-    Rows inside that range are left as they are, bit for bit."""
+    For euclidean, a nonzero |x| below 2^-458 could let a squared difference
+    underflow (above it, entries that differ do so by at least 2^-510), so then
+    all of X is scaled up by one power of two to bring its largest |x| into
+    [0.5, 1); an entry still that small is a ValueError.  Rows inside these
+    ranges are left as they are, bit for bit."""
     X = np.asarray(getattr(ds, "X", ds), dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("expected a 2-D feature matrix")
     finite = np.isfinite(X).all(axis=1)
     if not finite.all():
         raise ValueError(f"feature row {int(np.argmin(finite))}: non-finite value")
+    shift = 0
     if metric == "cosine":
         peak = np.maximum(X.max(axis=1, initial=0.0), -X.min(axis=1, initial=0.0))
         far = (peak < 2.0 ** -400) | (peak > 2.0 ** 400)
         if far.any():
             X = X.copy()
             X[far] = np.ldexp(X[far], -np.frexp(peak[far])[1][:, None])
-    return X
+    elif metric == "euclidean":
+        low = np.where(X == 0.0, 1.0, np.abs(X)).min(axis=1, initial=1.0)  # smallest nonzero |x|
+        if low.min(initial=1.0) < 2.0 ** -458:
+            shift = max(0, -int(np.frexp(np.abs(X).max())[1]))
+            if np.ldexp(low.min(), shift) < 2.0 ** -458:
+                raise ValueError(f"feature row {int(np.argmin(low))}: euclidean distance underflows "
+                                 f"float64; the features span too many orders of magnitude")
+            X = np.ldexp(X, shift)
+    return X, shift
 
 
 def _row_norms(X, metric):
@@ -324,7 +339,7 @@ def knn_graph(ds, k: int, metric: str = "euclidean") -> SparseAdjacency:
     row and one stable argsort per node, bit for bit.
     """
     check_type("k", k, int)
-    X = _features(ds, metric)
+    X, _ = _features(ds, metric)
     n = len(X)
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= n-1={n - 1}, got k={k}")
@@ -359,7 +374,9 @@ def epsilon_graph(ds, eps: float, metric: str = "euclidean") -> SparseAdjacency:
     check_type("eps", eps, float)
     if eps <= 0:
         raise ValueError(f"need eps > 0, got {eps}")
-    X = _features(ds, metric)
+    X, shift = _features(ds, metric)
+    if shift:  # the scaled X's distances lie far below the cap, which keeps eps^2 finite
+        eps = float(np.ldexp(min(eps, 2.0 ** (500 - shift)), shift))
     n = len(X)
     norms = _row_norms(X, metric)
     eps_in = eps_out = eps
@@ -401,7 +418,7 @@ def build_graph(ds, config: GraphBuildConfig) -> SparseAdjacency:
         return knn_graph(ds, config.k, config.metric)
     if config.method == "epsilon":
         return epsilon_graph(ds, config.eps, config.metric)
-    return full_graph(len(_features(ds)))
+    return full_graph(len(_features(ds)[0]))
 
 
 def normalize(A: SparseAdjacency) -> PropagationMatrix:
@@ -431,7 +448,9 @@ def normalize(A: SparseAdjacency) -> PropagationMatrix:
 #
 # One edge per line as "i<TAB>j" with i < j, 0-based, lines sorted; the
 # writer always emits the #nodes header (the loader needs it whenever
-# isolated nodes exist).
+# isolated nodes exist).  load_graph reads a file of _EDGE_FILE's form in one
+# pass: 1-18 ASCII digits a number, so every number fits int64 and is read exactly.
+_EDGE_FILE = re.compile(r"(?:#nodes=([0-9]{1,18})\n)?((?:[0-9]{1,18}\t[0-9]{1,18}\n)*)")
 
 
 def save_graph(A: SparseAdjacency, path) -> None:
@@ -445,50 +464,21 @@ def save_graph(A: SparseAdjacency, path) -> None:
 def load_graph(path) -> SparseAdjacency:
     """Read an edge-list file; raises on self-loops, duplicates, malformed lines.
 
-    A file the writer could have written is parsed in one vectorized pass; any
-    other file goes through the line-by-line parser, which accepts the same
-    lines as before and names the first bad one."""
+    A file of _EDGE_FILE's form, its lines in any order, is parsed in one vectorized
+    pass and checked as a whole by SparseAdjacency.  Any other file, or one that
+    breaks a rule, goes through the line-by-line parser, which names the first bad line."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    parsed = _parse_canonical_edges(text)
-    if parsed is None:
-        return _parse_edge_lines(text)
-    n, edges = parsed
-    return SparseAdjacency(n=n, edges=edges)
-
-
-def _parse_canonical_edges(text):
-    """(n, edges) when ``text`` is an optional "#nodes=<digits>" line, then "i<TAB>j"
-    lines of ASCII digits with i < j, in strictly increasing order and at most 18
-    digits a number; None for anything else.  Where it returns a result,
-    _parse_edge_lines gives the same graph."""
-    n = None
-    if text.startswith("#"):
-        header, _, text = text.partition("\n")
-        digits = header[len("#nodes="):]
-        if not (header.startswith("#nodes=") and digits.isascii() and digits.isdigit()):
-            return None
-        n = int(digits)
-    if not text.isascii():
-        return None
-    if text and not text.endswith("\n"):
-        text += "\n"
-    data = text.encode("ascii")
-    raw = np.frombuffer(data, dtype=np.uint8)
-    ends = np.flatnonzero((raw < ord("0")) | (raw > ord("9")))  # the byte after each number
-    widths = np.diff(ends, prepend=-1) - 1
-    if (len(ends) % 2 or (raw[ends[0::2]] != ord("\t")).any() or (raw[ends[1::2]] != ord("\n")).any()
-            or widths.min(initial=1) < 1 or widths.max(initial=1) > 18):
-        return None
-    # every number is 1..18 ASCII digits, so it fits int64 and is read exactly
-    edges = np.fromstring(data, dtype=np.int64, sep=" ").reshape(-1, 2)
-    if (edges[:, 0] >= edges[:, 1]).any() or not _strictly_increasing(edges):
-        return None
-    if n is None:
-        if not len(edges):
-            return None
-        n = int(edges[:, 1].max()) + 1
-    return n, edges
+    match = _EDGE_FILE.fullmatch(text if text.endswith("\n") else text + "\n")
+    if match:
+        header, body = match.groups()
+        edges = np.fromstring(body, dtype=np.int64, sep=" ").reshape(-1, 2)
+        n = int(header) if header is not None else int(edges.max(initial=-1)) + 1
+        try:
+            return SparseAdjacency(n=n, edges=edges)
+        except ValueError:
+            pass
+    return _parse_edge_lines(text)
 
 
 def _parse_edge_lines(text) -> SparseAdjacency:

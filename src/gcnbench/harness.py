@@ -4,7 +4,7 @@ An experiment sweeps a list of label budgets over a dataset with ground
 truth: for each (budget, repeat) cell it draws a fresh labeled/unlabeled
 split from a seed derived deterministically from (base seed, budget,
 repeat), trains every configured model, and scores it on all unlabeled
-nodes.  The graph is built once per dataset since it only depends on X.
+nodes.  The graph depends only on X: it is built once, if a model uses it.
 
 Given the config, everything a run produces is bit-reproducible on the same
 NumPy/BLAS build at the same BLAS thread count; the one intentionally
@@ -297,12 +297,13 @@ def predict_nodes(model, X, S):
 def run_experiment(cfg: ExperimentConfig) -> EvalReport:
     """Run the full sweep; deterministic given the config (wall times aside).
 
-    The graph and every cell's split come first, in this process and in sweep
-    order, so a bad budget or split is raised before any fit.  The cells then run
-    on the CPUs this process may use (os.sched_getaffinity): in this process when
-    that is one CPU, else in a pool of forked workers that inherit the dataset and
-    graph, and whose rows come back in sweep order.  Either way the rows, and the
-    first failing cell's error, are those of the serial sweep.
+    The graph, built only if a model uses one, and every cell's split come first,
+    in this process and in sweep order, so a bad budget or split is raised before
+    any fit.  The cells then run on the CPUs this process may use
+    (os.sched_getaffinity): in this process when that is one CPU, else in a pool of
+    forked workers that inherit the dataset and graph, and whose rows come back in
+    sweep order.  Either way the rows, and the first failing cell's error, are those
+    of the serial sweep.  A worker that dies is a ChildProcessError naming its exit code.
     """
     ds = _config_dataset(cfg)
     if cfg.normalize_features:
@@ -312,8 +313,8 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
     for l in cfg.budgets:
         if not ds.C <= l < ds.n:
             raise ValueError(f"budget {l} outside [C={ds.C}, n={ds.n})")
-    A = build_graph(ds, cfg.graph)
-    S = normalize(A)
+    uses_graph = any(name in GRAPH_MODELS for name in cfg.models)
+    S = normalize(build_graph(ds, cfg.graph)) if uses_graph else None
     cells = []
     for budget in cfg.budgets:
         for repeat in range(cfg.repeats):
@@ -331,10 +332,20 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
 
     # fork, not spawn: the workers inherit ``shared`` with no fresh import and no copy of
     # the graph; only cells and rows are pickled
+    others = multiprocessing.active_children()
     pool = multiprocessing.get_context("fork").Pool(workers, initializer=_start_worker,
                                                     initargs=shared)
+    started = [p for p in multiprocessing.active_children() if p not in others]
     try:
-        rows = list(pool.imap(_worker_cell, cells))
+        rows, results = [], pool.imap(_worker_cell, cells)
+        while len(rows) < len(cells):
+            try:
+                rows.append(results.next(timeout=0.5))
+            except multiprocessing.TimeoutError:
+                # the pool replaces a dead worker but never returns its cell: no row would come
+                dead = [p.exitcode for p in started if p.exitcode is not None]
+                if dead:
+                    raise ChildProcessError(f"a sweep worker exited with code {dead[0]}") from None
         pool.close()
     except BaseException:
         pool.terminate()

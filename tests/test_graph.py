@@ -276,6 +276,33 @@ def test_a_euclidean_distance_beyond_float64_is_an_error(build, scale):
         build(X)
 
 
+def test_euclidean_builders_scale_tiny_features_up_instead_of_underflowing():
+    # unscaled, the k-NN graph has 199 edges and the epsilon graph 138; the raw
+    # formula on X * 1e-200 ties whole rows at distance 0 and gives 285 and 1,770
+    X = synth_blobs(n=60, d=4, C=3, sep=5.0, seed=0).X
+    assert knn_graph(X * 1e-200, 5).edge_set() == knn_graph(X, 5).edge_set()
+    assert epsilon_graph(X * 1e-300, 2e-300).edge_set() == epsilon_graph(X, 2.0).edge_set()
+    # an eps beyond every distance still admits every pair
+    assert epsilon_graph(X * 1e-300, 1e100).num_edges == 60 * 59 // 2
+
+
+@pytest.mark.parametrize("power", [-500, -900, -1000])
+def test_euclidean_features_scaled_by_a_power_of_two_give_the_same_edges_bit_for_bit(power):
+    X = np.random.default_rng(9).uniform(1.0, 2.0, size=(40, 5))  # exact: every entry stays normal
+    scaled = X * 2.0 ** power
+    assert np.array_equal(knn_graph(scaled, 4).edges, knn_row_loop_edges(X, 4))
+    assert np.array_equal(epsilon_graph(scaled, 1.5 * 2.0 ** power).edges,
+                          epsilon_row_loop_edges(X, 1.5))
+
+
+def test_euclidean_features_too_far_apart_in_scale_are_an_error():
+    X = synth_blobs(n=60, d=4, C=3, sep=5.0, seed=0).X
+    X[7] *= 1e-200  # no power-of-two scale keeps both row 7's and the others' squares normal
+    for build in (lambda: knn_graph(X, 5), lambda: epsilon_graph(X, 2.0)):
+        with pytest.raises(ValueError, match="^feature row 7: euclidean distance underflows float64"):
+            build()
+
+
 def test_epsilon_graph_needs_a_node():
     with pytest.raises(ValueError, match="need n >= 1"):
         epsilon_graph(np.empty((0, 3)), 1.0)
@@ -502,18 +529,52 @@ def test_graph_round_trip_keeps_isolated_nodes(tmp_path):
     assert load_graph(path).n == 5
 
 
+def read_outcome(parse):
+    """(n, edges) of the graph ``parse()`` returns, or the message of the ValueError it raises."""
+    try:
+        A = parse()
+    except ValueError as exc:
+        return str(exc)
+    return A.n, A.edges.tolist()
+
+
 @pytest.mark.parametrize("text", [
     "#nodes=6\n0\t1\n2\t5\n",     # the writer's form
     "0\t1\n2\t5",                   # no header, no final newline
     "#nodes=6\n",                     # header alone
     "#nodes=6\n2\t5\n0\t1\n",     # unsorted
     "#nodes=06\n 0\t+1\n2\t0005\n",  # spellings int() accepts
+    "#nodes=6\n2\t5\n0\t1\n1\t4\n0\t3\n",  # shuffled lines
+    "2\t5\n0\t1\n1\t4\n",              # no header, shuffled
+    "#nodes=6\n0\t1\n2\t5",          # no final newline
+    "#nodes=6",                          # header alone, no final newline
+    "#nodes=6\n0\t1\n2\t0000000000000000005\n",  # a 19-digit endpoint
+    "#nodes=6\n0\t1\n5\t9\x1c\n",    # a control character int() does not strip
+    "#nodes=6\n0\t1\n2\t\u0665\n",  # a non-ASCII digit, which int() reads as 5
+    "#nodes=6\n2\t5\n0\t1\n2\t5\n",  # a duplicate out of order: the line is named
 ])
 def test_load_graph_reads_what_the_line_parser_reads(tmp_path, text):
     path = tmp_path / "g.edges"
     path.write_text(text, encoding="utf-8")
-    loaded, expected = load_graph(path), graph._parse_edge_lines(text)
-    assert loaded.n == expected.n == 6 and np.array_equal(loaded.edges, expected.edges)
+    expected = read_outcome(lambda: graph._parse_edge_lines(text))
+    assert read_outcome(lambda: load_graph(path)) == expected
+    assert isinstance(expected, str) or expected[0] == 6
+
+
+def test_load_graph_reads_a_shuffled_writer_file_in_one_pass(tmp_path, monkeypatch):
+    A = knn_graph(synth_blobs(n=300, d=4, C=3, sep=2.0, seed=1), 5)
+    path = tmp_path / "knn.edges"
+    save_graph(A, path)
+    header, *lines = path.read_text(encoding="utf-8").splitlines()
+    order = np.random.default_rng(0).permutation(len(lines))
+    path.write_text("\n".join([header] + [lines[i] for i in order]) + "\n", encoding="utf-8")
+
+    def line_by_line(text):
+        raise AssertionError("the file went through the line parser")
+
+    monkeypatch.setattr(graph, "_parse_edge_lines", line_by_line)
+    loaded = load_graph(path)
+    assert loaded.n == A.n and np.array_equal(loaded.edges, A.edges)
 
 
 @pytest.mark.parametrize("line, edit, message", [

@@ -1,8 +1,10 @@
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -205,6 +207,82 @@ def test_a_split_error_is_raised_before_any_fit(cpus, monkeypatch, tmp_path, cou
     cpus(count)
     with pytest.raises(ValueError, match="^class 0 has 10 points but the split needs 15$"):
         run_experiment(quick_config(budgets=[9, 45], synth=None, dataset_path=str(path)))
+
+
+# a CLI sweep whose workers, on their first cell, exit with code 3 ("exit") or print
+# "fitting" and sleep for ten minutes ("sleep")
+BROKEN_WORKER_SWEEP = """
+import json, multiprocessing, os, sys, time
+from gcnbench import cli, harness
+
+parent = os.getpid()
+
+
+def broken(*args):
+    if os.getpid() != parent and sys.argv[3] == "exit":
+        os._exit(3)
+    os.write(1, b"fitting\\n")  # one write, so two workers' lines cannot interleave
+    time.sleep(600)
+
+
+harness.fit_predict = broken
+os.sched_getaffinity = lambda pid: {0, 1}
+with open(sys.argv[1], "w") as fh:
+    json.dump({"dataset": {"synth": {"n": 60, "d": 4, "classes": 3, "sep": 5.0}},
+               "budgets": [9], "repeats": 2}, fh)
+code = cli.main(["experiment", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(len(multiprocessing.active_children()))
+sys.exit(code)
+"""
+
+
+def start_broken_sweep(tmp_path, mode):
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    return subprocess.Popen([sys.executable, "-c", BROKEN_WORKER_SWEEP, str(tmp_path / "cfg.json"),
+                             str(tmp_path / "r.csv"), mode], env={**os.environ, "PYTHONPATH": src},
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            start_new_session=True)
+
+
+def finish(proc, timeout):
+    """(stdout, stderr) of ``proc``; kills its whole process group if it runs past ``timeout``."""
+    try:
+        return proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("the sweep hung")
+
+
+def test_a_dead_sweep_worker_is_an_error_not_a_hang(tmp_path):
+    proc = start_broken_sweep(tmp_path, "exit")
+    out, err = finish(proc, 60)
+    assert (proc.returncode, out, err) == (1, "0\n", "error: a sweep worker exited with code 3\n")
+    with pytest.raises(ProcessLookupError):  # no process of the sweep is left running
+        os.killpg(proc.pid, 0)
+
+
+def test_ctrl_c_ends_a_pooled_sweep_at_once(tmp_path):
+    proc = start_broken_sweep(tmp_path, "sleep")
+    assert proc.stdout.readline() == "fitting\n"
+    os.killpg(proc.pid, signal.SIGINT)  # as Ctrl-C in a terminal does
+    start = time.perf_counter()
+    finish(proc, 60)
+    assert proc.returncode != 0 and time.perf_counter() - start < 10.0
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+
+
+def test_a_sweep_without_a_graph_model_builds_no_graph(tmp_path):
+    ds = synth_blobs(n=60, d=4, C=3, sep=5.0, seed=0)
+    ds.X[5] = 0.0  # cosine has no distance for a zero row
+    path = tmp_path / "zero-row.csv"
+    save_dataset(ds, path)
+    cfg = quick_config(synth=None, dataset_path=str(path), models=["logreg"],
+                       graph=GraphBuildConfig(method="knn", k=5, metric="cosine"))
+    assert [row.model for row in run_experiment(cfg).rows] == ["logreg"]
+    with pytest.raises(ValueError, match="^cosine distance undefined for a zero vector$"):
+        run_experiment(replace(cfg, models=["gcn", "logreg"]))
 
 
 def test_importing_the_package_does_not_import_multiprocessing():
