@@ -159,7 +159,8 @@ def load_dataset(path) -> EmbeddingDataset:
 
         ids = []
         raw_labels = []
-        rows = []
+        # rows are parsed into one block that doubles when full and is trimmed once at the end
+        X = np.empty((1024, len(embed_cols)))
         for r, line in enumerate(lines, start=1):
             cells = line.split(",")
             if len(cells) != width:
@@ -167,13 +168,15 @@ def load_dataset(path) -> EmbeddingDataset:
             ids.append(cells[0])
             if has_label:
                 raw_labels.append(cells[1] if cells[1] != "" else None)
+            if r > len(X):
+                X.resize((2 * len(X), X.shape[1]), refcheck=False)
             try:
-                rows.append(np.asarray(cells[skip:], dtype=np.float64))
+                X[r - 1] = cells[skip:]
             except ValueError:
                 raise ValueError(f"data row {r}: non-numeric embedding cell") from None
-    if not rows:
+    if not ids:
         raise ValueError("file contains no data rows")
-    X = np.vstack(rows)
+    X.resize((len(ids), X.shape[1]), refcheck=False)
 
     truth, class_names = _decode_labels(raw_labels if has_label else None)
     if declared_c is not None:

@@ -172,12 +172,36 @@ def _layers(model: GcnModel, S2: PropagationMatrix, SX: np.ndarray) -> ForwardCa
     return ForwardCache(A1=A1, H1=H1, A2=A2, Z=Z, SX=SX, SH1=SH1)
 
 
+def _targets(Y, labeled, n: int, C: int) -> tuple[np.ndarray, np.ndarray]:
+    """(Y, labeled) as a float64 n x C matrix and int64 row indices, checked: labeled holds
+    distinct integers in 0..n-1, so no index is truncated, wraps around or counts twice.
+    An empty labeled set is valid."""
+    y = np.asarray(Y, dtype=np.float64)
+    if y.shape != (n, C):
+        raise ValueError(f"Y must be {n}x{C}, got {y.shape}")
+    rows = np.asarray(labeled)
+    if rows.ndim != 1 or (rows.size and rows.dtype.kind not in "iu"):
+        raise ValueError(f"labeled must be 1-D integer row indices, got {rows.ndim}-D {rows.dtype}")
+    rows = rows.astype(np.int64)
+    outside = rows[(rows < 0) | (rows >= n)]
+    if len(outside):
+        raise ValueError(f"labeled index {outside[0]} outside 0..{n - 1}")
+    unique, counts = np.unique(rows, return_counts=True)
+    if (counts > 1).any():
+        raise ValueError(f"duplicate labeled index {unique[np.argmax(counts > 1)]}")
+    return y, rows
+
+
 def loss(cache: ForwardCache, Y, labeled) -> float:
-    """Cross-entropy summed over labeled rows; unlabeled rows contribute nothing."""
-    labeled = np.asarray(labeled, dtype=np.int64)
+    """Cross-entropy summed over labeled rows; unlabeled rows contribute nothing.
+    Y is n x C like cache.A2, and labeled distinct row indices (see _targets)."""
+    return _loss(cache, *_targets(Y, labeled, *cache.A2.shape))
+
+
+def _loss(cache: ForwardCache, y: np.ndarray, labeled: np.ndarray) -> float:
+    """loss() without its checks."""
     if len(labeled) == 0:
         return 0.0
-    y = np.asarray(Y, dtype=np.float64)
     log_z = log_softmax(cache.A2[labeled])
     return float(-(y[labeled] * log_z).sum())
 
@@ -196,14 +220,13 @@ def backward(model: GcnModel, S: PropagationMatrix, X, cache: ForwardCache, Y, l
     L1, L2, C = model.dims
     if cache.Z.shape != (S.n, C) or cache.A1.shape != (S.n, L2) or X.shape != (S.n, L1):
         raise ValueError("cache does not match this model/graph/feature combination")
-    return _gradients(model, S, cache, Y, np.asarray(labeled, dtype=np.int64), weight_decay)
+    return _gradients(model, S, cache, *_targets(Y, labeled, S.n, C), weight_decay)
 
 
-def _gradients(model: GcnModel, S1: PropagationMatrix, cache: ForwardCache, Y, labeled,
-               weight_decay: float) -> Gradients:
+def _gradients(model: GcnModel, S1: PropagationMatrix, cache: ForwardCache, y: np.ndarray,
+               labeled: np.ndarray, weight_decay: float) -> Gradients:
     """backward() without its checks; G1 is propagated only on S1's rows (S or a cut), which
     must hold every row of S that touches a labeled row, or G1 loses entries."""
-    y = np.asarray(Y, dtype=np.float64)
     G2 = np.zeros_like(cache.Z)
     G2[labeled] = cache.Z[labeled] - y[labeled]
     g_theta2 = cache.SH1.T @ G2
@@ -232,13 +255,13 @@ def train(model: GcnModel, S: PropagationMatrix, X, Y, labeled,
     in L's columns sums those alone; one or two terms add the same in any order,
     and a row with more sums its full segment.  The parameters and trace are
     thus bit-identical to full-graph forward()/backward() steps, except that an
-    exactly zero sum may carry the other sign.  Raises if the parameters or the
-    objective become non-finite.
+    exactly zero sum may carry the other sign.  Y and labeled are checked once, as
+    loss() checks them.  Raises if the parameters or the objective become non-finite.
     """
+    y, labeled = _targets(Y, labeled, S.n, model.dims[2])
     SX = S.matmul(_features(model, S, X))
     current = GcnModel(theta1=model.theta1.copy(), theta2=model.theta2.copy())
     wd = hp.weight_decay
-    labeled = np.asarray(labeled, dtype=np.int64)
     S_L = S.take_rows(labeled)
     # N1: S is symmetric, so the rows that touch L are the columns of L's rows
     S_N1 = S.take_rows(np.unique(S_L.indices))
@@ -254,7 +277,7 @@ def train(model: GcnModel, S: PropagationMatrix, X, Y, labeled,
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(hp.epochs + 1):
             if epoch:
-                grads = _gradients(current, S_N1, cache, Y, labeled, wd)
+                grads = _gradients(current, S_N1, cache, y, labeled, wd)
                 t1 = current.theta1 - hp.lr * grads.g_theta1
                 t2 = current.theta2 - hp.lr * grads.g_theta2
                 if not (np.isfinite(t1).all() and np.isfinite(t2).all()):
@@ -262,7 +285,7 @@ def train(model: GcnModel, S: PropagationMatrix, X, Y, labeled,
                 # t1, t2 keep their shapes and were just checked finite: no new GcnModel
                 current.theta1, current.theta2 = t1, t2
             cache = _layers(current, S_L, SX)
-            value = loss(cache, Y, labeled)
+            value = _loss(cache, y, labeled)
             if wd > 0:
                 value += 0.5 * wd * (float((current.theta1 ** 2).sum())
                                      + float((current.theta2 ** 2).sum()))

@@ -191,16 +191,15 @@ class PropagationMatrix:
 
 def _features(ds, metric=None):
     """The builders' one input step: (X, shift) with X a 2-D, all-finite float matrix
-    whose distances are the input's times 2^shift.
+    whose distances are the input's times 2^shift, scaled by powers of two, which is
+    exact, into the range _distance_bounds and _distance_rows are proven for.
 
-    Cosine ignores each row's scale, so for cosine a row whose largest |x| lies
-    outside 2^-400..2^400, where its norm or products could over- or underflow,
-    is scaled by a power of two, which is exact, to bring that into [0.5, 1).
-    For euclidean, a nonzero |x| below 2^-458 could let a squared difference
-    underflow (above it, entries that differ do so by at least 2^-510), so then
-    all of X is scaled up by one power of two to bring its largest |x| into
-    [0.5, 1); an entry still that small is a ValueError.  Rows inside these
-    ranges are left as they are, bit for bit."""
+    Cosine ignores each row's scale: a row whose largest |x| lies outside 2^-240..2^240
+    is scaled into [0.5, 1), so every row norm lies within 2^-250..2^250 for d <= 10^6.
+    Euclidean scales all of X by the power of two nearest 1 that puts every nonzero |x|
+    in [2^-458, 2^400): entries that differ then do so by at least 2^-510, so no squared
+    difference underflows, and nothing overflows.  Data no power of two fits is a
+    ValueError.  Data already in range is left as it is, bit for bit."""
     X = np.asarray(getattr(ds, "X", ds), dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("expected a 2-D feature matrix")
@@ -210,17 +209,21 @@ def _features(ds, metric=None):
     shift = 0
     if metric == "cosine":
         peak = np.maximum(X.max(axis=1, initial=0.0), -X.min(axis=1, initial=0.0))
-        far = (peak < 2.0 ** -400) | (peak > 2.0 ** 400)
+        far = (peak < 2.0 ** -240) | (peak > 2.0 ** 240)
         if far.any():
             X = X.copy()
             X[far] = np.ldexp(X[far], -np.frexp(peak[far])[1][:, None])
     elif metric == "euclidean":
-        low = np.where(X == 0.0, 1.0, np.abs(X)).min(axis=1, initial=1.0)  # smallest nonzero |x|
-        if low.min(initial=1.0) < 2.0 ** -458:
-            shift = max(0, -int(np.frexp(np.abs(X).max())[1]))
-            if np.ldexp(low.min(), shift) < 2.0 ** -458:
+        low = np.abs(X).min(axis=1, where=X != 0.0, initial=np.inf)  # smallest nonzero |x|
+        high = max(X.max(initial=0.0), -X.min(initial=0.0))
+        if low.min(initial=np.inf) < 2.0 ** -458 or high >= 2.0 ** 400:
+            # 2^s puts every nonzero |x| in [2^-458, 2^400) exactly when least <= s <= most
+            least = -457 - int(np.frexp(low.min())[1])
+            most = 400 - int(np.frexp(high)[1])
+            if least > most:
                 raise ValueError(f"feature row {int(np.argmin(low))}: euclidean distance underflows "
                                  f"float64; the features span too many orders of magnitude")
+            shift = min(max(0, least), most)
             X = np.ldexp(X, shift)
     return X, shift
 
@@ -244,17 +247,12 @@ def _distance_rows(X, norms, rows):
     sqrt(sum((X - x)^2)), or cosine 1 - (X @ x) / (norms * norm) (``norms`` from
     _row_norms; None means euclidean).  The blocked builders call it only for
     the rows their rounding bounds cannot decide.  A cosine self-distance may
-    miss 0 by rounding; the builders never use it.  A euclidean distance beyond
-    the float64 range is a ValueError, as no graph can be built from it."""
+    miss 0 by rounding; the builders never use it.  X comes from _features, where
+    nothing in the formula over- or underflows."""
     for i in rows:
         x = X[i]
         if norms is None:
-            with np.errstate(over="ignore"):
-                d = np.sqrt(((X - x) ** 2).sum(axis=1))
-            if np.isinf(d).any():  # an overflow anywhere in the formula ends as inf
-                raise ValueError(f"feature row {i}: euclidean distance overflows float64; "
-                                 f"scale the features down")
-            yield i, d
+            yield i, np.sqrt(((X - x) ** 2).sum(axis=1))
         else:
             yield i, 1.0 - (X @ x) / (norms * norms[i])
 
@@ -263,8 +261,9 @@ def _distance_bounds(X, norms, upper):
     """Yield (first, lo, hi) for blocks of DISTANCE_BLOCK_ROWS rows from row ``first``:
     lo <= e <= hi for every pair, where e is what _distance_rows computes, squared
     for euclidean.  Columns are 0..n-1, or first..n-1 if ``upper``.  lo and hi are
-    views of two buffers reused by the next block.  Yields nothing when X lies
-    outside the range where the bound below is proven.
+    views of two buffers reused by the next block.  X must come from _features,
+    which puts it in the range where the bound below is proven; yields nothing for
+    d > 10^6, where it is not.
 
     The bound.  Let u = 2^-53, d the width of X and a, b two rows.  Every
     rounded operation is off by at most u times its result, and a dot product
@@ -296,12 +295,8 @@ def _distance_bounds(X, norms, upper):
     margin = (4 * d + 24) * 2.0 ** -53
     if norms is None:
         sq = np.einsum("ij,ij->i", X, X)
-        if not sq.max(initial=0.0) <= 2.0 ** 1000:
-            return
         add_lo = sq * (1.0 - margin) - 2.0 ** -1000
         add_hi = sq * (1.0 + margin) + 2.0 ** -1000
-    elif not ((norms >= 2.0 ** -250) & (norms <= 2.0 ** 250)).all():
-        return
     size = min(DISTANCE_BLOCK_ROWS, n) * n
     lo_buf, hi_buf = np.empty(size), np.empty(size)
     for first in range(0, n, DISTANCE_BLOCK_ROWS):
@@ -375,8 +370,10 @@ def epsilon_graph(ds, eps: float, metric: str = "euclidean") -> SparseAdjacency:
     if eps <= 0:
         raise ValueError(f"need eps > 0, got {eps}")
     X, shift = _features(ds, metric)
-    if shift:  # the scaled X's distances lie far below the cap, which keeps eps^2 finite
-        eps = float(np.ldexp(min(eps, 2.0 ** (500 - shift)), shift))
+    # the clip keeps eps normal, so exactly scaled, and eps^2 finite; it changes no comparison,
+    # as no distance of _features' X lies between 2^-600 and 2^-510 or beyond 2^412
+    with np.errstate(over="ignore"):
+        eps = float(np.clip(np.ldexp(eps, shift), 2.0 ** -600, 2.0 ** 500))
     n = len(X)
     norms = _row_norms(X, metric)
     eps_in = eps_out = eps

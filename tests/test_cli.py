@@ -180,8 +180,19 @@ def test_experiment_non_object_config_exits_1(tmp_path, capsys, text):
       "graph": {"method": "voronoi", "eps": 0.5}}, "unknown graph method 'voronoi'"),
     ({"dataset": {"synth": {"n": 60, "d": 4, "classes": 3}}, "budgets": [9, 12, 9]},
      "duplicate label budget 9"),
+    ({"dataset": {"synth": {"n": 60, "classes": 3}}, "budgets": [9]},
+     "synth spec is missing ['d']"),
+    ({"dataset": {"synth": {"n": 60, "d": 4, "classes": 3}}, "budgets": [9], "models": []},
+     "config lists no models"),
+    ({"dataset": {"synth": {"n": 60, "d": 4, "classes": 3}}, "budgets": [9],
+      "models": ["gcn", "logreg", "gcn"]}, "duplicate model name"),
+    ({"dataset": {"synth": {"n": 60, "d": 4, "classes": 3}}, "budgets": []},
+     "config lists no label budgets"),
+    ({"dataset": {"synth": {"n": 60, "d": 4, "classes": 3}}, "budgets": [9], "repeats": 0},
+     "need repeats >= 1, got 0"),
 ], ids=["models-int", "path-int", "logreg-gcn-keys", "knn-eps", "epsilon-k", "full-k-metric",
-        "unknown-method", "duplicate-budget"])
+        "unknown-method", "duplicate-budget", "synth-missing-d", "no-models", "duplicate-model",
+        "no-budgets", "repeats-0"])
 def test_experiment_mistyped_config_exits_1(tmp_path, capsys, config, message):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config), encoding="utf-8")

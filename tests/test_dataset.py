@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -52,6 +53,23 @@ def test_load_rejects_class_index_beyond_declared_c(tmp_path):
     path = write_csv(tmp_path, "#classes=2\nid,label,e0\na,0,1.0\nb,2,2.0\n")
     with pytest.raises(ValueError, match="row 2"):
         load_dataset(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("#classes=3\n#classes=3\nid,label,e0\na,0,1.0\n", "duplicate #classes comment"),
+    ("#classes=three\nid,label,e0\na,0,1.0\n", "malformed #classes comment: '#classes=three'"),
+    ("#note\nid,label,e0\na,0,1.0\n", "unrecognized comment line before header: '#note'"),
+    ("#classes=3\n", "missing header line"),
+    ("", "missing header line"),
+    ("name,label,e0\na,0,1.0\n", "header must start with 'id'"),
+    ("id,label\na,0\n", "header declares no embedding columns"),
+    ("id,label,e0,e2\na,0,1.0,2.0\n", "embedding column 1 must be named 'e1', got 'e2'"),
+    ("#classes=3\nid,label,e0\n", "file contains no data rows"),
+], ids=["duplicate-classes", "malformed-classes", "other-comment", "no-header", "empty",
+        "header-without-id", "no-embedding-columns", "misnamed-column", "no-rows"])
+def test_load_rejects_a_malformed_file_naming_the_fault(tmp_path, text, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_dataset(write_csv(tmp_path, text))
 
 
 @pytest.mark.parametrize("rows, row, message", [
@@ -163,11 +181,12 @@ def traced_peak(run) -> int:
         tracemalloc.stop()
 
 
-def test_load_dataset_peak_is_at_most_three_matrices(tmp_path):
-    # rows are parsed as the file is read: no whole-file text, no list of lines
+def test_load_dataset_peak_is_about_one_matrix(tmp_path):
+    # rows are parsed as the file is read, into one block that grows by doubling:
+    # no whole-file text, no list of lines, no list of rows copied into X at the end
     ds = synth_blobs(n=2000, d=128, C=4)
     save_dataset(ds, tmp_path / "blobs.csv")
-    assert traced_peak(lambda: load_dataset(tmp_path / "blobs.csv")) <= 3 * ds.X.nbytes
+    assert traced_peak(lambda: load_dataset(tmp_path / "blobs.csv")) <= 1.3 * ds.X.nbytes
 
 
 def test_save_dataset_peak_is_at_most_one_matrix(tmp_path):

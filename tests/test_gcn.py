@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gcnbench import gcn
 from gcnbench.checkpoint import load_checkpoint, save_checkpoint
 from gcnbench.dataset import build_label_matrix, full_truth, make_split, synth_blobs
 from gcnbench.gcn import (
@@ -118,6 +119,36 @@ def test_loss_empty_labeled_set():
     grads = backward(model, S, ds.X, cache, Y, np.array([], dtype=np.int64))
     assert np.array_equal(grads.g_theta1, np.zeros_like(model.theta1))
     assert np.array_equal(grads.g_theta2, np.zeros_like(model.theta2))
+
+
+@pytest.mark.parametrize("labeled, rows, message", [
+    ([0.5], 12, "labeled must be 1-D integer row indices, got 1-D float64"),
+    ([[0, 1]], 12, "labeled must be 1-D integer row indices, got 2-D int64"),
+    ([True, False], 12, "labeled must be 1-D integer row indices, got 1-D bool"),
+    ([3, -1], 12, "labeled index -1 outside 0..11"),
+    ([0, 12], 12, "labeled index 12 outside 0..11"),
+    ([4, 2, 4, 2], 12, "duplicate labeled index 2"),
+    ([0, 1], 11, r"Y must be 12x3, got \(11, 3\)"),
+], ids=["float", "2-d", "bool", "negative", "past-n", "duplicate", "y-shape"])
+@pytest.mark.parametrize("call", ["train", "loss", "backward"])
+def test_malformed_labeled_indices_or_targets_are_named_errors(call, labeled, rows, message):
+    # each would otherwise truncate, wrap around, count a row twice or fail inside NumPy
+    ds, S, split, Y, model = small_instance(5)
+    cache = forward(model, S, ds.X)
+    run = {"train": lambda: train(model, S, ds.X, Y[:rows], labeled, Hyperparams(epochs=2)),
+           "loss": lambda: loss(cache, Y[:rows], labeled),
+           "backward": lambda: backward(model, S, ds.X, cache, Y[:rows], labeled)}[call]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run()
+
+
+def test_train_checks_the_labeled_set_once_per_call(monkeypatch):
+    ds, S, split, Y, model = small_instance(6)
+    checks = []
+    check = gcn._targets
+    monkeypatch.setattr(gcn, "_targets", lambda *args: checks.append(1) or check(*args))
+    train(model, S, ds.X, Y, split.labeled, Hyperparams(epochs=5))
+    assert len(checks) == 1
 
 
 def test_loss_perfect_fit_approaches_zero():

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -201,10 +202,22 @@ def test_distance_bounds_hold_in_exact_arithmetic(metric, data):
 
 @pytest.mark.parametrize("metric, scale", [("euclidean", 1e152), ("cosine", 1e-100)])
 def test_builders_use_only_exact_rows_outside_the_proven_range(metric, scale, refined_rows):
-    X = np.random.default_rng(6).standard_normal((30, 3)) * scale
+    # the bound is proven for d <= 10^6 only; beyond it every row is exact, at any scale
+    X = np.random.default_rng(6).standard_normal((3, 10 ** 6 + 1))
     assert list(graph._distance_bounds(X, graph._row_norms(X, metric), upper=True)) == []
-    assert_builders_equal_the_row_loop(X, 3, 0.5, metric)
-    assert sorted(set(refined_rows)) == list(range(30))
+    assert np.array_equal(knn_graph(X * scale, 1, metric).edges, knn_row_loop_edges(X, 1, metric))
+    assert sorted(set(refined_rows)) == [0, 1, 2]
+
+
+@pytest.mark.parametrize("metric, scale", [("euclidean", 1e152), ("cosine", 1e-100), ("cosine", 1e100)])
+def test_data_far_from_norm_1_is_scaled_into_the_proven_range_and_refines_no_row(
+        metric, scale, refined_rows):
+    X = np.random.default_rng(6).standard_normal((30, 3))
+    assert np.array_equal(knn_graph(X * scale, 3, metric).edges, knn_row_loop_edges(X, 3, metric))
+    eps = 0.5 if metric == "cosine" else 0.5 * scale
+    assert np.array_equal(epsilon_graph(X * scale, eps, metric).edges,
+                          epsilon_row_loop_edges(X, 0.5, metric))
+    assert refined_rows == []
 
 
 @pytest.mark.parametrize("build, args, message", [
@@ -266,14 +279,13 @@ def test_cosine_rows_scaled_by_powers_of_two_give_the_same_edges_bit_for_bit():
 
 @pytest.mark.parametrize("scale", [1e160, 1e307])
 @pytest.mark.parametrize("build", [
-    lambda X: knn_graph(X, 5),
-    lambda X: epsilon_graph(X, 1.0),
+    lambda X, scale: knn_graph(X * scale, 5),
+    lambda X, scale: epsilon_graph(X * scale, 2.0 * scale),
 ], ids=["knn", "epsilon"])
-def test_a_euclidean_distance_beyond_float64_is_an_error(build, scale):
-    # finite features whose distances overflow: a ValueError, and no RuntimeWarning
-    X = synth_blobs(n=60, d=4, C=3, sep=5.0, seed=0).X * scale
-    with pytest.raises(ValueError, match="^feature row 0: euclidean distance overflows float64"):
-        build(X)
+def test_euclidean_builds_the_unscaled_graph_far_from_norm_1(build, scale):
+    # distances far beyond float64 unscaled: X is scaled down by a power of two, eps with it
+    X = synth_blobs(n=60, d=4, C=3, sep=5.0, seed=0).X
+    assert build(X, scale).edge_set() == build(X, 1.0).edge_set()
 
 
 def test_euclidean_builders_scale_tiny_features_up_instead_of_underflowing():
@@ -282,11 +294,14 @@ def test_euclidean_builders_scale_tiny_features_up_instead_of_underflowing():
     X = synth_blobs(n=60, d=4, C=3, sep=5.0, seed=0).X
     assert knn_graph(X * 1e-200, 5).edge_set() == knn_graph(X, 5).edge_set()
     assert epsilon_graph(X * 1e-300, 2e-300).edge_set() == epsilon_graph(X, 2.0).edge_set()
-    # an eps beyond every distance still admits every pair
+    # an eps beyond every distance still admits every pair, and one below every nonzero
+    # distance none but those at distance 0
     assert epsilon_graph(X * 1e-300, 1e100).num_edges == 60 * 59 // 2
+    assert epsilon_graph(X * 1e300, 1e-300).num_edges == 0
+    assert epsilon_graph(np.vstack([X, X[:2]]) * 1e300, 1e-300).edge_set() == {(0, 60), (1, 61)}
 
 
-@pytest.mark.parametrize("power", [-500, -900, -1000])
+@pytest.mark.parametrize("power", [-500, -900, -1000, 600, 1000])
 def test_euclidean_features_scaled_by_a_power_of_two_give_the_same_edges_bit_for_bit(power):
     X = np.random.default_rng(9).uniform(1.0, 2.0, size=(40, 5))  # exact: every entry stays normal
     scaled = X * 2.0 ** power
@@ -297,10 +312,26 @@ def test_euclidean_features_scaled_by_a_power_of_two_give_the_same_edges_bit_for
 
 def test_euclidean_features_too_far_apart_in_scale_are_an_error():
     X = synth_blobs(n=60, d=4, C=3, sep=5.0, seed=0).X
-    X[7] *= 1e-200  # no power-of-two scale keeps both row 7's and the others' squares normal
+    X[7] *= 1e-200  # one power of two still brings every entry into range: 2^300 does
+    assert np.array_equal(knn_graph(X, 5).edges, knn_row_loop_edges(X * 2.0 ** 300, 5))
+    assert np.array_equal(epsilon_graph(X, 2.0).edges, epsilon_row_loop_edges(X * 2.0 ** 300, 2.0 ** 301))
+    X *= 1e300
+    X[7] *= 1e-300  # no power of two lifts row 7 to 2^-458 and keeps the others below 2^400
     for build in (lambda: knn_graph(X, 5), lambda: epsilon_graph(X, 2.0)):
         with pytest.raises(ValueError, match="^feature row 7: euclidean distance underflows float64"):
             build()
+
+
+def test_euclidean_features_transient_is_about_one_matrix():
+    # the per-row smallest nonzero |x| is one reduction over |X|: no second copy of X
+    X = synth_blobs(n=2000, d=128, C=4).X
+    tracemalloc.start()
+    try:
+        graph._features(X, "euclidean")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * X.nbytes
 
 
 def test_epsilon_graph_needs_a_node():
@@ -602,6 +633,7 @@ def test_load_graph_rejects_bad_files(tmp_path):
         "order.edges": ("#nodes=4\n2\t1\n", "i < j"),
         "range.edges": ("#nodes=2\n0\t5\n", "outside"),
         "huge.edges": ("#nodes=2\n0\t99999999999999999999\n", "outside"),
+        "empty.edges": ("", "^empty edge list without a #nodes header$"),
     }
     for name, (text, message) in cases.items():
         path = tmp_path / name

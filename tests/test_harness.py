@@ -391,6 +391,16 @@ def test_report_csv_round_trip():
     assert render_report(parsed, "csv") == text
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "not a report CSV: bad header"),
+    ("model,budget\ngcn,9\n", "not a report CSV: bad header"),
+    (harness.REPORT_HEADER + "\ngcn,9,0,1,50.0,1.0\ngcn,9,1,2,50.0\n", "line 3: expected 6 fields, got 5"),
+], ids=["empty", "bad-header", "short-row"])
+def test_parse_report_csv_names_a_malformed_report(text, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        parse_report_csv(text)
+
+
 def test_render_rejects_empty_or_unknown():
     with pytest.raises(ValueError):
         render_report(EvalReport(rows=[]), "csv")
