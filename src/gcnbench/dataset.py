@@ -6,7 +6,14 @@ reproduces the exact same split or dataset on any platform.
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
+import json
 import math
+import os
+import stat
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,17 +126,52 @@ def l2_normalize_rows(X) -> np.ndarray:
 
 
 def load_dataset(path) -> EmbeddingDataset:
-    """Read an embedding CSV file one row at a time.
+    """Read an embedding CSV file one row at a time, or its sidecar when that is current.
 
     C is taken from the ``#classes=`` comment when present, otherwise
-    inferred as max class index + 1 (floored at 2).  This function only
+    inferred as max class index + 1 (floored at 2).  The parser only
     parses the rows and EmbeddingDataset checks them once every row is
     parsed; a fault in a data row raises ValueError starting with
     ``data row N:``.
+
+    The result of a successful parse is kept in a sidecar file, ``<path>.gcnbench``,
+    so that later loads of the same bytes skip the parse.  Its rules:
+
+    - It is used only when ``path`` is a ``str`` or ``os.PathLike`` naming a regular
+      file, and only on a platform with ``os.getuid``.
+    - It holds the format version and the SHA-256 of the bytes parsed, then X as
+      ``.npy``, then ids, C, truth and class names as one UTF-8 JSON object.
+    - A load hashes the file and reads the sidecar only when it is a regular file the
+      current user owns, of this version and with this digest.  X is read without
+      unpickling, and EmbeddingDataset checks every rule again.  Any other sidecar is
+      ignored, and the parse replaces it.
+    - It is written to a temporary file in the same directory and renamed into place.
+      A write that fails with OSError is skipped, so an unwritable directory only
+      costs the parse.  A file that fails to parse gets no sidecar.
+
+    SIDECAR_VERSION must be bumped whenever parsing semantics change, so that no
+    sidecar outlives the rules that produced it.
     """
+    name = os.fspath(path) if isinstance(path, (str, os.PathLike)) else None
+    sidecar = name + SIDECAR_SUFFIX if isinstance(name, str) and hasattr(os, "getuid") else None
+    with open(path, "rb", buffering=0) as raw:
+        if sidecar is None or not stat.S_ISREG(os.fstat(raw.fileno()).st_mode):
+            return _parse_csv(raw)
+        cached = _read_sidecar(sidecar, raw)
+        if cached is not None:
+            return cached
+        raw.seek(0)
+        digest = hashlib.sha256()
+        ds = _parse_csv(_Hashing(raw, digest))
+    _write_sidecar(sidecar, digest.hexdigest(), ds)
+    return ds
+
+
+def _parse_csv(raw) -> EmbeddingDataset:
+    """The dataset an embedding CSV holds, parsed from the unbuffered binary reader ``raw``."""
     declared_c = None
     # universal-newline text mode: "\r\n" and "\r" arrive as "\n"
-    with open(path, encoding="utf-8") as fh:
+    with io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8") as fh:
         lines = (line.removesuffix("\n") for line in fh)
         for line in lines:
             if not line.startswith("#"):
@@ -203,6 +245,92 @@ def _decode_labels(raw_labels):
         index = {name: j for j, name in enumerate(names)}
         return [None if s is None else index[s] for s in raw_labels], names
     return [None if s is None else as_int[s] for s in raw_labels], None
+
+
+# --- sidecar ----------------------------------------------------------------
+#
+#   gcnbench-sidecar <version> <SHA-256 of the CSV bytes, 64 hex digits>\n
+#   X as .npy (format.write_array, no pickle)
+#   {"ids": [...], "C": C, "truth": [...] or null, "class_names": [...] or null}
+
+SIDECAR_SUFFIX = ".gcnbench"
+# bump whenever parsing semantics change: a sidecar of another version is parsed again
+SIDECAR_VERSION = 1
+_SIDECAR_HEAD = b"gcnbench-sidecar %d " % SIDECAR_VERSION
+
+
+class _Hashing(io.RawIOBase):
+    """A reader that passes on ``raw``'s bytes and feeds each one to ``digest``."""
+
+    def __init__(self, raw, digest):
+        self._raw, self._digest = raw, digest
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self._raw.readinto(buffer)
+        self._digest.update(memoryview(buffer)[:n])
+        return n
+
+
+def _file_digest(raw) -> bytes:
+    """The hex SHA-256 of the bytes left in the binary reader ``raw``."""
+    digest = hashlib.sha256()
+    reader, chunk = _Hashing(raw, digest), bytearray(1 << 16)
+    while reader.readinto(chunk):
+        pass
+    return digest.hexdigest().encode("ascii")
+
+
+def _read_sidecar(sidecar: str, raw) -> EmbeddingDataset | None:
+    """The dataset that ``sidecar`` records for the bytes of ``raw``, or None if it is absent,
+    not trusted, of another version or digest, or malformed."""
+    try:
+        # O_NONBLOCK: a FIFO in the sidecar's place must not wait for a writer
+        fd = os.open(sidecar, os.O_RDONLY | getattr(os, "O_NONBLOCK", 0))
+    except OSError:
+        return None
+    with open(fd, "rb") as fh:
+        info = os.fstat(fd)
+        if not stat.S_ISREG(info.st_mode) or info.st_uid != os.getuid():
+            return None
+        head = fh.read(len(_SIDECAR_HEAD) + 65)
+        if head[:len(_SIDECAR_HEAD)] != _SIDECAR_HEAD or head[-1:] != b"\n":
+            return None
+        if head[len(_SIDECAR_HEAD):-1] != _file_digest(raw):
+            return None
+        try:
+            X = np.lib.format.read_array(fh, allow_pickle=False)
+            meta = json.loads(fh.read().decode("utf-8"))
+            return EmbeddingDataset(ids=meta["ids"], X=X, C=meta["C"], truth=meta["truth"],
+                                    class_names=meta["class_names"])
+        except (ValueError, TypeError, KeyError):
+            return None
+
+
+def _write_sidecar(sidecar: str, digest: str, ds: EmbeddingDataset) -> None:
+    """Record ``ds`` as the parse of the bytes whose hex SHA-256 is ``digest``.
+    A write that fails with OSError leaves no file behind and is otherwise ignored."""
+    folder, name = os.path.split(sidecar)
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=name + ".", suffix=".tmp", dir=folder or os.curdir)
+    except OSError:
+        return
+    try:
+        with open(fd, "wb") as fh:
+            fh.write(_SIDECAR_HEAD + digest.encode("ascii") + b"\n")
+            np.lib.format.write_array(fh, ds.X, allow_pickle=False)
+            meta = {"ids": ds.ids, "C": ds.C, "truth": ds.truth, "class_names": ds.class_names}
+            fh.write(json.dumps(meta).encode("utf-8"))
+        os.replace(tmp, sidecar)
+        tmp = None
+    except OSError:
+        pass
+    finally:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
 
 
 def save_dataset(ds: EmbeddingDataset, path) -> None:

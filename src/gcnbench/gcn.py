@@ -258,8 +258,13 @@ def train(model: GcnModel, S: PropagationMatrix, X, Y, labeled,
     exactly zero sum may carry the other sign.  Y and labeled are checked once, as
     loss() checks them.  Raises if the parameters or the objective become non-finite.
     """
+    return _train(model, S, S.matmul(_features(model, S, X)), Y, labeled, hp)
+
+
+def _train(model: GcnModel, S: PropagationMatrix, SX: np.ndarray, Y, labeled,
+           hp: Hyperparams) -> tuple[GcnModel, list[float]]:
+    """train() from an already propagated SX = S @ X, which the caller may reuse to predict."""
     y, labeled = _targets(Y, labeled, S.n, model.dims[2])
-    SX = S.matmul(_features(model, S, X))
     current = GcnModel(theta1=model.theta1.copy(), theta2=model.theta2.copy())
     wd = hp.weight_decay
     S_L = S.take_rows(labeled)
@@ -293,6 +298,15 @@ def train(model: GcnModel, S: PropagationMatrix, X, Y, labeled,
             if not np.isfinite(value):
                 raise ValueError(f"training diverged: non-finite loss at epoch {epoch}")
     return current, trace
+
+
+def _train_predict(model: GcnModel, S: PropagationMatrix, X, Y, labeled,
+                   hp: Hyperparams) -> tuple[GcnModel, list[float], np.ndarray]:
+    """train(), then predict(forward()) of the trained model, from one S @ X: the same
+    bits as the two calls, which each compute that product."""
+    SX = S.matmul(_features(model, S, X))
+    trained, trace = _train(model, S, SX, Y, labeled, hp)
+    return trained, trace, predict(_layers(trained, S, SX))
 
 
 def predict(cache: ForwardCache) -> np.ndarray:

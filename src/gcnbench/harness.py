@@ -14,6 +14,7 @@ volatile field is the measured wall time per cell.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -31,7 +32,7 @@ from .dataset import (
     make_split,
     synth_blobs,
 )
-from .gcn import GcnModel, Hyperparams, forward, init_model, predict, train
+from .gcn import GcnModel, Hyperparams, _train_predict, forward, init_model, predict
 from .graph import GraphBuildConfig, build_graph, check_type, graph_config, normalize
 
 # Every model a run can fit, with its default hyperparameters; only the GCN uses the graph.
@@ -281,10 +282,9 @@ def fit_predict(name: str, ds: EmbeddingDataset, S, split, hp: Hyperparams):
     """Fit ``name`` on the split's labeled rows; returns (model, loss trace, all-n predictions)."""
     if name == "gcn":
         model = init_model(ds.L1, hp.hidden, ds.C, hp.seed)
-        trained, trace = train(model, S, ds.X, build_label_matrix(ds, split), split.labeled, hp)
-    else:
-        trained, trace = train_logreg(ds.X[split.labeled], labeled_classes(ds, split), ds.C, hp)
-    return trained, trace, predict_nodes(trained, ds.X, S)
+        return _train_predict(model, S, ds.X, build_label_matrix(ds, split), split.labeled, hp)
+    trained, trace = train_logreg(ds.X[split.labeled], labeled_classes(ds, split), ds.C, hp)
+    return trained, trace, predict_logreg(trained, ds.X)
 
 
 def predict_nodes(model, X, S):
@@ -423,16 +423,45 @@ def aggregate_csv(report: EvalReport) -> str:
 
 
 def parse_report_csv(text: str) -> EvalReport:
-    """Inverse of render_report(., "csv")."""
+    """Inverse of render_report(., "csv").  A fault in a row is a ValueError starting with
+    ``line N:``: a wrong field count, a model outside MODEL_NAMES, a budget, repeat or seed
+    that is not a plain decimal integer >= 0, an accuracy or wall time that is not a finite
+    number, an accuracy outside [0, 100], a negative wall time, or a repeated
+    (model, budget, repeat)."""
     lines = [ln for ln in text.split("\n") if ln != ""]
     if not lines or lines[0] != REPORT_HEADER:
         raise ValueError("not a report CSV: bad header")
-    rows = []
+    rows, seen = [], set()
     for lineno, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
         if len(cells) != 6:
             raise ValueError(f"line {lineno}: expected 6 fields, got {len(cells)}")
-        rows.append(CellResult(model=cells[0], budget=int(cells[1]), repeat=int(cells[2]),
-                               seed=int(cells[3]), accuracy_pct=float(cells[4]),
-                               wall_ms=float(cells[5])))
+        if cells[0] not in MODEL_NAMES:
+            raise ValueError(f"line {lineno}: unknown model {cells[0]!r}, expected one of {MODEL_NAMES}")
+        row = CellResult(cells[0], *(_report_field(lineno, name, cell) for name, cell
+                                     in zip(REPORT_HEADER.split(",")[1:], cells[1:])))
+        if not 0.0 <= row.accuracy_pct <= 100.0:
+            raise ValueError(f"line {lineno}: accuracy_pct {row.accuracy_pct!r} outside [0, 100]")
+        if row.wall_ms < 0.0:
+            raise ValueError(f"line {lineno}: wall_ms {row.wall_ms!r} is negative")
+        key = (row.model, row.budget, row.repeat)
+        if key in seen:
+            raise ValueError(f"line {lineno}: duplicate report row for {key}")
+        seen.add(key)
+        rows.append(row)
     return EvalReport(rows=rows)
+
+
+def _report_field(lineno: int, name: str, cell: str) -> int | float:
+    """One numeric field of a report row in the form render_report writes it."""
+    if name in ("budget", "repeat", "seed"):
+        if not (cell.isascii() and cell.isdigit()):
+            raise ValueError(f"line {lineno}: {name} {cell!r} is not a plain integer >= 0")
+        return int(cell)
+    try:
+        value = float(cell)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"line {lineno}: {name} {cell!r} is not a finite number")
+    return value

@@ -154,6 +154,37 @@ def test_experiment_happy_path(tmp_path, blob_csv):
     assert md.read_text(encoding="utf-8").startswith("| model |")
 
 
+@pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "pool"])
+def test_experiment_reports_the_same_with_and_without_the_sidecar(tmp_path, blob_csv,
+                                                                  monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    config = {"dataset": {"path": str(blob_csv)}, "graph": {"method": "knn", "k": 5},
+              "budgets": [9, 20], "repeats": 2, "gcn": {"epochs": 30, "hidden": 8}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    sidecar = tmp_path / "blobs.csv.gcnbench"
+    columns = []
+    for present in (False, True):
+        assert sidecar.exists() == present
+        out = tmp_path / f"report-{present}.csv"
+        assert main(["experiment", "--config", str(cfg_path), "--out", str(out)]) == 0
+        columns.append([line.split(",")[:5] for line in out.read_text(encoding="utf-8").splitlines()])
+    assert columns[0] == columns[1] and len(columns[0]) == 1 + 2 * 2 * 2
+
+
+def test_edge_files_and_checkpoints_are_the_same_with_and_without_the_sidecar(tmp_path, blob_csv):
+    sidecar = tmp_path / "blobs.csv.gcnbench"
+    outputs = []
+    for present in (False, True):
+        assert sidecar.exists() == present
+        edges, ckpt = tmp_path / f"g-{present}.edges", tmp_path / f"gcn-{present}.json"
+        assert main(["build-graph", "--data", str(blob_csv), "--k", "5", "--out", str(edges)]) == 0
+        assert main(["train", "--data", str(blob_csv), "--graph", str(edges), "--labeled", "9",
+                     "--epochs", "20", "--out", str(ckpt)]) == 0
+        outputs.append((edges.read_bytes(), ckpt.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("text", ["5", "[1, 2]", '{"dataset": {"path": "x.csv"}, "gcn": [1]}'],
                          ids=["int", "list", "gcn-list"])
 def test_experiment_non_object_config_exits_1(tmp_path, capsys, text):

@@ -1,9 +1,14 @@
+import io
+import os
 import re
+import tempfile
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from gcnbench import dataset
 from gcnbench.cli import main
 from gcnbench.dataset import (
     EmbeddingDataset,
@@ -186,6 +191,9 @@ def test_load_dataset_peak_is_about_one_matrix(tmp_path):
     # no whole-file text, no list of lines, no list of rows copied into X at the end
     ds = synth_blobs(n=2000, d=128, C=4)
     save_dataset(ds, tmp_path / "blobs.csv")
+    # the first load parses and writes the sidecar, the second reads it
+    assert traced_peak(lambda: load_dataset(tmp_path / "blobs.csv")) <= 1.3 * ds.X.nbytes
+    assert (tmp_path / "blobs.csv.gcnbench").is_file()
     assert traced_peak(lambda: load_dataset(tmp_path / "blobs.csv")) <= 1.3 * ds.X.nbytes
 
 
@@ -362,3 +370,166 @@ def test_dataset_invariant_violations_rejected():
         EmbeddingDataset(ids=["a", "b"], X=np.eye(2), C=2, truth=[0, 5])
     with pytest.raises(ValueError):
         EmbeddingDataset(ids=["has,comma", "b"], X=np.eye(2), C=2)
+
+
+# --- the sidecar: a load's parse, kept next to the CSV -------------------------
+
+
+def same_dataset(a, b) -> bool:
+    return (np.array_equal(a.X.view(np.int64), b.X.view(np.int64))
+            and (a.ids, a.truth, a.C, a.class_names) == (b.ids, b.truth, b.C, b.class_names))
+
+
+def count_parses(monkeypatch) -> list:
+    """Make the CSV parser record each call in the returned list."""
+    calls, parse = [], dataset._parse_csv
+
+    def counted(raw):
+        calls.append(raw)
+        return parse(raw)
+
+    monkeypatch.setattr(dataset, "_parse_csv", counted)
+    return calls
+
+
+@pytest.fixture
+def named_csv(tmp_path):
+    """A CSV with string labels, a partially labeled row and the path of its sidecar."""
+    path = write_csv(tmp_path, "id,label,e0,e1\na,sport,0.1,-2.5\nb,,1e-300,3.0\n"
+                               "c,tech,0.30000000000000004,7.0\nd,sport,-0.0,1.5\n")
+    return path, tmp_path / ("data.csv" + dataset.SIDECAR_SUFFIX)
+
+
+def test_a_second_load_reads_the_sidecar_instead_of_parsing(named_csv, monkeypatch):
+    path, sidecar = named_csv
+    first = load_dataset(path)
+    assert sidecar.is_file()
+
+    def no_parse(raw):
+        raise AssertionError("parsed again")
+
+    monkeypatch.setattr(dataset, "_parse_csv", no_parse)
+    second = load_dataset(str(path))
+    assert same_dataset(second, first) and second.class_names == ["sport", "tech"]
+    assert second.truth == [0, None, 1, 0]
+
+
+def test_a_csv_rewritten_with_the_same_size_and_mtime_is_parsed_again(named_csv):
+    path, sidecar = named_csv
+    load_dataset(path)
+    before, old = os.stat(path), sidecar.read_bytes()
+    path.write_text(path.read_text(encoding="utf-8").replace("7.0", "8.0"), encoding="utf-8")
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    assert os.stat(path).st_size == before.st_size and os.stat(path).st_mtime_ns == before.st_mtime_ns
+    assert load_dataset(path).X[2, 1] == 8.0
+    assert sidecar.read_bytes() != old
+    assert load_dataset(path).X[2, 1] == 8.0
+
+
+class Unpickled:
+    """An object whose unpickling prints; a sidecar holding it must never be unpickled."""
+
+    def __reduce__(self):
+        return print, ("unpickled",)
+
+
+def _pickled_x() -> bytes:
+    buffer = io.BytesIO()
+    np.lib.format.write_array(buffer, np.array([Unpickled()], dtype=object))
+    return buffer.getvalue()
+
+
+PICKLED_X = _pickled_x()
+
+
+@pytest.mark.parametrize("damage", [
+    lambda good: good[:len(good) // 2],
+    lambda good: good[:80],
+    lambda good: b"not a sidecar\n",
+    lambda good: b"",
+    lambda good: good.replace(b"gcnbench-sidecar %d " % dataset.SIDECAR_VERSION,
+                              b"gcnbench-sidecar %d " % (dataset.SIDECAR_VERSION - 1), 1),
+    lambda good: good[:good.index(b"\n") + 1] + PICKLED_X + good[good.index(b"{"):],
+    lambda good: good[:good.rindex(b"{")] + b'{"ids": 5}',
+], ids=["truncated", "header-only", "garbage", "empty", "old-version", "pickled-objects",
+        "bad-json"])
+def test_a_bad_sidecar_is_ignored_and_rewritten(named_csv, monkeypatch, capsys, damage):
+    path, sidecar = named_csv
+    first = load_dataset(path)
+    good = sidecar.read_bytes()
+    sidecar.write_bytes(damage(good))
+    parses = count_parses(monkeypatch)
+    assert same_dataset(load_dataset(path), first)
+    assert len(parses) == 1 and sidecar.read_bytes() == good
+    assert capsys.readouterr().out == ""
+
+
+def test_a_sidecar_owned_by_another_user_is_ignored(named_csv, monkeypatch):
+    path, sidecar = named_csv
+    first = load_dataset(path)
+    assert sidecar.is_file()
+    uid = os.getuid()
+    monkeypatch.setattr(os, "getuid", lambda: uid + 1)
+    parses = count_parses(monkeypatch)
+    assert same_dataset(load_dataset(path), first) and len(parses) == 1
+
+
+def test_without_getuid_no_sidecar_is_read_or_written(named_csv, monkeypatch):
+    path, sidecar = named_csv
+    first = load_dataset(path)
+    good = sidecar.read_bytes()
+    sidecar.unlink()
+    monkeypatch.delattr(os, "getuid")
+    parses = count_parses(monkeypatch)
+    assert same_dataset(load_dataset(path), first) and not sidecar.exists()
+    sidecar.write_bytes(good)
+    assert same_dataset(load_dataset(path), first) and len(parses) == 2
+
+
+def test_a_bytes_path_gets_no_sidecar(named_csv):
+    path, sidecar = named_csv
+    load_dataset(os.fsencode(path))
+    assert not sidecar.exists()
+
+
+def fail(*args, **kwargs):
+    raise PermissionError("denied")
+
+
+@pytest.mark.parametrize("step", ["mkstemp", "replace"])
+def test_a_failed_sidecar_write_is_ignored_and_leaves_no_file(named_csv, monkeypatch, step):
+    # tests may run as root, for whom no directory is read-only: the failure is patched in
+    path, sidecar = named_csv
+    monkeypatch.setattr(tempfile if step == "mkstemp" else os, step, fail)
+    ds = load_dataset(path)
+    assert ds.class_names == ["sport", "tech"]
+    assert os.listdir(path.parent) == [path.name]
+
+
+def test_a_fifo_is_parsed_and_gets_no_sidecar(tmp_path):
+    ds = synth_blobs(n=40, d=3, C=3, seed=1)
+    save_dataset(ds, tmp_path / "blobs.csv")
+    fifo = tmp_path / "fifo.csv"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as fh:
+            fh.write((tmp_path / "blobs.csv").read_bytes())
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        loaded = load_dataset(fifo)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert same_dataset(loaded, load_dataset(tmp_path / "blobs.csv"))
+    assert sorted(os.listdir(tmp_path)) == ["blobs.csv", "blobs.csv.gcnbench", "fifo.csv"]
+
+
+def test_a_file_that_fails_to_parse_gets_no_sidecar(tmp_path):
+    path = write_csv(tmp_path, "#classes=3\nid,label,e0\na,0,1.0\nb,1,x\n")
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^data row 2: non-numeric embedding cell$"):
+            load_dataset(path)
+    assert os.listdir(tmp_path) == ["data.csv"]

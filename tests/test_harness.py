@@ -14,7 +14,7 @@ from gcnbench.baseline import train_logreg
 from gcnbench.checkpoint import save_checkpoint
 from gcnbench.dataset import EmbeddingDataset, build_label_matrix, full_truth, make_split, save_dataset, synth_blobs
 from gcnbench.gcn import Hyperparams, forward, init_model, predict, train
-from gcnbench.graph import GraphBuildConfig, knn_graph, normalize
+from gcnbench.graph import GraphBuildConfig, PropagationMatrix, knn_graph, normalize
 from gcnbench.harness import (
     CellResult,
     EvalReport,
@@ -391,11 +391,49 @@ def test_report_csv_round_trip():
     assert render_report(parsed, "csv") == text
 
 
+def test_a_gcn_fit_propagates_the_features_once(monkeypatch):
+    # d=5 is neither the hidden width nor C, so an X-wide product is S @ X
+    ds = synth_blobs(n=60, d=5, C=3, sep=5.0, seed=0)
+    S = normalize(knn_graph(ds, k=5))
+    split = make_split(ds, 9, seed=1)
+    hp = Hyperparams(lr=0.2, epochs=30, hidden=8)
+    widths, matmul = [], PropagationMatrix.matmul
+
+    def spy(self, M):
+        widths.append(M.shape[1])
+        return matmul(self, M)
+
+    monkeypatch.setattr(PropagationMatrix, "matmul", spy)
+    trained, trace, pred = harness.fit_predict("gcn", ds, S, split, hp)
+    assert widths.count(ds.L1) == 1
+    monkeypatch.undo()
+    want, want_trace = train(init_model(ds.L1, hp.hidden, ds.C, hp.seed), S, ds.X,
+                             build_label_matrix(ds, split), split.labeled, hp)
+    assert trace == want_trace
+    assert np.array_equal(trained.theta1, want.theta1) and np.array_equal(trained.theta2, want.theta2)
+    assert np.array_equal(pred, predict(forward(trained, S, ds.X)))
+
+
 @pytest.mark.parametrize("text, message", [
     ("", "not a report CSV: bad header"),
     ("model,budget\ngcn,9\n", "not a report CSV: bad header"),
     (harness.REPORT_HEADER + "\ngcn,9,0,1,50.0,1.0\ngcn,9,1,2,50.0\n", "line 3: expected 6 fields, got 5"),
-], ids=["empty", "bad-header", "short-row"])
+    (harness.REPORT_HEADER + "\ngcn,x,0,1,50.0,1.0\n", "line 2: budget 'x' is not a plain integer >= 0"),
+    (harness.REPORT_HEADER + "\ngcn,9,0,1,50.0,1.0\nmlp,9,0,1,50.0,1.0\n",
+     r"line 3: unknown model 'mlp', expected one of \('gcn', 'logreg'\)"),
+    (harness.REPORT_HEADER + "\n,9,0,1,50.0,1.0\n", r"line 2: unknown model '', expected one of \('gcn', 'logreg'\)"),
+    (harness.REPORT_HEADER + "\ngcn,9,-1,1,50.0,1.0\n", "line 2: repeat '-1' is not a plain integer >= 0"),
+    (harness.REPORT_HEADER + "\ngcn,9,0, 1,50.0,1.0\n", "line 2: seed ' 1' is not a plain integer >= 0"),
+    (harness.REPORT_HEADER + "\ngcn,9,0,1,fifty,1.0\n", "line 2: accuracy_pct 'fifty' is not a finite number"),
+    (harness.REPORT_HEADER + "\ngcn,9,0,1,nan,1.0\n", "line 2: accuracy_pct 'nan' is not a finite number"),
+    (harness.REPORT_HEADER + "\ngcn,9,0,1,100.5,1.0\n", r"line 2: accuracy_pct 100.5 outside \[0, 100\]"),
+    (harness.REPORT_HEADER + "\ngcn,9,0,1,50.0,inf\n", "line 2: wall_ms 'inf' is not a finite number"),
+    (harness.REPORT_HEADER + "\ngcn,9,0,1,50.0,-1.0\n", "line 2: wall_ms -1.0 is negative"),
+    (harness.REPORT_HEADER + "\ngcn,9,0,1,50.0,1.0\ngcn,9,0,2,60.0,1.0\n",
+     r"line 3: duplicate report row for \('gcn', 9, 0\)"),
+], ids=["empty", "bad-header", "short-row", "budget-not-int", "unknown-model", "empty-model",
+        "negative-repeat", "padded-seed", "accuracy-not-number", "accuracy-nan", "accuracy-above-100",
+        "wall-inf", "wall-negative", "duplicate-row"])
 def test_parse_report_csv_names_a_malformed_report(text, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         parse_report_csv(text)
