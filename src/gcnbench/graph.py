@@ -20,8 +20,8 @@ METRICS = ("euclidean", "cosine")
 # the GraphBuildConfig settings each method reads besides its name
 METHOD_SETTINGS = {"knn": ("k", "metric"), "epsilon": ("eps", "metric"), "full": ()}
 METHODS = tuple(METHOD_SETTINGS)
-# rows per block of PropagationMatrix.matmul; bounds its gather temporary to one block's nnz
-MATMUL_BLOCK_ROWS = 128
+# bytes of gathered entries x columns per block of PropagationMatrix.matmul
+MATMUL_BLOCK_BYTES = 512 * 1024
 # rows per block of the k-NN and epsilon filters: two block x n float buffers
 DISTANCE_BLOCK_ROWS = 128
 
@@ -83,10 +83,21 @@ class SparseAdjacency:
     edges: np.ndarray
 
     def __post_init__(self):
+        check_type("n", self.n, int)
         if self.n < 1:
             raise ValueError(f"need n >= 1, got {self.n}")
+        edges = self.edges
+        if isinstance(edges, np.ndarray) and edges.dtype != object:
+            kinds = {edges.dtype.type}
+        else:
+            # each endpoint's own type: np.asarray would promote [[True, 2]] to int64
+            edges = np.array(edges, dtype=object)
+            kinds = set(map(type, edges.flat))
+        wrong = sorted(t.__name__ for t in kinds if not issubclass(t, numbers.Integral) or t is bool)
+        if edges.size and wrong:
+            raise ValueError(f"edge endpoints must be integers, got {wrong[0]}")
         try:
-            edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+            edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         except OverflowError:
             raise ValueError("edge endpoint outside the 64-bit integer range") from None
         if len(edges):
@@ -165,22 +176,25 @@ class PropagationMatrix:
     def matmul(self, M: np.ndarray) -> np.ndarray:
         """The stored rows of S @ M for dense M: all of S @ M, or a cut's rows in its order.
 
-        Rows go in contiguous blocks of at most MATMUL_BLOCK_ROWS.  A block gathers M at
-        its rows' column segments, scales that copy in place and sums each segment with
-        np.add.reduceat, in an order fixed for a given NumPy build that is not a
-        sequential ascending-column sum.  Every row is summed over its whole stored segment
-        whatever the block, so a take_rows cut's rows match the full product bit for bit,
-        and the gather temporary holds one block's nnz x cols.  M is left unmodified."""
+        Rows go in contiguous blocks whose gather holds about MATMUL_BLOCK_BYTES: a block
+        is max(1, MATMUL_BLOCK_BYTES // (8 * cols * ceil(nnz / stored rows))) rows, fixed
+        per call.  A block gathers M at its rows' column segments, scales that copy in place
+        and sums each segment with np.add.reduceat, in an order fixed for a given NumPy build
+        that is not a sequential ascending-column sum.  Every row is summed over its whole
+        stored segment whatever the block, so the product does not depend on the block size,
+        and a take_rows cut's rows match the full product bit for bit.  M is left unmodified."""
         M = np.asarray(M, dtype=np.float64)
         if M.shape[0] != self.n:
             raise ValueError(f"operand has {M.shape[0]} rows, matrix is {len(self.rows)}x{self.n}")
         out = np.empty((len(self.rows),) + M.shape[1:])
-        for i in range(0, len(self.rows), MATMUL_BLOCK_ROWS):
-            ptr = self.indptr[i:i + MATMUL_BLOCK_ROWS + 1]
+        segment = -(-self.nnz // max(1, len(self.rows)))  # mean stored entries per row, rounded up
+        block = max(1, MATMUL_BLOCK_BYTES // max(1, 8 * M[0].size * segment))
+        for i in range(0, len(self.rows), block):
+            ptr = self.indptr[i:i + block + 1]
             contrib = M[self.indices[ptr[0]:ptr[-1]]]
             contrib *= self.data[ptr[0]:ptr[-1], None]
             # reduceat is safe because no stored row segment is empty (see the class docstring)
-            out[i:i + MATMUL_BLOCK_ROWS] = np.add.reduceat(contrib, ptr[:-1] - ptr[0], axis=0)
+            out[i:i + block] = np.add.reduceat(contrib, ptr[:-1] - ptr[0], axis=0)
         return out
 
     def to_dense(self) -> np.ndarray:
@@ -345,9 +359,10 @@ def knn_graph(ds, k: int, metric: str = "euclidean") -> SparseAdjacency:
         rows = np.arange(len(lo))
         lo[rows, first + rows] = hi[rows, first + rows] = np.inf
         hi.partition(k - 1, axis=1)
-        candidate = lo <= hi[:, k - 1:k]
-        sure = np.count_nonzero(candidate, axis=1) == k
-        nearest[first + rows[sure]] = np.nonzero(candidate[sure])[1].reshape(-1, k)
+        # one flat scan of the candidates (lo <= T), split into (row, column) in row-major order
+        row, col = np.divmod(np.flatnonzero(lo <= hi[:, k - 1:k]), n)
+        sure = np.bincount(row, minlength=len(lo)) == k
+        nearest[first + rows[sure]] = col[sure[row]].reshape(-1, k)
         decided[first:first + len(lo)] = sure
     for i, d in _distance_rows(X, norms, np.flatnonzero(~decided)):
         d[i] = np.inf
@@ -385,11 +400,13 @@ def epsilon_graph(ds, eps: float, metric: str = "euclidean") -> SparseAdjacency:
         r = len(lo)
         # columns start at first: the block's j <= i form the lower triangle on the left
         lo[:, :r][below_diagonal[:r, :r]] = hi[:, :r][below_diagonal[:r, :r]] = np.inf
-        inside = hi < eps_in
-        sure = ~((lo < eps_out) & ~inside).any(axis=1)
-        inside[~sure] = False
-        i, j = np.nonzero(inside)
-        blocks.append(np.column_stack([first + i, first + j]))
+        # lo <= hi and eps_in <= eps_out, so every pair inside (hi < eps_in) is also near
+        # (lo < eps_out): a row is sure when it has as many pairs inside as near
+        i, j = np.divmod(np.flatnonzero(hi < eps_in), lo.shape[1])
+        near = np.flatnonzero(lo < eps_out) // lo.shape[1]
+        sure = np.bincount(i, minlength=r) == np.bincount(near, minlength=r)
+        keep = sure[i]
+        blocks.append(np.column_stack([first + i[keep], first + j[keep]]))
         decided[first:first + r] = sure
     # flat int lists: one small array per row fragmented the heap (+5 MB peak RSS at n=5000)
     rows, cols = [], []

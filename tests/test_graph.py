@@ -8,7 +8,7 @@ from gcnbench import graph
 from gcnbench.dataset import synth_blobs
 from gcnbench.graph import (
     DISTANCE_BLOCK_ROWS,
-    MATMUL_BLOCK_ROWS,
+    MATMUL_BLOCK_BYTES,
     METRICS,
     GraphBuildConfig,
     SparseAdjacency,
@@ -152,6 +152,52 @@ def test_builders_equal_the_row_loop_across_block_edges(n, metric, refined_rows)
     assert refined_rows or n == 2  # two nodes leave no tie to break
 
 
+def rows_the_bounds_leave_open(X, method, param, metric):
+    """The rows a builder must refine, by the filter rule restated one row at a time: k-NN
+    leaves a row open unless exactly k entries other than self have lo <= T, the k-th smallest
+    of their hi; epsilon unless every pair right of the diagonal is in (hi below eps) or out
+    (lo at or above eps), against eps^2 rounded down and up for euclidean.  X is in range."""
+    norms = graph._row_norms(X, metric)
+    eps_in = eps_out = param
+    if metric == "euclidean":
+        eps_in, eps_out = np.nextafter(param * param, -np.inf), np.nextafter(param * param, np.inf)
+    open_rows = []
+    for first, lo, hi in graph._distance_bounds(X, norms, upper=method == "epsilon"):
+        for r, i in enumerate(range(first, first + len(lo))):
+            if method == "knn":
+                others = np.arange(len(X)) != i
+                T = np.sort(hi[r, others])[param - 1]
+                undecided = np.count_nonzero(lo[r, others] <= T) != param
+            else:  # the columns start at node first
+                undecided = ((lo[r, r + 1:] < eps_out) & ~(hi[r, r + 1:] < eps_in)).any()
+            if undecided:
+                open_rows.append(i)
+    return open_rows
+
+
+@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.parametrize("method", ["knn", "epsilon"])
+@pytest.mark.parametrize("data", ["offset", "duplicate-rows", "block-edges"])
+def test_builders_refine_exactly_the_rows_the_bounds_leave_open(data, method, metric, refined_rows):
+    rng = np.random.default_rng(3)
+    if data == "offset":  # the estimate cancels: many rows open
+        X = rng.standard_normal((150, 8)) + 1e6
+    elif data == "duplicate-rows":
+        X = rng.standard_normal((6, 4))[rng.integers(0, 6, size=40)]
+    else:
+        n = 2 * DISTANCE_BLOCK_ROWS + 5
+        X = rng.standard_normal((n, 5))
+        X[n // 2:] = X[rng.integers(0, n // 2, size=n - n // 2)]
+    if method == "knn":
+        param = 5
+        knn_graph(X, param, metric)
+    else:
+        param = {("offset", "cosine"): 2e-12, ("offset", "euclidean"): 3.0}.get(
+            (data, metric), 0.5 if metric == "cosine" else 2.0)
+        epsilon_graph(X, param, metric)
+    assert refined_rows == rows_the_bounds_leave_open(X, method, param, metric)
+
+
 @pytest.mark.parametrize("metric, eps", [("euclidean", 3.0), ("cosine", 2e-12)])
 def test_builders_equal_the_row_loop_where_the_gemm_estimate_cancels(metric, eps, refined_rows):
     # at 1e6 from the origin |a|^2 + |b|^2 - 2 a.b loses about 12 digits to cancellation
@@ -220,6 +266,10 @@ def test_data_far_from_norm_1_is_scaled_into_the_proven_range_and_refines_no_row
     assert refined_rows == []
 
 
+def adjacency(X, n, edges):
+    return SparseAdjacency(n=n, edges=edges)
+
+
 @pytest.mark.parametrize("build, args, message", [
     (knn_graph, (2.5,), "k must be"),
     (knn_graph, (True,), "k must be"),
@@ -232,8 +282,14 @@ def test_data_far_from_norm_1_is_scaled_into_the_proven_range_and_refines_no_row
     (epsilon_graph, (1.0, "manhattan"), "unknown metric 'manhattan'"),
     (knn_graph, (2, "cosine"), "cosine distance undefined for a zero vector"),
     (epsilon_graph, (1.0, "cosine"), "cosine distance undefined for a zero vector"),
+    (adjacency, (3, [[0.5, 1.7]]), "edge endpoints must be integers, got float"),
+    (adjacency, (3, [[True, 2]]), "edge endpoints must be integers, got bool"),
+    (adjacency, (3, np.array([[0.0, 1.0]])), "edge endpoints must be integers, got float64"),
+    (adjacency, (3.9, []), "n must be an integer"),
 ], ids=["k-float", "k-bool", "k-str", "eps-nan", "eps-inf", "eps-str", "eps-int-beyond-float",
-        "knn-metric", "eps-metric", "knn-cosine-zero-row", "eps-cosine-zero-row"])
+        "knn-metric", "eps-metric", "knn-cosine-zero-row", "eps-cosine-zero-row",
+        "adjacency-float-endpoints", "adjacency-bool-endpoint", "adjacency-float-array",
+        "adjacency-float-n"])
 def test_builder_arguments_are_type_checked(build, args, message):
     X = np.eye(4)
     X[3] = 0.0  # a zero row, which only cosine has no distance for
@@ -425,8 +481,7 @@ def random_propagation(n, seed, edge_share=0.3):
     return normalize(SparseAdjacency(n=n, edges=np.column_stack([i[keep], j[keep]])))
 
 
-@pytest.mark.parametrize("n", [1, 7, MATMUL_BLOCK_ROWS - 1, MATMUL_BLOCK_ROWS,
-                               MATMUL_BLOCK_ROWS + 1, 3 * MATMUL_BLOCK_ROWS + 5])
+@pytest.mark.parametrize("n", [1, 7, 127, 128, 129, 389])
 @pytest.mark.parametrize("cols", [1, 16])
 def test_blocked_matmul_matches_the_one_shot_kernel(n, cols):
     S = random_propagation(n, seed=n, edge_share=min(1.0, 8.0 / n))
@@ -437,6 +492,46 @@ def test_blocked_matmul_matches_the_one_shot_kernel(n, cols):
     rows = np.random.default_rng(0).permutation(n)[:max(1, n // 3)]
     assert np.array_equal(S.take_rows(rows).matmul(M), expected[rows])
     assert np.array_equal(S.take_rows(np.arange(n)[::-1]).matmul(M), expected[::-1])
+
+
+def byte_rule_block(S, cols):
+    """Rows per block of PropagationMatrix.matmul: a gather of about MATMUL_BLOCK_BYTES."""
+    segment = -(-S.nnz // len(S.rows))
+    return max(1, MATMUL_BLOCK_BYTES // (8 * cols * segment))
+
+
+@pytest.mark.parametrize("cols", [1, 16, 768])
+def test_blocked_matmul_matches_the_one_shot_kernel_at_the_block_edges(cols):
+    # a ring: every stored row has 3 entries, so every cut has the same block B
+    B = MATMUL_BLOCK_BYTES // (8 * cols * 3)
+    n = 2 * B + 1
+    S = normalize(SparseAdjacency(n=n, edges=[(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]))
+    assert byte_rule_block(S, cols) == B
+    rng = np.random.default_rng(cols)
+    M = rng.standard_normal((n, cols))
+    expected = one_shot_product(S, M)
+    assert np.array_equal(S.matmul(M), expected)  # blocks of B, B and 1 rows
+    order = rng.permutation(n)
+    for m in (B - 1, B, B + 1):
+        cut = S.take_rows(order[:m])
+        assert byte_rule_block(cut, cols) == B
+        assert np.array_equal(cut.matmul(M), expected[order[:m]])
+
+
+@pytest.mark.parametrize("cols", [1, 16, 768])
+@pytest.mark.parametrize("build", [
+    lambda X: epsilon_graph(X, 1.0),
+    lambda X: full_graph(len(X)),
+    lambda X: SparseAdjacency(n=len(X), edges=[(0, j) for j in range(1, len(X))]),
+], ids=["epsilon", "full", "star"])
+def test_blocked_matmul_matches_the_one_shot_kernel_on_long_and_uneven_rows(build, cols):
+    X = synth_blobs(n=300, d=4, C=3, sep=2.0, seed=0).X
+    S = normalize(build(X))
+    M = np.random.default_rng(cols).standard_normal((300, cols))
+    expected = one_shot_product(S, M)
+    assert np.array_equal(S.matmul(M), expected)
+    rows = np.random.default_rng(0).permutation(300)[:100]
+    assert np.array_equal(S.take_rows(rows).matmul(M), expected[rows])
 
 
 def test_matmul_rows_may_repeat_and_be_empty():
