@@ -3,15 +3,17 @@
 Three constructions are supported: k-nearest-neighbor with OR-symmetrization,
 epsilon-neighborhood (strict <), and the fully connected graph.  Neighbor
 search is exact and O(n^2), which is fine at desk scale (n up to ~10^4): blocks
-of rows get distance bounds from one GEMM each, and only rows those bounds
-leave undecided are recomputed with the exact per-row formula (filter and
-refine, _distance_bounds).
+of rows get distance bounds from one GEMM each, on one thread per usable CPU,
+and only rows those bounds leave undecided are recomputed with the exact
+per-row formula (filter and refine, _distance_bounds).
 """
 
 from __future__ import annotations
 
 import numbers
+import os
 import re
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +24,17 @@ METHOD_SETTINGS = {"knn": ("k", "metric"), "epsilon": ("eps", "metric"), "full":
 METHODS = tuple(METHOD_SETTINGS)
 # bytes of gathered entries x columns per block of PropagationMatrix.matmul
 MATMUL_BLOCK_BYTES = 512 * 1024
-# rows per block of the k-NN and epsilon filters: two block x n float buffers
-DISTANCE_BLOCK_ROWS = 128
+# rows per block of the k-NN and epsilon filters: each thread holds two block x n float buffers
+DISTANCE_BLOCK_ROWS = 64
+
+
+def usable_cpus() -> int:
+    """How many CPUs this process may run on (os.sched_getaffinity), or 1 on a platform
+    without CPU affinity."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return 1
 
 
 def check_type(name: str, value, kind: type) -> None:
@@ -174,7 +185,8 @@ class PropagationMatrix:
         return PropagationMatrix(self.n, indptr, self.indices[keep], self.data[keep], self.rows)
 
     def matmul(self, M: np.ndarray) -> np.ndarray:
-        """The stored rows of S @ M for dense M: all of S @ M, or a cut's rows in its order.
+        """The stored rows of S @ M for a dense 2-D M (n x cols): all of S @ M, or a cut's
+        rows in its order.
 
         Rows go in contiguous blocks whose gather holds about MATMUL_BLOCK_BYTES: a block
         is max(1, MATMUL_BLOCK_BYTES // (8 * cols * ceil(nnz / stored rows))) rows, fixed
@@ -184,11 +196,13 @@ class PropagationMatrix:
         stored segment whatever the block, so the product does not depend on the block size,
         and a take_rows cut's rows match the full product bit for bit.  M is left unmodified."""
         M = np.asarray(M, dtype=np.float64)
+        if M.ndim != 2:
+            raise ValueError(f"operand must be 2-D (n x cols), got shape {M.shape}")
         if M.shape[0] != self.n:
             raise ValueError(f"operand has {M.shape[0]} rows, matrix is {len(self.rows)}x{self.n}")
-        out = np.empty((len(self.rows),) + M.shape[1:])
+        out = np.empty((len(self.rows), M.shape[1]))
         segment = -(-self.nnz // max(1, len(self.rows)))  # mean stored entries per row, rounded up
-        block = max(1, MATMUL_BLOCK_BYTES // max(1, 8 * M[0].size * segment))
+        block = max(1, MATMUL_BLOCK_BYTES // max(1, 8 * M.shape[1] * segment))
         for i in range(0, len(self.rows), block):
             ptr = self.indptr[i:i + block + 1]
             contrib = M[self.indices[ptr[0]:ptr[-1]]]
@@ -271,12 +285,15 @@ def _distance_rows(X, norms, rows):
             yield i, 1.0 - (X @ x) / (norms * norms[i])
 
 
-def _distance_bounds(X, norms, upper):
-    """Yield (first, lo, hi) for blocks of DISTANCE_BLOCK_ROWS rows from row ``first``:
-    lo <= e <= hi for every pair, where e is what _distance_rows computes, squared
-    for euclidean.  Columns are 0..n-1, or first..n-1 if ``upper``.  lo and hi are
-    views of two buffers reused by the next block.  X must come from _features,
-    which puts it in the range where the bound below is proven; yields nothing for
+def _distance_bounds(X, norms, upper, decide):
+    """The list of decide(first, lo, hi), in block order, over blocks of DISTANCE_BLOCK_ROWS
+    rows from row ``first``: lo <= e <= hi for every pair, where e is what _distance_rows
+    computes, squared for euclidean.  Columns are 0..n-1, or first..n-1 if ``upper``.
+    lo and hi are views of two buffers that the thread's next block reuses, so decide
+    keeps copies, and as the blocks run at once on _run_blocks' threads, decide writes
+    only its own block's part of shared arrays.  Each block's bits are those of one GEMM
+    of its fixed rows, whatever the thread count.  X must come from _features, which
+    puts it in the range where the bound below is proven; decides no block for
     d > 10^6, where it is not.
 
     The bound.  Let u = 2^-53, d the width of X and a, b two rows.  Every
@@ -305,15 +322,14 @@ def _distance_bounds(X, norms, upper):
     """
     n, d = X.shape
     if d > 10 ** 6:
-        return
+        return []
     margin = (4 * d + 24) * 2.0 ** -53
     if norms is None:
         sq = np.einsum("ij,ij->i", X, X)
         add_lo = sq * (1.0 - margin) - 2.0 ** -1000
         add_hi = sq * (1.0 + margin) + 2.0 ** -1000
-    size = min(DISTANCE_BLOCK_ROWS, n) * n
-    lo_buf, hi_buf = np.empty(size), np.empty(size)
-    for first in range(0, n, DISTANCE_BLOCK_ROWS):
+
+    def bounds(first, lo_buf, hi_buf):
         block = slice(first, min(first + DISTANCE_BLOCK_ROWS, n))
         cols = slice(first if upper else 0, n)
         shape = (block.stop - first, n - cols.start)
@@ -331,7 +347,50 @@ def _distance_bounds(X, norms, upper):
             lo /= norms[cols]
             np.subtract(1.0 + margin, lo, out=hi)
             np.subtract(1.0 - margin, lo, out=lo)
-        yield first, lo, hi
+        return decide(first, lo, hi)
+
+    return _run_blocks(bounds, range(0, n, DISTANCE_BLOCK_ROWS), min(DISTANCE_BLOCK_ROWS, n) * n)
+
+
+def _run_blocks(block, firsts, size):
+    """[block(first, lo_buf, hi_buf) for first in firsts], on min(usable_cpus(), len(firsts))
+    threads.  Each thread reuses its own pair of ``size``-float buffers, allocated here in
+    the calling thread; a single thread is the calling one.  Once a block raises, or the
+    calling thread is interrupted (Ctrl-C), no thread starts another block.  Every thread
+    is joined before this returns or raises, and the error raised is the first failing
+    block's."""
+    buffers = [(np.empty(size), np.empty(size)) for _ in range(min(usable_cpus(), len(firsts)))]
+    if len(buffers) <= 1:
+        return [block(first, *buffers[0]) for first in firsts]
+    results, errors = [None] * len(firsts), {}
+    todo, lock, stop = iter(range(len(firsts))), threading.Lock(), threading.Event()
+
+    def work(lo_buf, hi_buf):
+        while not stop.is_set():
+            with lock:
+                b = next(todo, None)
+            if b is None:
+                return
+            try:
+                results[b] = block(firsts[b], lo_buf, hi_buf)
+            except BaseException as error:
+                errors[b] = error
+                stop.set()
+
+    started = []
+    try:
+        for pair in buffers:
+            started.append(threading.Thread(target=work, args=pair))
+            started[-1].start()
+        for thread in started:
+            thread.join()
+    finally:
+        stop.set()  # a no-op unless the calling thread was interrupted or a start failed
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def knn_graph(ds, k: int, metric: str = "euclidean") -> SparseAdjacency:
@@ -345,7 +404,8 @@ def knn_graph(ds, k: int, metric: str = "euclidean") -> SparseAdjacency:
     hi of a row, self excluded, every true neighbor has lo <= T; when exactly
     k entries do, they are the k nearest.  Any other row gets its exact
     distance row and the stable argsort, so the edges are those of one exact
-    row and one stable argsort per node, bit for bit.
+    row and one stable argsort per node, bit for bit.  The blocks are decided
+    on every usable CPU; the exact rows follow serially, in row order.
     """
     check_type("k", k, int)
     X, _ = _features(ds, metric)
@@ -355,7 +415,8 @@ def knn_graph(ds, k: int, metric: str = "euclidean") -> SparseAdjacency:
     norms = _row_norms(X, metric)
     nearest = np.empty((n, k), dtype=np.int64)
     decided = np.zeros(n, dtype=bool)
-    for first, lo, hi in _distance_bounds(X, norms, upper=False):
+
+    def decide(first, lo, hi):
         rows = np.arange(len(lo))
         lo[rows, first + rows] = hi[rows, first + rows] = np.inf
         hi.partition(k - 1, axis=1)
@@ -364,6 +425,8 @@ def knn_graph(ds, k: int, metric: str = "euclidean") -> SparseAdjacency:
         sure = np.bincount(row, minlength=len(lo)) == k
         nearest[first + rows[sure]] = col[sure[row]].reshape(-1, k)
         decided[first:first + len(lo)] = sure
+
+    _distance_bounds(X, norms, False, decide)
     for i, d in _distance_rows(X, norms, np.flatnonzero(~decided)):
         d[i] = np.inf
         # stable sort keeps the lower index first among exact ties
@@ -395,8 +458,9 @@ def epsilon_graph(ds, eps: float, metric: str = "euclidean") -> SparseAdjacency:
     if norms is None:  # euclidean bounds are squared: eps^2 rounded down for "in", up for "out"
         eps_in, eps_out = np.nextafter(eps * eps, -np.inf), np.nextafter(eps * eps, np.inf)
     below_diagonal = np.tri(min(DISTANCE_BLOCK_ROWS, n), dtype=bool)
-    blocks, decided = [], np.zeros(n, dtype=bool)
-    for first, lo, hi in _distance_bounds(X, norms, upper=True):
+    decided = np.zeros(n, dtype=bool)
+
+    def decide(first, lo, hi):
         r = len(lo)
         # columns start at first: the block's j <= i form the lower triangle on the left
         lo[:, :r][below_diagonal[:r, :r]] = hi[:, :r][below_diagonal[:r, :r]] = np.inf
@@ -406,8 +470,10 @@ def epsilon_graph(ds, eps: float, metric: str = "euclidean") -> SparseAdjacency:
         near = np.flatnonzero(lo < eps_out) // lo.shape[1]
         sure = np.bincount(i, minlength=r) == np.bincount(near, minlength=r)
         keep = sure[i]
-        blocks.append(np.column_stack([first + i[keep], first + j[keep]]))
         decided[first:first + r] = sure
+        return np.column_stack([first + i[keep], first + j[keep]])
+
+    blocks = _distance_bounds(X, norms, True, decide)
     # flat int lists: one small array per row fragmented the heap (+5 MB peak RSS at n=5000)
     rows, cols = [], []
     for i, d in _distance_rows(X, norms, np.flatnonzero(~decided)):
@@ -447,7 +513,7 @@ def normalize(A: SparseAdjacency) -> PropagationMatrix:
     e = A.edges
     rows = np.concatenate([e[:, 0], e[:, 1], np.arange(n)])
     cols = np.concatenate([e[:, 1], e[:, 0], np.arange(n)])
-    order = np.lexsort((cols, rows))
+    order = np.argsort(rows * n + cols)  # row-major: the keys are unique, so any sort will do
     rows, cols = rows[order], cols[order]
     data = np.where(rows == cols, 1.0 / d_hat[rows], 1.0 / np.sqrt(d_hat[rows] * d_hat[cols]))
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
@@ -469,10 +535,11 @@ _EDGE_FILE = re.compile(r"(?:#nodes=([0-9]{1,18})\n)?((?:[0-9]{1,18}\t[0-9]{1,18
 
 def save_graph(A: SparseAdjacency, path) -> None:
     """Write the canonical edge-list file for an adjacency."""
-    lines = [f"#nodes={A.n}"]
-    lines.extend(f"{i}\t{j}" for i, j in A.edges.tolist())
+    names = list(map(str, range(A.n)))  # one string per node, not one f-string per edge
+    i, j = A.edges.T.tolist()
+    lines = map("\t".join, zip(map(names.__getitem__, i), map(names.__getitem__, j)))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join([f"#nodes={A.n}", *lines]) + "\n")
 
 
 def load_graph(path) -> SparseAdjacency:

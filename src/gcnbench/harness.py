@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
 from dataclasses import dataclass, field, replace
 
@@ -33,7 +32,7 @@ from .dataset import (
     synth_blobs,
 )
 from .gcn import GcnModel, Hyperparams, _train_predict, forward, init_model, predict
-from .graph import GraphBuildConfig, build_graph, check_type, graph_config, normalize
+from .graph import GraphBuildConfig, build_graph, check_type, graph_config, normalize, usable_cpus
 
 # Every model a run can fit, with its default hyperparameters; only the GCN uses the graph.
 DEFAULT_HYPERPARAMS = {"gcn": Hyperparams(), "logreg": LOGREG_DEFAULTS}
@@ -300,7 +299,7 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
     The graph, built only if a model uses one, and every cell's split come first,
     in this process and in sweep order, so a bad budget or split is raised before
     any fit.  The cells then run on the CPUs this process may use
-    (os.sched_getaffinity): in this process when that is one CPU, else in a pool of
+    (graph.usable_cpus): in this process when that is one CPU, else in a pool of
     forked workers that inherit the dataset and graph, and whose rows come back in
     sweep order.  Either way the rows, and the first failing cell's error, are those
     of the serial sweep.  A worker that dies is a ChildProcessError naming its exit code.
@@ -322,10 +321,7 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
             split = make_split(ds, budget, seed=cell_seed, stratified=cfg.stratified)
             cells.extend((name, budget, repeat, cell_seed, split) for name in cfg.models)
     shared = (cfg, ds, S, truth)
-    try:
-        workers = min(len(cells), len(os.sched_getaffinity(0)))
-    except AttributeError:  # a platform without CPU affinity
-        workers = 1
+    workers = min(len(cells), usable_cpus())
     if workers == 1:
         return EvalReport(rows=[_cell(shared, cell) for cell in cells])
     import multiprocessing  # here, so that importing the package does not pay for it

@@ -1,3 +1,9 @@
+import os
+import re
+import signal
+import sys
+import threading
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -141,9 +147,10 @@ def test_builders_equal_the_row_loop_on_wide_gcn_data(metric, eps):
 
 
 @pytest.mark.parametrize("metric", METRICS)
-@pytest.mark.parametrize("n", [2, DISTANCE_BLOCK_ROWS - 1, DISTANCE_BLOCK_ROWS,
-                               DISTANCE_BLOCK_ROWS + 1, 2 * DISTANCE_BLOCK_ROWS + 5])
+# B = DISTANCE_BLOCK_ROWS = 64: n at B - 1, B, B + 1, 2B - 1, 2B, 2B + 1, 2B + 5 and 4B + 5
+@pytest.mark.parametrize("n", [2, 63, 64, 65, 127, 128, 129, 133, 261])
 def test_builders_equal_the_row_loop_across_block_edges(n, metric, refined_rows):
+    assert DISTANCE_BLOCK_ROWS == 64
     rng = np.random.default_rng(n)
     # half the rows repeat others: exact ties at the k-th distance, decided by the exact rows
     X = rng.standard_normal((n, 5))
@@ -152,17 +159,22 @@ def test_builders_equal_the_row_loop_across_block_edges(n, metric, refined_rows)
     assert refined_rows or n == 2  # two nodes leave no tie to break
 
 
+def bound_blocks(X, metric, upper):
+    """Every block's (first, lo, hi) from _distance_bounds, copied out of its reused buffers."""
+    return graph._distance_bounds(X, graph._row_norms(X, metric), upper,
+                                  lambda first, lo, hi: (first, lo.copy(), hi.copy()))
+
+
 def rows_the_bounds_leave_open(X, method, param, metric):
     """The rows a builder must refine, by the filter rule restated one row at a time: k-NN
     leaves a row open unless exactly k entries other than self have lo <= T, the k-th smallest
     of their hi; epsilon unless every pair right of the diagonal is in (hi below eps) or out
     (lo at or above eps), against eps^2 rounded down and up for euclidean.  X is in range."""
-    norms = graph._row_norms(X, metric)
     eps_in = eps_out = param
     if metric == "euclidean":
         eps_in, eps_out = np.nextafter(param * param, -np.inf), np.nextafter(param * param, np.inf)
     open_rows = []
-    for first, lo, hi in graph._distance_bounds(X, norms, upper=method == "epsilon"):
+    for first, lo, hi in bound_blocks(X, metric, upper=method == "epsilon"):
         for r, i in enumerate(range(first, first + len(lo))):
             if method == "knn":
                 others = np.arange(len(X)) != i
@@ -196,6 +208,131 @@ def test_builders_refine_exactly_the_rows_the_bounds_leave_open(data, method, me
             (data, metric), 0.5 if metric == "cosine" else 2.0)
         epsilon_graph(X, param, metric)
     assert refined_rows == rows_the_bounds_leave_open(X, method, param, metric)
+
+
+def use_cpus(monkeypatch, count):
+    """Make usable_cpus() report ``count`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.parametrize("method", ["knn", "epsilon"])
+@pytest.mark.parametrize("data", ["duplicate-rows", "offset"])
+def test_builders_give_the_same_edges_and_refine_the_same_rows_on_1_2_and_3_cpus(
+        data, method, metric, refined_rows, monkeypatch):
+    rng = np.random.default_rng(3)
+    if data == "offset":  # many rows open; 150 rows are 3 blocks
+        X = rng.standard_normal((150, 8)) + 1e6
+        eps = 2e-12 if metric == "cosine" else 3.0
+    else:  # exact ties, and one block of 5 rows
+        n = 2 * DISTANCE_BLOCK_ROWS + 5
+        X = rng.standard_normal((n, 5))
+        X[n // 2:] = X[rng.integers(0, n // 2, size=n - n // 2)]
+        eps = 0.5 if metric == "cosine" else 2.0
+    build, param = (knn_graph, 5) if method == "knn" else (epsilon_graph, eps)
+    threads, run_blocks = set(), graph._run_blocks
+
+    def recording(block, firsts, size):
+        def traced(*args):
+            threads.add(threading.get_ident())
+            return block(*args)
+        return run_blocks(traced, firsts, size)
+
+    monkeypatch.setattr(graph, "_run_blocks", recording)
+    runs = []
+    for count in (1, 2, 3):
+        use_cpus(monkeypatch, count)
+        threads.clear()
+        before = threading.active_count()
+        runs.append((build(X, param, metric).edges, list(refined_rows)))
+        refined_rows.clear()
+        assert threading.active_count() == before
+        # one CPU decides every block in the calling thread, more decide none there
+        assert (threading.get_ident() in threads) == (count == 1)
+    assert runs[0][1] or (data, method) == ("duplicate-rows", "epsilon")  # no pair near eps there
+    for edges, rows in runs[1:]:
+        assert np.array_equal(edges, runs[0][0])
+        assert rows == runs[0][1]
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_a_failing_block_stops_every_thread_and_its_error_propagates(cpus, monkeypatch):
+    use_cpus(monkeypatch, cpus)
+    before, started, failed = threading.active_count(), [], threading.Event()
+
+    def block(first, lo_buf, hi_buf):
+        started.append(first)
+        if first == 1:
+            failed.set()
+            raise RuntimeError("block 1 failed")
+        failed.wait(5.0)
+        if first == 0:  # fails after block 1, and is still the error raised
+            raise RuntimeError("block 0 failed")
+        time.sleep(0.05)  # the failing threads stop the others meanwhile
+        return first
+
+    with pytest.raises(RuntimeError, match="^block 0 failed$"):
+        graph._run_blocks(block, range(20), 8)
+    assert {0, 1} <= set(started) and len(started) <= cpus
+    assert threading.active_count() == before
+
+
+def test_ctrl_c_in_the_calling_thread_stops_every_thread(monkeypatch):
+    use_cpus(monkeypatch, 2)
+    before, started = threading.active_count(), []
+
+    def block(first, lo_buf, hi_buf):
+        started.append(first)
+        if first == 0:
+            os.kill(os.getpid(), signal.SIGINT)
+        time.sleep(0.2)  # the calling thread takes the interrupt meanwhile
+        return first
+
+    with pytest.raises(KeyboardInterrupt):
+        graph._run_blocks(block, range(20), 8)
+    assert 0 in started and len(started) <= 2
+    assert threading.active_count() == before
+
+
+def test_the_blocks_run_on_each_usable_cpu_and_never_more_threads_than_blocks(monkeypatch):
+    use_cpus(monkeypatch, 3)
+    threads, buffers = set(), set()
+
+    def block(first, lo_buf, hi_buf):
+        threads.add(threading.get_ident())
+        buffers.add((id(lo_buf), id(hi_buf)))
+        assert lo_buf.shape == hi_buf.shape == (8,)
+        time.sleep(0.05)  # so that every thread takes a block
+        return first
+
+    assert graph._run_blocks(block, range(0, 70, 10), 8) == list(range(0, 70, 10))
+    assert len(threads) == 3 and len(buffers) == 3
+    threads.clear()
+    assert graph._run_blocks(block, range(2), 8) == [0, 1]
+    assert len(threads) == 2
+    threads.clear()
+    assert graph._run_blocks(block, range(1), 8) == [0]
+    assert threads == {threading.get_ident()}
+
+
+def test_every_block_runs_once_on_more_threads_than_cores_under_fast_switching(monkeypatch):
+    use_cpus(monkeypatch, 8)
+    ran, interval = [], sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = graph._run_blocks(lambda first, lo_buf, hi_buf: ran.append(first) or -first,
+                                    range(1000), 1)
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [-first for first in range(1000)]
+    assert sorted(ran) == list(range(1000))
+
+
+def test_usable_cpus_counts_the_affinity_mask_and_is_1_without_one(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    assert graph.usable_cpus() == 3
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert graph.usable_cpus() == 1
 
 
 @pytest.mark.parametrize("metric, eps", [("euclidean", 3.0), ("cosine", 2e-12)])
@@ -237,7 +374,7 @@ def test_distance_bounds_hold_in_exact_arithmetic(metric, data):
     X[-3:] = X[:3]  # duplicate rows: distance 0
     norms = graph._row_norms(X, metric)
     exact = dict(graph._distance_rows(X, norms, range(len(X))))
-    blocks = list(graph._distance_bounds(X, norms, upper=False))
+    blocks = bound_blocks(X, metric, upper=False)
     assert blocks
     for first, lo, hi in blocks:
         for r in range(len(lo)):
@@ -250,7 +387,7 @@ def test_distance_bounds_hold_in_exact_arithmetic(metric, data):
 def test_builders_use_only_exact_rows_outside_the_proven_range(metric, scale, refined_rows):
     # the bound is proven for d <= 10^6 only; beyond it every row is exact, at any scale
     X = np.random.default_rng(6).standard_normal((3, 10 ** 6 + 1))
-    assert list(graph._distance_bounds(X, graph._row_norms(X, metric), upper=True)) == []
+    assert bound_blocks(X, metric, upper=True) == []
     assert np.array_equal(knn_graph(X * scale, 1, metric).edges, knn_row_loop_edges(X, 1, metric))
     assert sorted(set(refined_rows)) == [0, 1, 2]
 
@@ -446,6 +583,37 @@ def test_normalize_matches_dense_oracle_on_random_graphs():
         assert np.array_equal(np.diag(dense), 1.0 / d_hat)
 
 
+@pytest.mark.parametrize("kind", ["random", "empty", "star"])
+def test_normalize_lays_out_the_entries_of_a_lexsort_by_row_then_column(kind):
+    rng = np.random.default_rng(12)
+    if kind == "random":
+        pairs = np.unique(np.sort(rng.integers(0, 60, size=(200, 2)), axis=1), axis=0)
+        A = SparseAdjacency(n=60, edges=pairs[pairs[:, 0] < pairs[:, 1]])
+    elif kind == "empty":
+        A = SparseAdjacency(n=7, edges=np.empty((0, 2), dtype=np.int64))
+    else:
+        A = SparseAdjacency(n=30, edges=[(0, j) for j in range(1, 30)])
+    S = normalize(A)
+    e, n, d_hat = A.edges, A.n, A.degrees() + 1.0
+    rows = np.concatenate([e[:, 0], e[:, 1], np.arange(n)])
+    cols = np.concatenate([e[:, 1], e[:, 0], np.arange(n)])
+    order = np.lexsort((cols, rows))
+    rows, cols = rows[order], cols[order]
+    assert np.array_equal(S.indices, cols)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    assert np.array_equal(S.indptr, indptr)
+    data = np.where(rows == cols, 1.0 / d_hat[rows], 1.0 / np.sqrt(d_hat[rows] * d_hat[cols]))
+    assert np.array_equal(S.data, data)
+
+
+@pytest.mark.parametrize("shape", [(3,), (), (3, 5, 1)])
+def test_matmul_rejects_an_operand_that_is_not_2d(shape):
+    S = normalize(SparseAdjacency(n=3, edges=[(0, 1)]))
+    message = re.escape(f"operand must be 2-D (n x cols), got shape {shape}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        S.matmul(np.ones(shape))
+
+
 def test_propagation_matmul_equals_dense_product():
     rng = np.random.default_rng(2)
     X = rng.standard_normal((30, 4))
@@ -626,6 +794,17 @@ def test_save_graph_format_example(tmp_path):
     path = tmp_path / "g.edges"
     save_graph(SparseAdjacency(n=3, edges=[(1, 2), (0, 1)]), path)
     assert path.read_text() == "#nodes=3\n0\t1\n1\t2\n"
+
+
+@pytest.mark.parametrize("kind", ["empty", "isolated-nodes", "knn"])
+def test_save_graph_writes_the_bytes_of_one_formatted_line_per_edge(kind, tmp_path):
+    A = {"empty": lambda: SparseAdjacency(n=4, edges=np.empty((0, 2), dtype=np.int64)),
+         "isolated-nodes": lambda: SparseAdjacency(n=12, edges=[(0, 11), (3, 7), (7, 10)]),
+         "knn": lambda: knn_graph(synth_blobs(n=300, d=4, C=3, sep=4.0, seed=2), 5)}[kind]()
+    path = tmp_path / "g.edges"
+    save_graph(A, path)
+    lines = [f"#nodes={A.n}"] + [f"{i}\t{j}" for i, j in A.edges.tolist()]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 @pytest.mark.parametrize("edges", [[(2, 3), (0, 1), (2, 3)], [(0, 1), (0, 1)],

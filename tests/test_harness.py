@@ -285,12 +285,21 @@ def test_a_sweep_without_a_graph_model_builds_no_graph(tmp_path):
         run_experiment(replace(cfg, models=["gcn", "logreg"]))
 
 
-def test_importing_the_package_does_not_import_multiprocessing():
+def imported_with_the_package(module):
+    """Whether a fresh ``import gcnbench`` imports ``module``."""
     src = os.path.dirname(os.path.dirname(harness.__file__))
-    code = "import sys, gcnbench; print('multiprocessing' in sys.modules)"
+    code = f"import sys, gcnbench; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True).stdout
-    assert out == "False\n"
+    return out == "True\n"
+
+
+def test_importing_the_package_does_not_import_multiprocessing():
+    assert not imported_with_the_package("multiprocessing")
+
+
+def test_importing_the_package_does_not_import_concurrent_futures():
+    assert not imported_with_the_package("concurrent.futures")
 
 
 def test_config_rejects_unknown_model():
