@@ -22,6 +22,7 @@ from dataclasses import asdict
 
 from .baseline import LogRegModel
 from .gcn import GcnModel, Hyperparams
+from .graph import check_type
 
 FORMAT = "model-checkpoint"
 VERSION = 1
@@ -53,8 +54,10 @@ def load_checkpoint(path):
         payload = json.load(fh)
     if not isinstance(payload, dict) or payload.get("format") != FORMAT:
         raise ValueError(f"not a model checkpoint: {path}")
-    if payload.get("version") != VERSION:
-        raise ValueError(f"unsupported checkpoint version {payload.get('version')!r}")
+    version = payload.get("version")
+    check_type("checkpoint version", version, int)
+    if version != VERSION:
+        raise ValueError(f"unsupported checkpoint version {version!r}")
     kind = payload.get("kind")
     meta = {"kind": kind, "dims": payload.get("dims"), "hyperparams": payload.get("hyperparams")}
     try:

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graph import check_type
+
 
 @dataclass
 class EmbeddingDataset:
@@ -357,6 +359,10 @@ def synth_blobs(n: int, d: int, C: int, sep: float = 6.0, seed: int = 0) -> Embe
     evenly spaced along the first axis.  Class sizes differ by at most 1
     and the ground truth is recorded.
     """
+    for name, value in (("n", n), ("d", d), ("C", C), ("seed", seed)):
+        check_type(name, value, int)
+    if not isinstance(sep, float):  # a float's range is checked below, with its own message
+        check_type("sep", sep, float)
     if C < 2:
         raise ValueError(f"need C >= 2, got {C}")
     if n < C:
@@ -392,6 +398,9 @@ def make_split(ds: EmbeddingDataset, l: int, seed: int, stratified: bool = True)
     truth and l >= C.  On a fully labeled dataset the draws are those of
     sampling from all n rows.
     """
+    check_type("l", l, int)
+    check_type("seed", seed, int)
+    check_type("stratified", stratified, bool)
     n = ds.n
     # class index per row, -1 where a row has no ground truth
     truth = None if ds.truth is None else np.array([-1 if t is None else t for t in ds.truth])

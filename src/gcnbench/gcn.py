@@ -96,6 +96,8 @@ class Gradients:
 
 def init_model(L1: int, L2: int, C: int, seed: int) -> GcnModel:
     """Glorot-uniform initialization: entries in +-sqrt(6/(fan_in+fan_out))."""
+    for name, value in (("L1", L1), ("L2", L2), ("C", C), ("seed", seed)):
+        check_type(name, value, int)
     if min(L1, L2, C) < 1:
         raise ValueError(f"dimensions must be positive, got {(L1, L2, C)}")
     rng = np.random.default_rng(seed)

@@ -486,6 +486,7 @@ def epsilon_graph(ds, eps: float, metric: str = "euclidean") -> SparseAdjacency:
 
 def full_graph(n: int) -> SparseAdjacency:
     """The complete graph on n nodes: all n(n-1)/2 edges."""
+    check_type("n", n, int)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     i, j = np.triu_indices(n, k=1)
@@ -528,8 +529,8 @@ def normalize(A: SparseAdjacency) -> PropagationMatrix:
 #
 # One edge per line as "i<TAB>j" with i < j, 0-based, lines sorted; the
 # writer always emits the #nodes header (the loader needs it whenever
-# isolated nodes exist).  load_graph reads a file of _EDGE_FILE's form in one
-# pass: 1-18 ASCII digits a number, so every number fits int64 and is read exactly.
+# isolated nodes exist).  _EDGE_FILE is the one form load_graph reads, lines in
+# any order: 1-18 ASCII digits a number, so every number fits int64 and is read exactly.
 _EDGE_FILE = re.compile(r"(?:#nodes=([0-9]{1,18})\n)?((?:[0-9]{1,18}\t[0-9]{1,18}\n)*)")
 
 
@@ -543,59 +544,49 @@ def save_graph(A: SparseAdjacency, path) -> None:
 
 
 def load_graph(path) -> SparseAdjacency:
-    """Read an edge-list file; raises on self-loops, duplicates, malformed lines.
+    """Read an edge-list file of _EDGE_FILE's form, its lines in any order; raises on any
+    other line, a self-loop, i > j or a repeated pair, naming the first bad line.
 
-    A file of _EDGE_FILE's form, its lines in any order, is parsed in one vectorized
-    pass and checked as a whole by SparseAdjacency.  Any other file, or one that
-    breaks a rule, goes through the line-by-line parser, which names the first bad line."""
+    One vectorized pass parses the longest prefix of whole lines in the form, and a file
+    that is all prefix is checked as a whole by SparseAdjacency.  Only a file that fails
+    is looked at again: its first bad line is the first prefix line that breaks i < j or
+    repeats an earlier pair, else the first line outside the form.  An endpoint outside
+    0..n-1 is SparseAdjacency's error, which names no line."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    match = _EDGE_FILE.fullmatch(text if text.endswith("\n") else text + "\n")
-    if match:
-        header, body = match.groups()
-        edges = np.fromstring(body, dtype=np.int64, sep=" ").reshape(-1, 2)
-        n = int(header) if header is not None else int(edges.max(initial=-1)) + 1
+    if not text:
+        raise ValueError("empty edge list without a #nodes header")
+    text += "" if text.endswith("\n") else "\n"
+    match = _EDGE_FILE.match(text)
+    header, body = match.groups()
+    edges = np.fromstring(body, dtype=np.int64, sep=" ").reshape(-1, 2)
+    end = match.end()
+    if end == len(text):
         try:
-            return SparseAdjacency(n=n, edges=edges)
-        except ValueError:
-            pass
-    return _parse_edge_lines(text)
-
-
-def _parse_edge_lines(text) -> SparseAdjacency:
-    """The line-by-line edge-list parser: raises on the first bad line, naming it."""
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    n = None
-    pairs = []
-    seen = set()
-    for lineno, line in enumerate(lines, start=1):
-        if line.startswith("#"):
-            if not line.startswith("#nodes=") or lineno != 1:
-                raise ValueError(f"line {lineno}: unrecognized comment {line!r}")
-            try:
-                n = int(line[len("#nodes="):])
-            except ValueError:
-                raise ValueError(f"line {lineno}: malformed #nodes header {line!r}") from None
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise ValueError(f"line {lineno}: malformed edge line {line!r}")
-        try:
-            i, j = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise ValueError(f"line {lineno}: malformed edge line {line!r}") from None
-        if i == j:
-            raise ValueError(f"line {lineno}: self-loop {i}")
-        if i > j or i < 0:
-            raise ValueError(f"line {lineno}: edge must satisfy 0 <= i < j, got {i}, {j}")
-        if (i, j) in seen:
-            raise ValueError(f"line {lineno}: duplicate edge {i} {j}")
-        seen.add((i, j))
-        pairs.append((i, j))
-    if n is None:
-        if not pairs:
-            raise ValueError("empty edge list without a #nodes header")
-        n = max(j for _, j in pairs) + 1
-    return SparseAdjacency(n=n, edges=pairs)
+            return SparseAdjacency(n=int(header) if header else int(edges.max()) + 1, edges=edges)
+        except ValueError as error:
+            fault = error
+    i, j = edges.T
+    order = np.lexsort((j, i))  # stable: of equal pairs, the earliest line comes first
+    repeats = order[1:][(edges[order[1:]] == edges[order[:-1]]).all(axis=1)]
+    k = int(np.concatenate([np.flatnonzero(i >= j), repeats]).min(initial=len(edges)))
+    if k < len(edges):
+        a, b = edges[k].tolist()
+        if a == b:
+            rule = f"self-loop {a}"
+        elif a > b:
+            rule = f"edge must satisfy 0 <= i < j, got {a}, {b}"
+        else:
+            rule = f"duplicate edge {a} {b}"
+        raise ValueError(f"line {k + 1 + (header is not None)}: {rule}")
+    if end == len(text):
+        raise fault
+    lineno = text.count("\n", 0, end) + 1
+    line = text[end:text.index("\n", end)]
+    if not line.startswith("#"):
+        kind = "malformed edge line"
+    elif lineno == 1 and line.startswith("#nodes="):
+        kind = "malformed #nodes header"
+    else:
+        kind = "unrecognized comment"
+    raise ValueError(f"line {lineno}: {kind} {line!r}")

@@ -58,12 +58,21 @@ class ConfusionCounts:
         return self.tp + self.fp + self.tn + self.fn
 
 
-def confusion_counts(pred, truth, positive: int) -> ConfusionCounts:
-    """Binarize multiclass predictions against ``positive`` and count TP/FP/TN/FN."""
-    pred = np.asarray(pred, dtype=np.int64)
-    truth = np.asarray(truth, dtype=np.int64)
+def _class_vectors(pred, truth) -> tuple[np.ndarray, np.ndarray]:
+    """pred and truth as int64 vectors of one length; a float, bool or other non-integer
+    array is a ValueError naming it, as casting would truncate it silently."""
+    pred, truth = np.asarray(pred), np.asarray(truth)
+    for name, values in (("pred", pred), ("truth", truth)):
+        if values.size and not np.issubdtype(values.dtype, np.integer):
+            raise ValueError(f"{name} must hold integer class indices, got dtype {values.dtype}")
     if pred.shape != truth.shape or pred.ndim != 1:
         raise ValueError(f"length mismatch: {pred.shape} vs {truth.shape}")
+    return pred.astype(np.int64, copy=False), truth.astype(np.int64, copy=False)
+
+
+def confusion_counts(pred, truth, positive: int) -> ConfusionCounts:
+    """Binarize multiclass predictions against ``positive`` and count TP/FP/TN/FN."""
+    pred, truth = _class_vectors(pred, truth)
     p = pred == positive
     t = truth == positive
     return ConfusionCounts(
@@ -80,10 +89,7 @@ def accuracy(pred, truth) -> float:
     For two classes this equals 100 * (TP + TN) / (TP + FP + TN + FN); the
     fraction-correct form is the standard multiclass generalization.
     """
-    pred = np.asarray(pred, dtype=np.int64)
-    truth = np.asarray(truth, dtype=np.int64)
-    if pred.shape != truth.shape or pred.ndim != 1:
-        raise ValueError(f"length mismatch: {pred.shape} vs {truth.shape}")
+    pred, truth = _class_vectors(pred, truth)
     if len(pred) == 0:
         raise ValueError("cannot score an empty prediction vector")
     return 100.0 * int((pred == truth).sum()) / len(pred)
@@ -165,8 +171,10 @@ def _check_keys(section, raw, allowed):
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Build a config from the JSON schema (version 1); unknown keys are rejected."""
     _check_keys("config", raw, _CONFIG_KEYS)
-    if raw.get("version", 1) != 1:
-        raise ValueError(f"unsupported config version {raw.get('version')!r}")
+    version = raw.get("version", 1)
+    check_type("config version", version, int)
+    if version != 1:
+        raise ValueError(f"unsupported config version {version!r}")
     dataset = _check_keys("dataset", raw.get("dataset"), {"path", "synth"})
     path, synth = dataset.get("path"), dataset.get("synth")
     given = {key: raw[key] for key in _PASSTHROUGH_KEYS if key in raw}

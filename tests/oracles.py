@@ -6,7 +6,8 @@ the row loops (one exact distance row per node, as the builders were before
 their GEMM filter) give the edge arrays the builders must match bit for bit;
 the propagation matrix is assembled from explicit dense matrices, the
 network forward pass is naive triple loops, and training recomputes the
-whole forward pass, S @ X included, every epoch.
+whole forward pass, S @ X included, every epoch.  The edge-list reader is a
+plain line-by-line parser of the stated form.
 """
 
 import math
@@ -14,6 +15,7 @@ import math
 import numpy as np
 
 from gcnbench.gcn import GcnModel, backward, forward, loss
+from gcnbench.graph import SparseAdjacency
 
 
 def _oracle_distance(a, b, metric):
@@ -166,3 +168,45 @@ def train_oracle(model, S, X, Y, labeled, hp):
         cache = forward(current, S, X)
         trace.append(objective(current, cache))
     return current, trace
+
+
+def _edge_file_number(field):
+    """A number of the edge-list form, 1-18 ASCII digits; None for any other spelling."""
+    if field.isascii() and field.isdigit() and len(field) <= 18:
+        return int(field)
+    return None
+
+
+def edge_list_oracle(text):
+    """The edge-list reader one line at a time: raises on the first bad line, naming it."""
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    n = None
+    pairs = []
+    seen = set()
+    for lineno, line in enumerate(lines, start=1):
+        if line.startswith("#"):
+            if not line.startswith("#nodes=") or lineno != 1:
+                raise ValueError(f"line {lineno}: unrecognized comment {line!r}")
+            n = _edge_file_number(line[len("#nodes="):])
+            if n is None:
+                raise ValueError(f"line {lineno}: malformed #nodes header {line!r}")
+            continue
+        fields = line.split("\t")
+        i, j = map(_edge_file_number, fields) if len(fields) == 2 else (None, None)
+        if i is None or j is None:
+            raise ValueError(f"line {lineno}: malformed edge line {line!r}")
+        if i == j:
+            raise ValueError(f"line {lineno}: self-loop {i}")
+        if i > j:
+            raise ValueError(f"line {lineno}: edge must satisfy 0 <= i < j, got {i}, {j}")
+        if (i, j) in seen:
+            raise ValueError(f"line {lineno}: duplicate edge {i} {j}")
+        seen.add((i, j))
+        pairs.append((i, j))
+    if n is None:
+        if not pairs:
+            raise ValueError("empty edge list without a #nodes header")
+        n = max(j for _, j in pairs) + 1
+    return SparseAdjacency(n=n, edges=pairs)

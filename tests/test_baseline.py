@@ -101,6 +101,10 @@ def test_train_validation_errors():
         train_logreg(np.zeros((0, 2)), [], C=2)
     with pytest.raises(ValueError):
         train_logreg(np.zeros((2, 2)), [0, 3], C=2)
+    with pytest.raises(ValueError, match="^1 labels for 2 rows$"):
+        train_logreg(np.zeros((2, 2)), [0], C=2)
+    with pytest.raises(ValueError, match="^need C >= 2, got 1$"):
+        train_logreg(np.zeros((2, 2)), [0, 0], C=1)
 
 
 def test_default_hyperparameters():

@@ -7,12 +7,12 @@ from dataclasses import asdict, replace
 import pytest
 
 from gcnbench import cli
-from gcnbench.baseline import LOGREG_DEFAULTS
+from gcnbench.baseline import LOGREG_DEFAULTS, predict_logreg
 from gcnbench.checkpoint import load_checkpoint
 from gcnbench.cli import main
-from gcnbench.dataset import load_dataset, make_split, save_dataset, synth_blobs
-from gcnbench.graph import load_graph
-from gcnbench.harness import config_from_dict, derive_seed, parse_report_csv, run_experiment
+from gcnbench.dataset import full_truth, load_dataset, make_split, save_dataset, synth_blobs
+from gcnbench.graph import full_graph, load_graph, save_graph
+from gcnbench.harness import accuracy, config_from_dict, derive_seed, parse_report_csv, run_experiment
 
 
 @pytest.fixture
@@ -54,6 +54,31 @@ def test_train_logreg_without_graph(tmp_path, blob_csv):
                  "--labeled", "9", "--epochs", "100", "--out", str(ckpt)]) == 0
     _, meta = load_checkpoint(ckpt)
     assert meta["kind"] == "logreg"
+
+
+def test_eval_scores_a_logreg_checkpoint_as_predict_logreg_does(tmp_path, blob_csv, capsys):
+    ckpt = tmp_path / "logreg.json"
+    assert main(["train", "--data", str(blob_csv), "--model", "logreg",
+                 "--labeled", "9", "--epochs", "20", "--out", str(ckpt)]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt), "--data", str(blob_csv)]) == 0
+    ds = load_dataset(blob_csv)
+    expected = accuracy(predict_logreg(load_checkpoint(ckpt)[0], ds.X), full_truth(ds))
+    assert capsys.readouterr().out == f"accuracy: {expected:.2f}% over 60 nodes\n"
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_a_graph_of_another_size_exits_1_naming_both_sizes(tmp_path, blob_csv, capsys, command):
+    edges, other, ckpt = tmp_path / "g.edges", tmp_path / "other.edges", tmp_path / "gcn.json"
+    assert main(["build-graph", "--data", str(blob_csv), "--out", str(edges)]) == 0
+    assert main(["train", "--data", str(blob_csv), "--graph", str(edges), "--model", "gcn",
+                 "--labeled", "9", "--epochs", "5", "--out", str(ckpt)]) == 0
+    save_graph(full_graph(59), other)
+    capsys.readouterr()
+    argv = {"train": ["train", "--model", "gcn", "--labeled", "9", "--out", str(tmp_path / "m.json")],
+            "eval": ["eval", "--checkpoint", str(ckpt)]}[command]
+    assert main([*argv, "--data", str(blob_csv), "--graph", str(other)]) == 1
+    assert capsys.readouterr().err == "error: graph has 59 nodes, dataset has 60\n"
 
 
 def test_train_on_partially_labeled_file(tmp_path, capsys):

@@ -372,6 +372,25 @@ def test_dataset_invariant_violations_rejected():
         EmbeddingDataset(ids=["has,comma", "b"], X=np.eye(2), C=2)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: EmbeddingDataset(ids=["a", "b"], X=np.ones(2), C=2), "X must be a 2-D matrix"),
+    (lambda: EmbeddingDataset(ids=["a", "b"], X=np.ones((2, 0)), C=2),
+     "need at least one row and one column, got shape (2, 0)"),
+    (lambda: EmbeddingDataset(ids=["a"], X=np.eye(2), C=2), "1 ids for 2 rows"),
+    (lambda: EmbeddingDataset(ids=["a", "b"], X=np.eye(2), C=2, truth=[0]), "1 truth entries for 2 rows"),
+    (lambda: LabeledSplit(labeled=[], unlabeled=[0, 1]), "labeled set must be non-empty"),
+    (lambda: LabeledSplit(labeled=[0, 2], unlabeled=[2]), "labeled and unlabeled must partition 0..n-1"),
+    (lambda: synth_blobs(n=6, d=2, C=1), "need C >= 2, got 1"),
+    (lambda: synth_blobs(n=6, d=0, C=2), "need d >= 1, got 0"),
+    (lambda: labeled_classes(EmbeddingDataset(ids=["a", "b"], X=np.eye(2), C=2),
+                             LabeledSplit(labeled=[0], unlabeled=[1])), "dataset has no ground truth"),
+], ids=["x-1d", "x-no-columns", "ids-length", "truth-length", "split-empty", "split-not-partition",
+        "synth-one-class", "synth-no-dimension", "labeled-classes-no-truth"])
+def test_dataset_values_name_each_fault(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 # --- the sidecar: a load's parse, kept next to the CSV -------------------------
 
 

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -393,6 +396,27 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
     path.write_text('{"hello": 1}', encoding="utf-8")
     with pytest.raises(ValueError, match="not a model checkpoint"):
         load_checkpoint(path)
+    save_checkpoint(init_model(3, 2, 2, seed=0), path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    path.write_text(json.dumps({**payload, "kind": "svm"}), encoding="utf-8")
+    with pytest.raises(ValueError, match="^unknown checkpoint kind 'svm'$"):
+        load_checkpoint(path)
+    with pytest.raises(ValueError, match="^cannot checkpoint dict$"):
+        save_checkpoint({"theta1": [[1.0]]}, tmp_path / "dict.json")
+    assert not (tmp_path / "dict.json").exists()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: GcnModel(theta1=np.ones(3), theta2=np.ones((3, 2))), "parameter matrices must be 2-D"),
+    (lambda: GcnModel(theta1=np.ones((3, 4)), theta2=np.ones(4)), "parameter matrices must be 2-D"),
+    (lambda: GcnModel(theta1=np.ones((3, 4)), theta2=np.ones((5, 2))),
+     "shape mismatch: theta1 is (3, 4), theta2 is (5, 2)"),
+    (lambda: init_model(3, 0, 2, seed=0), "dimensions must be positive, got (3, 0, 2)"),
+    (lambda: init_model(0, 4, 2, seed=0), "dimensions must be positive, got (0, 4, 2)"),
+], ids=["theta1-1d", "theta2-1d", "shape-mismatch", "init-no-hidden", "init-no-input"])
+def test_model_shapes_name_each_fault(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_hyperparams_validation():

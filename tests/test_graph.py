@@ -27,6 +27,7 @@ from gcnbench.graph import (
     save_graph,
 )
 from oracles import (
+    edge_list_oracle,
     epsilon_oracle_edges,
     epsilon_row_loop_edges,
     knn_oracle_edges,
@@ -450,6 +451,16 @@ def test_builders_reject_non_finite_features(build, value):
         build(X)
 
 
+@pytest.mark.parametrize("build", [
+    lambda X: knn_graph(X, 2),
+    lambda X: epsilon_graph(X, 1.0),
+    lambda X: build_graph(X, GraphBuildConfig(method="full")),
+], ids=["knn", "epsilon", "full"])
+def test_builders_reject_features_that_are_not_a_matrix(build):
+    with pytest.raises(ValueError, match="^expected a 2-D feature matrix$"):
+        build(np.arange(6.0))
+
+
 @pytest.mark.parametrize("scale", [1e160, 1e307, 1e-300])
 @pytest.mark.parametrize("build", [
     lambda X: knn_graph(X, 5, "cosine"),
@@ -530,6 +541,8 @@ def test_euclidean_features_transient_is_about_one_matrix():
 def test_epsilon_graph_needs_a_node():
     with pytest.raises(ValueError, match="need n >= 1"):
         epsilon_graph(np.empty((0, 3)), 1.0)
+    with pytest.raises(ValueError, match="^need n >= 1, got 0$"):
+        full_graph(0)
 
 
 @pytest.mark.parametrize("n,expected", [(1, 0), (2, 1), (3, 3), (6, 15)])
@@ -612,6 +625,14 @@ def test_matmul_rejects_an_operand_that_is_not_2d(shape):
     message = re.escape(f"operand must be 2-D (n x cols), got shape {shape}")
     with pytest.raises(ValueError, match=f"^{message}$"):
         S.matmul(np.ones(shape))
+
+
+def test_matmul_rejects_an_operand_with_the_wrong_row_count():
+    S = normalize(SparseAdjacency(n=3, edges=[(0, 1)]))
+    with pytest.raises(ValueError, match=r"^operand has 4 rows, matrix is 3x3$"):
+        S.matmul(np.ones((4, 2)))
+    with pytest.raises(ValueError, match=r"^operand has 4 rows, matrix is 2x3$"):
+        S.take_rows([2, 0]).matmul(np.ones((4, 2)))
 
 
 def test_propagation_matmul_equals_dense_product():
@@ -848,36 +869,54 @@ def read_outcome(parse):
     "0\t1\n2\t5",                   # no header, no final newline
     "#nodes=6\n",                     # header alone
     "#nodes=6\n2\t5\n0\t1\n",     # unsorted
-    "#nodes=06\n 0\t+1\n2\t0005\n",  # spellings int() accepts
+    "#nodes=06\n0\t1\n2\t0005\n",  # leading zeros, 1-18 digits a number
+    "#nodes=06\n 0\t+1\n2\t0005\n",  # spellings int() accepts, outside the form
     "#nodes=6\n2\t5\n0\t1\n1\t4\n0\t3\n",  # shuffled lines
     "2\t5\n0\t1\n1\t4\n",              # no header, shuffled
     "#nodes=6\n0\t1\n2\t5",          # no final newline
     "#nodes=6",                          # header alone, no final newline
     "#nodes=6\n0\t1\n2\t0000000000000000005\n",  # a 19-digit endpoint
-    "#nodes=6\n0\t1\n5\t9\x1c\n",    # a control character int() does not strip
-    "#nodes=6\n0\t1\n2\t\u0665\n",  # a non-ASCII digit, which int() reads as 5
+    "#nodes=6\n0\t1\n5\t9\x1c\n",    # a control character
+    "#nodes=6\n0\t1\n2\t\u0665\n",  # a non-ASCII digit
     "#nodes=6\n2\t5\n0\t1\n2\t5\n",  # a duplicate out of order: the line is named
 ])
 def test_load_graph_reads_what_the_line_parser_reads(tmp_path, text):
     path = tmp_path / "g.edges"
     path.write_text(text, encoding="utf-8")
-    expected = read_outcome(lambda: graph._parse_edge_lines(text))
+    expected = read_outcome(lambda: edge_list_oracle(text))
     assert read_outcome(lambda: load_graph(path)) == expected
     assert isinstance(expected, str) or expected[0] == 6
 
 
-def test_load_graph_reads_a_shuffled_writer_file_in_one_pass(tmp_path, monkeypatch):
+@pytest.mark.parametrize("text, message", [
+    ("#nodes=6\n0\t1\n2\t+5\n", "line 3: malformed edge line '2\\t+5'"),
+    ("#nodes=6\n0\t1\n 2\t5\n", "line 3: malformed edge line ' 2\\t5'"),
+    ("#nodes=6\n0\t1\n2\t5 \n", "line 3: malformed edge line '2\\t5 '"),
+    ("#nodes=20\n0\t1\n2\t1_0\n", "line 3: malformed edge line '2\\t1_0'"),
+    ("#nodes=6\n0\t1\n2\t\u0665\n", "line 3: malformed edge line '2\\t\u0665'"),
+    ("#nodes=6\n0\t1\n-1\t5\n", "line 3: malformed edge line '-1\\t5'"),
+    ("#nodes=6\n0\t1\n2\t0000000000000000005\n",
+     "line 3: malformed edge line '2\\t0000000000000000005'"),
+    ("#nodes=+6\n0\t1\n", "line 1: malformed #nodes header '#nodes=+6'"),
+    ("#nodes= 6\n0\t1\n", "line 1: malformed #nodes header '#nodes= 6'"),
+], ids=["sign", "leading-space", "trailing-space", "underscore", "non-ascii-digit", "negative",
+        "19-digits", "header-sign", "header-space"])
+def test_load_graph_rejects_spellings_outside_the_form(tmp_path, text, message):
+    path = tmp_path / "g.edges"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        load_graph(path)
+    assert str(info.value) == message
+    assert read_outcome(lambda: edge_list_oracle(text)) == message
+
+
+def test_load_graph_reads_a_shuffled_writer_file_in_one_pass(tmp_path):
     A = knn_graph(synth_blobs(n=300, d=4, C=3, sep=2.0, seed=1), 5)
     path = tmp_path / "knn.edges"
     save_graph(A, path)
     header, *lines = path.read_text(encoding="utf-8").splitlines()
     order = np.random.default_rng(0).permutation(len(lines))
     path.write_text("\n".join([header] + [lines[i] for i in order]) + "\n", encoding="utf-8")
-
-    def line_by_line(text):
-        raise AssertionError("the file went through the line parser")
-
-    monkeypatch.setattr(graph, "_parse_edge_lines", line_by_line)
     loaded = load_graph(path)
     assert loaded.n == A.n and np.array_equal(loaded.edges, A.edges)
 
@@ -906,7 +945,7 @@ def test_load_graph_rejects_bad_files(tmp_path):
         "malformed.edges": ("#nodes=4\n0 1\n", "malformed"),
         "order.edges": ("#nodes=4\n2\t1\n", "i < j"),
         "range.edges": ("#nodes=2\n0\t5\n", "outside"),
-        "huge.edges": ("#nodes=2\n0\t99999999999999999999\n", "outside"),
+        "huge.edges": ("#nodes=2\n0\t99999999999999999999\n", "^line 2: malformed edge line"),
         "empty.edges": ("", "^empty edge list without a #nodes header$"),
     }
     for name, (text, message) in cases.items():

@@ -1,3 +1,4 @@
+import json
 import multiprocessing
 import os
 import signal
@@ -11,10 +12,10 @@ import pytest
 
 from gcnbench import harness
 from gcnbench.baseline import train_logreg
-from gcnbench.checkpoint import save_checkpoint
+from gcnbench.checkpoint import load_checkpoint, save_checkpoint
 from gcnbench.dataset import EmbeddingDataset, build_label_matrix, full_truth, make_split, save_dataset, synth_blobs
 from gcnbench.gcn import Hyperparams, forward, init_model, predict, train
-from gcnbench.graph import GraphBuildConfig, PropagationMatrix, knn_graph, normalize
+from gcnbench.graph import GraphBuildConfig, PropagationMatrix, full_graph, knn_graph, normalize
 from gcnbench.harness import (
     CellResult,
     EvalReport,
@@ -89,6 +90,23 @@ def test_accuracy_simple_cases():
     assert accuracy([0, 0, 4, 3, 2, 1, 1, 2, 3, 0], [0, 0, 4, 3, 2, 1, 0, 0, 0, 0]) == 70.0
     with pytest.raises(ValueError):
         accuracy([], [])
+    with pytest.raises(ValueError, match=r"^length mismatch: \(2,\) vs \(1,\)$"):
+        accuracy([0, 1], [0])
+    # any integer dtype is read exactly
+    assert accuracy(np.array([0, 1, 2], dtype=np.uint8), np.array([0, 1, 1], dtype=np.int32)) == 200 / 3
+
+
+@pytest.mark.parametrize("pred, truth, name", [
+    ([0.9, 1.7], [0, 1], "pred"),
+    ([0, 1], [0.0, 1.0], "truth"),
+    ([True, False], [1, 0], "pred"),
+    ([1, 0], np.array([True, False]), "truth"),
+    (["0", "1"], [0, 1], "pred"),
+], ids=["pred-float", "truth-float", "pred-bool", "truth-bool", "pred-str"])
+def test_scores_reject_class_vectors_that_are_not_integers(pred, truth, name):
+    for score in (accuracy, lambda p, t: confusion_counts(p, t, positive=1)):
+        with pytest.raises(ValueError, match=f"^{name} must hold integer class indices, got dtype"):
+            score(pred, truth)
 
 
 def test_binary_accuracy_equals_confusion_formula_exactly():
@@ -451,6 +469,8 @@ def test_parse_report_csv_names_a_malformed_report(text, message):
 def test_render_rejects_empty_or_unknown():
     with pytest.raises(ValueError):
         render_report(EvalReport(rows=[]), "csv")
+    with pytest.raises(ValueError, match="^cannot render an empty report$"):
+        aggregate_csv(EvalReport(rows=[]))
     report = EvalReport(rows=[CellResult("gcn", 5, 0, 1, 50.0, 1.0)])
     with pytest.raises(ValueError):
         render_report(report, "yaml")
@@ -558,3 +578,46 @@ def test_synth_spec_without_sep_matches_cli_synth_default(tmp_path):
     assert main(["synth", "--n", "60", "--d", "4", "--classes", "3", "--out", str(path)]) == 0
     cfg = config_from_dict({"dataset": {"synth": {"n": 60, "d": 4, "classes": 3}}, "budgets": [9]})
     assert np.array_equal(_config_dataset(cfg).X, load_dataset(path).X)
+
+
+def checkpoint_of_version(tmp_path, version):
+    path = tmp_path / "model.json"
+    save_checkpoint(init_model(3, 2, 2, seed=0), path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    path.write_text(json.dumps({**payload, "version": version}), encoding="utf-8")
+    return load_checkpoint(path)
+
+
+def blobs():
+    return synth_blobs(n=30, d=3, C=3, seed=0)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda tmp: synth_blobs(n=30.0, d=3, C=3), "n"),
+    (lambda tmp: synth_blobs(n=30, d=True, C=3), "d"),
+    (lambda tmp: synth_blobs(n=30, d=3, C=np.float64(3)), "C"),
+    (lambda tmp: synth_blobs(n=30, d=3, C=3, seed=1.5), "seed"),
+    (lambda tmp: synth_blobs(n=30, d=3, C=3, sep=True), "sep"),
+    (lambda tmp: synth_blobs(n=30, d=3, C=3, sep="6"), "sep"),
+    (lambda tmp: make_split(blobs(), 6.0, 0), "l"),
+    (lambda tmp: make_split(blobs(), 6, 1.5), "seed"),
+    (lambda tmp: make_split(blobs(), 6, 0, stratified=1), "stratified"),
+    (lambda tmp: init_model(3.0, 4, 3, 0), "L1"),
+    (lambda tmp: init_model(3, True, 3, 0), "L2"),
+    (lambda tmp: init_model(3, 4, "3", 0), "C"),
+    (lambda tmp: init_model(3, 4, 3, 0.5), "seed"),
+    (lambda tmp: full_graph("3"), "n"),
+    (lambda tmp: config_from_dict({"version": True, "dataset": {"path": "x.csv"}, "budgets": [5]}),
+     "config version"),
+    (lambda tmp: config_from_dict({"version": 1.0, "dataset": {"path": "x.csv"}, "budgets": [5]}),
+     "config version"),
+    (lambda tmp: checkpoint_of_version(tmp, True), "checkpoint version"),
+    (lambda tmp: checkpoint_of_version(tmp, 1.0), "checkpoint version"),
+], ids=["synth-n-float", "synth-d-bool", "synth-c-numpy-float", "synth-seed-float", "synth-sep-bool",
+        "synth-sep-str", "split-l-float", "split-seed-float", "split-stratified-int",
+        "init-l1-float", "init-l2-bool", "init-c-str", "init-seed-float", "full-n-str",
+        "config-version-bool", "config-version-float", "checkpoint-version-bool",
+        "checkpoint-version-float"])
+def test_library_counts_and_seeds_are_type_checked(tmp_path, call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        call(tmp_path)

@@ -3,11 +3,12 @@
 Every writer is byte-stable (write, read, write again gives the same bytes
 and the same values, bit for bit), and every reader turns a damaged file
 into a ValueError and never into another exception.  The vectorized
-edge-list reader gives the line-by-line parser's graph or message.  Training, which
-propagates only the rows the loss and gradients depend on, is bit-identical
-to the full-graph oracle loop.  Relabelling the nodes relabels the whole
-pipeline: edges, propagation matrix and network output.  The examples are
-derandomized, so the suite stays deterministic.
+edge-list reader gives the graph or message of the line-by-line oracle of
+its one form.  Training, which propagates only the rows the loss and
+gradients depend on, is bit-identical to the full-graph oracle loop.
+Relabelling the nodes relabels the whole pipeline: edges, propagation
+matrix and network output.  The examples are derandomized, so the suite
+stays deterministic.
 """
 
 import hashlib
@@ -25,7 +26,6 @@ from gcnbench.gcn import GcnModel, Hyperparams, forward, init_model, train
 from gcnbench.graph import (
     METRICS,
     SparseAdjacency,
-    _parse_edge_lines,
     epsilon_graph,
     knn_graph,
     load_graph,
@@ -41,7 +41,7 @@ from gcnbench.harness import (
     predict_nodes,
     render_report,
 )
-from oracles import train_oracle
+from oracles import edge_list_oracle, train_oracle
 
 # tmp_path is shared by the examples of one test; each example overwrites its files
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=100,
@@ -231,9 +231,9 @@ def test_checkpoint_round_trip(tmp_path, model, hp):
 
 
 # Byte edits biased toward the characters and tokens the readers give meaning to.
-TOKENS = [b"", b",", b"\n", b"\r", b"\t", b"#", b"-", b"0", b"1", b"7", b"e", b".", b" ", b"nan",
-          b"inf", b"-1", b"99999999999999999999", b"#classes=", b"#nodes=", b"label", b"id",
-          b"x", b"\xff", b"{", b"]", b'"', b"null"]
+TOKENS = [b"", b",", b"\n", b"\r", b"\t", b"#", b"-", b"+", b"_", b"0", b"1", b"7", b"e", b".", b" ",
+          b"nan", b"inf", b"-1", b"99999999999999999999", "\u0665".encode(), b"#classes=", b"#nodes=",
+          b"label", b"id", b"x", b"\xff", b"{", b"]", b'"', b"null"]
 EDITS = st.lists(st.tuples(st.integers(0), st.integers(0, 4),
                            st.sampled_from(TOKENS) | st.binary(max_size=3)), min_size=1, max_size=3)
 
@@ -305,7 +305,7 @@ def test_damaged_edge_list_reads_as_the_line_parser_reads_it(tmp_path, sample, e
         text = path.read_text(encoding="utf-8")
     except ValueError:
         return
-    assert parse_outcome(load_graph, path) == parse_outcome(lambda _: _parse_edge_lines(text), path)
+    assert parse_outcome(load_graph, path) == parse_outcome(lambda _: edge_list_oracle(text), path)
 
 
 JSON_VALUES = st.recursive(
