@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gcn import Hyperparams, log_softmax, softmax
+from .gcn import Hyperparams, _cross_entropy, _descend
 
 LOGREG_DEFAULTS = Hyperparams(lr=0.5, epochs=500, weight_decay=1e-4)
 
@@ -43,12 +43,9 @@ def logreg_loss_grad(W, b, X, y, weight_decay: float = 0.0):
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     l = len(y)
-    logits = X @ W + b
-    log_p = log_softmax(logits)
-    value = -float(log_p[np.arange(l), y].mean()) + 0.5 * weight_decay * float((W ** 2).sum())
-    G = softmax(logits)
-    G[np.arange(l), y] -= 1.0
+    value, G = _cross_entropy(X @ W + b, np.eye(W.shape[1])[y])
     G /= l
+    value = value / l + 0.5 * weight_decay * float((W ** 2).sum())
     return value, X.T @ G + weight_decay * W, G.sum(axis=0)
 
 
@@ -68,19 +65,12 @@ def train_logreg(X_l, y_l, C: int, hp: Hyperparams = LOGREG_DEFAULTS) -> tuple[L
         raise ValueError(f"need C >= 2, got {C}")
     if y_l.min() < 0 or y_l.max() >= C:
         raise ValueError(f"class index outside [0, {C})")
-    W = np.zeros((X_l.shape[1], C))
-    b = np.zeros(C)
-    # an overflow here ends as a non-finite loss, which raises below
-    with np.errstate(over="ignore", invalid="ignore"):
-        value, g_W, g_b = logreg_loss_grad(W, b, X_l, y_l, hp.weight_decay)
-        trace = [value]
-        for epoch in range(hp.epochs):
-            W = W - hp.lr * g_W
-            b = b - hp.lr * g_b
-            value, g_W, g_b = logreg_loss_grad(W, b, X_l, y_l, hp.weight_decay)
-            trace.append(value)
-            if not np.isfinite(value):
-                raise ValueError(f"training diverged: non-finite loss at epoch {epoch + 1}")
+
+    def objective(params):
+        value, g_W, g_b = logreg_loss_grad(*params, X_l, y_l, hp.weight_decay)
+        return value, lambda: (g_W, g_b)
+
+    (W, b), trace = _descend((np.zeros((X_l.shape[1], C)), np.zeros(C)), objective, hp)
     return LogRegModel(W=W, b=b), trace
 
 

@@ -197,22 +197,21 @@ def _targets(Y, labeled, n: int, C: int) -> tuple[np.ndarray, np.ndarray]:
 def loss(cache: ForwardCache, Y, labeled) -> float:
     """Cross-entropy summed over labeled rows; unlabeled rows contribute nothing.
     Y is n x C like cache.A2, and labeled distinct row indices (see _targets)."""
-    return _loss(cache, *_targets(Y, labeled, *cache.A2.shape))
+    y, labeled = _targets(Y, labeled, *cache.A2.shape)
+    return _cross_entropy(cache.A2[labeled], y[labeled])[0]
 
 
-def _loss(cache: ForwardCache, y: np.ndarray, labeled: np.ndarray) -> float:
-    """loss() without its checks."""
-    if len(labeled) == 0:
-        return 0.0
-    log_z = log_softmax(cache.A2[labeled])
-    return float(-(y[labeled] * log_z).sum())
+def _cross_entropy(logits: np.ndarray, Y: np.ndarray) -> tuple[float, np.ndarray]:
+    """Softmax cross-entropy of logits against Y summed over rows (0.0 for none), and its
+    gradient by the logits, softmax(logits) - Y, for rows of Y that sum to 1."""
+    return float((Y * -log_softmax(logits)).sum()), softmax(logits) - Y
 
 
 def backward(model: GcnModel, S: PropagationMatrix, X, cache: ForwardCache, Y, labeled,
              weight_decay: float = 0.0) -> Gradients:
     """Analytic gradients of the masked cross-entropy by the chain rule.
 
-    G2 = (Z - Y) on labeled rows and 0 elsewhere; g_theta2 = SH1^T @ G2.
+    G2 = (softmax(A2) - Y) = (Z - Y) on labeled rows and 0 elsewhere; g_theta2 = SH1^T @ G2.
     G1 = (S @ (G2 @ theta2^T)) masked by the ReLU indicator A1 > 0
     (S is symmetric, so no transpose is needed); g_theta1 = SX^T @ G1.
     With weight decay, wd * theta is added to each gradient, matching the
@@ -222,22 +221,25 @@ def backward(model: GcnModel, S: PropagationMatrix, X, cache: ForwardCache, Y, l
     L1, L2, C = model.dims
     if cache.Z.shape != (S.n, C) or cache.A1.shape != (S.n, L2) or X.shape != (S.n, L1):
         raise ValueError("cache does not match this model/graph/feature combination")
-    return _gradients(model, S, cache, *_targets(Y, labeled, S.n, C), weight_decay)
+    y, labeled = _targets(Y, labeled, S.n, C)
+    G_L = _cross_entropy(cache.A2[labeled], y[labeled])[1]
+    return Gradients(*_gradients(model, S, cache, G_L, labeled, weight_decay))
 
 
-def _gradients(model: GcnModel, S1: PropagationMatrix, cache: ForwardCache, y: np.ndarray,
-               labeled: np.ndarray, weight_decay: float) -> Gradients:
-    """backward() without its checks; G1 is propagated only on S1's rows (S or a cut), which
-    must hold every row of S that touches a labeled row, or G1 loses entries."""
-    G2 = np.zeros_like(cache.Z)
-    G2[labeled] = cache.Z[labeled] - y[labeled]
+def _gradients(model: GcnModel, S1: PropagationMatrix, cache: ForwardCache, G_L: np.ndarray,
+               labeled: np.ndarray, weight_decay: float) -> tuple[np.ndarray, np.ndarray]:
+    """backward() without its checks, from G_L = the loss gradient by A2[labeled], as a
+    tuple.  G1 is propagated only on S1's rows (S or a cut), which must hold every row of S
+    that touches a labeled row, or G1 loses entries."""
+    G2 = np.zeros_like(cache.A2)
+    G2[labeled] = G_L
     g_theta2 = cache.SH1.T @ G2
     G1 = _propagate(S1, G2 @ model.theta2.T) * (cache.A1 > 0)
     g_theta1 = cache.SX.T @ G1
     if weight_decay > 0:
         g_theta1 = g_theta1 + weight_decay * model.theta1
         g_theta2 = g_theta2 + weight_decay * model.theta2
-    return Gradients(g_theta1=g_theta1, g_theta2=g_theta2)
+    return g_theta1, g_theta2
 
 
 def train(model: GcnModel, S: PropagationMatrix, X, Y, labeled,
@@ -267,7 +269,6 @@ def _train(model: GcnModel, S: PropagationMatrix, SX: np.ndarray, Y, labeled,
            hp: Hyperparams) -> tuple[GcnModel, list[float]]:
     """train() from an already propagated SX = S @ X, which the caller may reuse to predict."""
     y, labeled = _targets(Y, labeled, S.n, model.dims[2])
-    current = GcnModel(theta1=model.theta1.copy(), theta2=model.theta2.copy())
     wd = hp.weight_decay
     S_L = S.take_rows(labeled)
     # N1: S is symmetric, so the rows that touch L are the columns of L's rows
@@ -279,27 +280,35 @@ def _train(model: GcnModel, S: PropagationMatrix, SX: np.ndarray, Y, labeled,
     per_row = np.diff(np.concatenate([[0], np.cumsum(hits)])[S_N1.indptr])
     S_N1 = S_N1.take_entries(hits | np.repeat(per_row > 2, np.diff(S_N1.indptr)))
 
+    def objective(params):
+        current = GcnModel(*params)
+        cache = _layers(current, S_L, SX)
+        value, G_L = _cross_entropy(cache.A2[labeled], y[labeled])
+        if wd > 0:
+            value += 0.5 * wd * sum(float((p ** 2).sum()) for p in params)
+        return value, lambda: _gradients(current, S_N1, cache, G_L, labeled, wd)
+
+    params, trace = _descend((model.theta1.copy(), model.theta2.copy()), objective, hp)
+    return GcnModel(*params), trace
+
+
+def _descend(params: tuple, objective, hp: Hyperparams) -> tuple[tuple, list[float]]:
+    """Full-batch descent of every model: hp.epochs steps of p <- p - lr * g for each array p.
+    objective(params) returns (value, gradients); gradients(), one g per p, is called only
+    before a step.  Returns the final params and the epochs+1 values, the initial first."""
     trace = []
-    # an overflow here ends as a non-finite parameter or objective, which raises below
+    # an overflow here ends as a non-finite parameter or value, which raises below
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(hp.epochs + 1):
             if epoch:
-                grads = _gradients(current, S_N1, cache, y, labeled, wd)
-                t1 = current.theta1 - hp.lr * grads.g_theta1
-                t2 = current.theta2 - hp.lr * grads.g_theta2
-                if not (np.isfinite(t1).all() and np.isfinite(t2).all()):
+                params = tuple(p - hp.lr * g for p, g in zip(params, gradients()))
+                if not all(np.isfinite(p).all() for p in params):
                     raise ValueError(f"training diverged: non-finite parameters at epoch {epoch}")
-                # t1, t2 keep their shapes and were just checked finite: no new GcnModel
-                current.theta1, current.theta2 = t1, t2
-            cache = _layers(current, S_L, SX)
-            value = _loss(cache, y, labeled)
-            if wd > 0:
-                value += 0.5 * wd * (float((current.theta1 ** 2).sum())
-                                     + float((current.theta2 ** 2).sum()))
+            value, gradients = objective(params)
             trace.append(value)
             if not np.isfinite(value):
                 raise ValueError(f"training diverged: non-finite loss at epoch {epoch}")
-    return current, trace
+    return params, trace
 
 
 def _train_predict(model: GcnModel, S: PropagationMatrix, X, Y, labeled,
