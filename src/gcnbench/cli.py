@@ -111,11 +111,11 @@ def _inputs(args, model_name, task):
 
 
 def _cmd_train(args):
-    if args.model != "gcn" and (args.hidden is not None or args.model_seed is not None):
+    given = _given(lr=args.lr, epochs=args.epochs, weight_decay=args.weight_decay,
+                   hidden=args.hidden, seed=args.model_seed)
+    if not given.keys() <= harness._HP_KEYS[args.model]:
         raise ValueError("--hidden and --model-seed apply only to --model gcn")
-    hp = replace(harness.DEFAULT_HYPERPARAMS[args.model],
-                 **_given(lr=args.lr, epochs=args.epochs, weight_decay=args.weight_decay,
-                          hidden=args.hidden, seed=args.model_seed))
+    hp = replace(harness.DEFAULT_HYPERPARAMS[args.model], **given)
     ds, S = _inputs(args, args.model, "gcn training")
     split = make_split(ds, args.labeled, seed=args.seed, stratified=not args.uniform)
     trained, trace, pred = harness.fit_predict(args.model, ds, S, split, hp)

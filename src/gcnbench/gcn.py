@@ -143,11 +143,14 @@ def forward(model: GcnModel, S: PropagationMatrix, X) -> ForwardCache:
 
 
 def _features(model: GcnModel, S: PropagationMatrix, X) -> np.ndarray:
-    """X as float64, checked to hold one row per node of S and one column per model input."""
+    """X as float64, checked to be finite and to hold one row per node of S and one column
+    per model input."""
     X = np.asarray(X, dtype=np.float64)
     L1, _, _ = model.dims
     if X.ndim != 2 or X.shape != (S.n, L1):
         raise ValueError(f"X must be {S.n}x{L1}, got {X.shape}")
+    if not np.isfinite(X).all():
+        raise ValueError("X must be finite")
     return X
 
 
@@ -175,12 +178,14 @@ def _layers(model: GcnModel, S2: PropagationMatrix, SX: np.ndarray) -> ForwardCa
 
 
 def _targets(Y, labeled, n: int, C: int) -> tuple[np.ndarray, np.ndarray]:
-    """(Y, labeled) as a float64 n x C matrix and int64 row indices, checked: labeled holds
+    """(Y, labeled) as a finite float64 n x C matrix and int64 row indices, checked: labeled holds
     distinct integers in 0..n-1, so no index is truncated, wraps around or counts twice.
     An empty labeled set is valid."""
     y = np.asarray(Y, dtype=np.float64)
     if y.shape != (n, C):
         raise ValueError(f"Y must be {n}x{C}, got {y.shape}")
+    if not np.isfinite(y).all():
+        raise ValueError("Y must be finite")
     rows = np.asarray(labeled)
     if rows.ndim != 1 or (rows.size and rows.dtype.kind not in "iu"):
         raise ValueError(f"labeled must be 1-D integer row indices, got {rows.ndim}-D {rows.dtype}")

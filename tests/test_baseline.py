@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,70 @@ def test_train_validation_errors():
         train_logreg(np.zeros((2, 2)), [0], C=2)
     with pytest.raises(ValueError, match="^need C >= 2, got 1$"):
         train_logreg(np.zeros((2, 2)), [0, 0], C=1)
+
+
+def _stepwise_logreg(X, y, C, hp):
+    """train_logreg's descent restated with its own loop and its own softmax and P - onehot
+    arithmetic: the W and b that the shared loop must reproduce bit for bit."""
+    W, b = np.zeros((X.shape[1], C)), np.zeros(C)
+    for _ in range(hp.epochs):
+        logits = X @ W + b
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        G = e / e.sum(axis=1, keepdims=True)
+        G[np.arange(len(y)), y] -= 1.0
+        G /= len(y)
+        W, b = W - hp.lr * (X.T @ G + hp.weight_decay * W), b - hp.lr * G.sum(axis=0)
+    return W, b
+
+
+@pytest.mark.parametrize("l, d, C, lr, weight_decay", [
+    (1, 3, 2, 0.5, 0.0),
+    (7, 4, 3, 0.5, 1e-4),
+    (20, 9, 5, 1.0, 0.01),
+    (50, 32, 10, 0.5, 1e-4),
+    (13, 2, 4, 2.0, 0.5),
+])
+def test_fit_is_bit_identical_to_a_stepwise_restatement(l, d, C, lr, weight_decay):
+    rng = np.random.default_rng(l * d * C)
+    X, y = rng.standard_normal((l, d)) * 2.0, rng.integers(0, C, size=l)
+    hp = Hyperparams(lr=lr, epochs=40, weight_decay=weight_decay)
+    model, trace = train_logreg(X, y, C, hp)
+    W, b = _stepwise_logreg(X, y, C, hp)
+    assert np.array_equal(model.W, W) and np.array_equal(model.b, b)
+    X_new = rng.standard_normal((30, d))
+    assert np.array_equal(predict_logreg(model, X_new), np.argmax(X_new @ W + b, axis=1))
+    assert len(trace) == 41 and trace[-1] == logreg_loss_grad(W, b, X, y, weight_decay)[0]
+
+
+def test_lr_zero_keeps_the_zero_model_and_a_constant_trace():
+    X = np.array([[1.0, 2.0], [3.0, -1.0], [0.5, 0.5]])
+    model, trace = train_logreg(X, [0, 1, 2], C=3, hp=Hyperparams(lr=0.0, epochs=5))
+    assert np.array_equal(model.W, np.zeros((2, 3))) and np.array_equal(model.b, np.zeros(3))
+    assert trace == [trace[0]] * 6 and abs(trace[0] - np.log(3.0)) <= 1e-15
+
+
+def test_divergence_names_the_epoch_of_non_finite_parameters():
+    # the first step overflows W to inf; its loss would be NaN only after that
+    X = np.random.default_rng(8).standard_normal((6, 3)) * 1e200
+    with pytest.raises(ValueError, match="^training diverged: non-finite parameters at epoch 1$"):
+        train_logreg(X, [0, 1, 2, 0, 1, 2], C=3, hp=Hyperparams(lr=1e200, epochs=5))
+
+
+@pytest.mark.parametrize("X_l, y_l, C, message", [
+    ([[0.0], [1.0]], [0.9, 1.7], 2, "y_l must be a vector of integer class indices, got 1-D float64"),
+    ([[0.0], [1.0]], [True, False], 2, "y_l must be a vector of integer class indices, got 1-D bool"),
+    ([[0.0], [1.0]], ["0", "1"], 2, "y_l must be a vector of integer class indices, got 1-D <U1"),
+    ([[0.0], [1.0]], [[0], [1]], 2, "y_l must be a vector of integer class indices, got 2-D int64"),
+    ([[0.0], [1.0]], [0, 1], 2.5, "C must be an integer, got 2.5"),
+    ([[0.0], [1.0]], [0, 1], "3", "C must be an integer, got '3'"),
+    ([[0.0], [np.nan]], [0, 1], 2, "X_l must be finite"),
+    ([[0.0], [np.inf]], [0, 1], 2, "X_l must be finite"),
+], ids=["float-labels", "bool-labels", "string-labels", "2-d-labels", "float-C", "string-C",
+        "nan-X", "inf-X"])
+def test_malformed_inputs_are_named_errors(X_l, y_l, C, message):
+    # each once trained on truncated labels, failed inside NumPy or read as a diverged fit
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        train_logreg(X_l, y_l, C, Hyperparams(epochs=3))
 
 
 def test_default_hyperparameters():

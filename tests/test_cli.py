@@ -6,7 +6,7 @@ from dataclasses import asdict, replace
 
 import pytest
 
-from gcnbench import cli
+from gcnbench import cli, harness
 from gcnbench.baseline import LOGREG_DEFAULTS, predict_logreg
 from gcnbench.checkpoint import load_checkpoint
 from gcnbench.cli import main
@@ -126,6 +126,17 @@ def test_train_logreg_rejects_gcn_only_flags(tmp_path, blob_csv, capsys, flags):
     assert code == 1
     assert capsys.readouterr().err == "error: --hidden and --model-seed apply only to --model gcn\n"
     assert not ckpt.exists()
+
+
+def test_the_gcn_only_flags_follow_the_hyperparameters_each_model_reads(
+        tmp_path, blob_csv, monkeypatch):
+    # a model whose keys include hidden and seed takes both flags, with no edit to the CLI
+    monkeypatch.setitem(harness._HP_KEYS, "logreg", harness._HP_KEYS["gcn"])
+    ckpt = tmp_path / "logreg.json"
+    assert main(["train", "--data", str(blob_csv), "--model", "logreg", "--labeled", "9",
+                 "--epochs", "5", "--hidden", "64", "--model-seed", "7", "--out", str(ckpt)]) == 0
+    _, meta = load_checkpoint(ckpt)
+    assert meta["kind"] == "logreg"
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -145,6 +145,33 @@ def test_malformed_labeled_indices_or_targets_are_named_errors(call, labeled, ro
         run()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("call", ["train", "loss", "backward"])
+def test_non_finite_targets_are_named_errors(call, bad):
+    # they once read as a diverged fit at epoch 0, or as a NaN loss or gradient
+    ds, S, split, Y, model = small_instance(5)
+    cache = forward(model, S, ds.X)
+    Y = Y.copy()
+    Y[split.labeled[0], 0] = bad
+    run = {"train": lambda: train(model, S, ds.X, Y, split.labeled, Hyperparams(epochs=2)),
+           "loss": lambda: loss(cache, Y, split.labeled),
+           "backward": lambda: backward(model, S, ds.X, cache, Y, split.labeled)}[call]
+    with pytest.raises(ValueError, match="^Y must be finite$"):
+        run()
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("call", ["train", "forward"])
+def test_non_finite_features_are_named_errors(call, bad):
+    ds, S, split, Y, model = small_instance(5)
+    X = ds.X.copy()
+    X[3, 1] = bad
+    run = {"train": lambda: train(model, S, X, Y, split.labeled, Hyperparams(epochs=2)),
+           "forward": lambda: forward(model, S, X)}[call]
+    with pytest.raises(ValueError, match="^X must be finite$"):
+        run()
+
+
 def test_train_checks_the_labeled_set_once_per_call(monkeypatch):
     ds, S, split, Y, model = small_instance(6)
     checks = []
@@ -208,6 +235,29 @@ def test_train_lr_zero_is_identity():
     assert np.array_equal(trained.theta1, model.theta1)
     assert np.array_equal(trained.theta2, model.theta2)
     assert trace == [trace[0]] * 6
+
+
+@pytest.mark.parametrize("epochs", [0, 1, 4])
+def test_train_computes_no_gradient_after_its_last_step(monkeypatch, epochs):
+    ds, S, split, Y, model = small_instance(12)
+    calls = []
+    gradients = gcn._gradients
+    monkeypatch.setattr(gcn, "_gradients", lambda *args: calls.append(1) or gradients(*args))
+    _, trace = train(model, S, ds.X, Y, split.labeled, Hyperparams(epochs=epochs))
+    assert len(trace) == epochs + 1 and len(calls) == epochs
+
+
+def test_descend_asks_for_gradients_only_before_a_step():
+    asked = []
+
+    def objective(params):
+        return float(params[0].sum()), lambda: asked.append(1) or (np.ones(2),)
+
+    for epochs in (0, 3):
+        params, trace = gcn._descend((np.zeros(2),), objective, Hyperparams(lr=0.5, epochs=epochs))
+        assert len(asked) == epochs and trace == [0.0, -1.0, -2.0, -3.0][:epochs + 1]
+        assert np.array_equal(params[0], np.full(2, -0.5 * epochs))
+        asked.clear()
 
 
 def test_train_zero_epochs():
