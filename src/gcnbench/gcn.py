@@ -119,17 +119,22 @@ def softmax(z, axis=-1):
     The shift leaves the result mathematically unchanged and prevents
     overflow for large inputs.
     """
-    z = np.asarray(z, dtype=np.float64)
-    shifted = z - z.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    _, e, total = _shifted_exp(z, axis)
+    return e / total
 
 
 def log_softmax(z, axis=-1):
     """log of softmax as a log-sum-exp composite; never takes ln of an underflowed 0."""
+    shifted, _, total = _shifted_exp(z, axis)
+    return shifted - np.log(total)
+
+
+def _shifted_exp(z, axis):
+    """z - max(z), its exponential and that exponential's sum along axis."""
     z = np.asarray(z, dtype=np.float64)
     shifted = z - z.max(axis=axis, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    e = np.exp(shifted)
+    return shifted, e, e.sum(axis=axis, keepdims=True)
 
 
 def forward(model: GcnModel, S: PropagationMatrix, X) -> ForwardCache:
@@ -209,7 +214,9 @@ def loss(cache: ForwardCache, Y, labeled) -> float:
 def _cross_entropy(logits: np.ndarray, Y: np.ndarray) -> tuple[float, np.ndarray]:
     """Softmax cross-entropy of logits against Y summed over rows (0.0 for none), and its
     gradient by the logits, softmax(logits) - Y, for rows of Y that sum to 1."""
-    return float((Y * -log_softmax(logits)).sum()), softmax(logits) - Y
+    # -log_softmax and softmax from one exponential: log(total) - shifted and e / total
+    shifted, e, total = _shifted_exp(logits, -1)
+    return float((Y * (np.log(total) - shifted)).sum()), e / total - Y
 
 
 def backward(model: GcnModel, S: PropagationMatrix, X, cache: ForwardCache, Y, labeled,
