@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gcn import Hyperparams, _cross_entropy, _descend
-from .graph import check_type
+from .graph import check_indices, check_type
 
 LOGREG_DEFAULTS = Hyperparams(lr=0.5, epochs=500, weight_decay=1e-4)
 
@@ -42,7 +42,7 @@ def logreg_loss_grad(W, b, X, y, weight_decay: float = 0.0):
     against X, plus wd * W; exactness is covered by a finite-difference test.
     """
     X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
+    y = check_indices("y", y, W.shape[1])
     l = len(y)
     value, G = _cross_entropy(X @ W + b, np.eye(W.shape[1])[y])
     G /= l
@@ -57,22 +57,16 @@ def train_logreg(X_l, y_l, C: int, hp: Hyperparams = LOGREG_DEFAULTS) -> tuple[L
     Deterministic: the convex objective makes the zero start canonical.
     """
     X_l = np.asarray(X_l, dtype=np.float64)
-    y_l = np.asarray(y_l)
     if X_l.ndim != 2 or len(X_l) < 1:
         raise ValueError("need at least one labeled row")
     if not np.isfinite(X_l).all():
         raise ValueError("X_l must be finite")
-    # integer labels only, as accuracy() reads them: a cast would truncate 1.7 to 1 silently
-    if y_l.ndim != 1 or (y_l.size and not np.issubdtype(y_l.dtype, np.integer)):
-        raise ValueError(f"y_l must be a vector of integer class indices, got {y_l.ndim}-D {y_l.dtype}")
-    y_l = y_l.astype(np.int64, copy=False)
-    if len(y_l) != len(X_l):
-        raise ValueError(f"{len(y_l)} labels for {len(X_l)} rows")
     check_type("C", C, int)
     if C < 2:
         raise ValueError(f"need C >= 2, got {C}")
-    if y_l.min() < 0 or y_l.max() >= C:
-        raise ValueError(f"class index outside [0, {C})")
+    y_l = check_indices("y_l", y_l, C)
+    if y_l.shape != (len(X_l),):
+        raise ValueError(f"y_l must hold one class index per row of X_l ({len(X_l)}), got shape {y_l.shape}")
 
     def objective(params):
         value, g_W, g_b = logreg_loss_grad(*params, X_l, y_l, hp.weight_decay)

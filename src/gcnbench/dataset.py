@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import check_type
+from .graph import check_indices, check_type
 
 
 @dataclass
@@ -80,8 +80,8 @@ class LabeledSplit:
     unlabeled: np.ndarray
 
     def __post_init__(self):
-        self.labeled = np.asarray(self.labeled, dtype=np.int64)
-        self.unlabeled = np.asarray(self.unlabeled, dtype=np.int64)
+        self.labeled = check_indices("labeled", self.labeled)
+        self.unlabeled = check_indices("unlabeled", self.unlabeled)
         if len(self.labeled) < 1:
             raise ValueError("labeled set must be non-empty")
         n = len(self.labeled) + len(self.unlabeled)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import PropagationMatrix, check_type
+from .graph import PropagationMatrix, check_indices, check_type
 
 
 @dataclass(frozen=True)
@@ -183,21 +183,17 @@ def _layers(model: GcnModel, S2: PropagationMatrix, SX: np.ndarray) -> ForwardCa
 
 
 def _targets(Y, labeled, n: int, C: int) -> tuple[np.ndarray, np.ndarray]:
-    """(Y, labeled) as a finite float64 n x C matrix and int64 row indices, checked: labeled holds
-    distinct integers in 0..n-1, so no index is truncated, wraps around or counts twice.
-    An empty labeled set is valid."""
+    """(Y, labeled) as a finite float64 n x C matrix and int64 row indices, checked: labeled is a
+    vector of distinct row indices in 0..n-1 (graph.check_indices), so no index is truncated,
+    wraps around or counts twice.  An empty labeled set is valid."""
     y = np.asarray(Y, dtype=np.float64)
     if y.shape != (n, C):
         raise ValueError(f"Y must be {n}x{C}, got {y.shape}")
     if not np.isfinite(y).all():
         raise ValueError("Y must be finite")
-    rows = np.asarray(labeled)
-    if rows.ndim != 1 or (rows.size and rows.dtype.kind not in "iu"):
-        raise ValueError(f"labeled must be 1-D integer row indices, got {rows.ndim}-D {rows.dtype}")
-    rows = rows.astype(np.int64)
-    outside = rows[(rows < 0) | (rows >= n)]
-    if len(outside):
-        raise ValueError(f"labeled index {outside[0]} outside 0..{n - 1}")
+    rows = check_indices("labeled", labeled, n)
+    if rows.ndim != 1:
+        raise ValueError(f"labeled must be a vector of row indices, got shape {rows.shape}")
     unique, counts = np.unique(rows, return_counts=True)
     if (counts > 1).any():
         raise ValueError(f"duplicate labeled index {unique[np.argmax(counts > 1)]}")

@@ -48,6 +48,28 @@ def check_type(name: str, value, kind: type) -> None:
         raise ValueError(f"{name} must be {expected}, got {value!r}")
 
 
+def check_indices(name: str, values, stop: int | None = None) -> np.ndarray:
+    """``values`` as an int64 array of their shape, or a ValueError naming ``name`` for an entry
+    that is no integer (a bool, float or string), one outside the 64-bit range (checked before
+    the cast, which would wrap it) or, when ``stop`` is given, one outside 0..stop-1."""
+    if not isinstance(values, np.ndarray) or values.dtype == object:
+        # each entry keeps its own type: np.asarray would promote [True, 2] to int64
+        values = np.array(values, dtype=object)
+    kinds = set(map(type, values.flat)) if values.dtype == object else {values.dtype.type}
+    wrong = sorted(t.__name__ for t in kinds if not issubclass(t, numbers.Integral) or t is bool)
+    if values.size and wrong:
+        raise ValueError(f"{name} must hold integers, got {wrong[0]}")
+    try:
+        if values.dtype.kind == "u" and values.max(initial=0) > np.iinfo(np.int64).max:
+            raise OverflowError
+        values = np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(f"{name} holds an integer outside the 64-bit range") from None
+    if stop is not None and values.size and (values.min() < 0 or values.max() >= stop):
+        raise ValueError(f"{name} holds {values[(values < 0) | (values >= stop)][0]}, outside 0..{stop - 1}")
+    return values
+
+
 @dataclass
 class GraphBuildConfig:
     """How to turn embedding vectors into a similarity graph."""
@@ -97,29 +119,13 @@ class SparseAdjacency:
         check_type("n", self.n, int)
         if self.n < 1:
             raise ValueError(f"need n >= 1, got {self.n}")
-        edges = self.edges
-        if isinstance(edges, np.ndarray) and edges.dtype != object:
-            kinds = {edges.dtype.type}
-        else:
-            # each endpoint's own type: np.asarray would promote [[True, 2]] to int64
-            edges = np.array(edges, dtype=object)
-            kinds = set(map(type, edges.flat))
-        wrong = sorted(t.__name__ for t in kinds if not issubclass(t, numbers.Integral) or t is bool)
-        if edges.size and wrong:
-            raise ValueError(f"edge endpoints must be integers, got {wrong[0]}")
-        try:
-            edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        except OverflowError:
-            raise ValueError("edge endpoint outside the 64-bit integer range") from None
-        if len(edges):
-            if edges.min() < 0 or edges.max() >= self.n:
-                raise ValueError("edge endpoint outside 0..n-1")
-            if (edges[:, 0] >= edges[:, 1]).any():
-                raise ValueError("edges must satisfy i < j (no self-loops)")
+        edges = check_indices("edges", self.edges, self.n).reshape(-1, 2)
+        if (edges[:, 0] >= edges[:, 1]).any():
+            raise ValueError("edges must satisfy i < j (no self-loops)")
+        if not _strictly_increasing(edges):
+            edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
             if not _strictly_increasing(edges):
-                edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
-                if not _strictly_increasing(edges):
-                    raise ValueError("duplicate edge")
+                raise ValueError("duplicate edge")
         self.edges = edges
 
     @property
@@ -162,9 +168,7 @@ class PropagationMatrix:
 
     def take_rows(self, rows) -> PropagationMatrix:
         """The cut to stored rows ``rows`` (any order, repeats allowed), full segments kept."""
-        rows = np.asarray(rows, dtype=np.int64)
-        if len(rows) and (rows.min() < 0 or rows.max() >= len(self.rows)):
-            raise ValueError(f"row index outside 0..{len(self.rows) - 1}")
+        rows = check_indices("rows", rows, len(self.rows))
         lengths = self.indptr[rows + 1] - self.indptr[rows]
         indptr = np.concatenate([[0], np.cumsum(lengths)])
         # the position in indices/data of every entry of the chosen row segments

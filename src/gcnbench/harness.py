@@ -32,7 +32,8 @@ from .dataset import (
     synth_blobs,
 )
 from .gcn import GcnModel, Hyperparams, _train_predict, forward, init_model, predict
-from .graph import GraphBuildConfig, build_graph, check_type, graph_config, normalize, usable_cpus
+from .graph import (GraphBuildConfig, build_graph, check_indices, check_type, graph_config,
+                    normalize, usable_cpus)
 
 # Every model a run can fit, with its default hyperparameters; only the GCN uses the graph.
 DEFAULT_HYPERPARAMS = {"gcn": Hyperparams(), "logreg": LOGREG_DEFAULTS}
@@ -59,19 +60,17 @@ class ConfusionCounts:
 
 
 def _class_vectors(pred, truth) -> tuple[np.ndarray, np.ndarray]:
-    """pred and truth as int64 vectors of one length; a float, bool or other non-integer
-    array is a ValueError naming it, as casting would truncate it silently."""
-    pred, truth = np.asarray(pred), np.asarray(truth)
-    for name, values in (("pred", pred), ("truth", truth)):
-        if values.size and not np.issubdtype(values.dtype, np.integer):
-            raise ValueError(f"{name} must hold integer class indices, got dtype {values.dtype}")
+    """pred and truth as int64 vectors of one length (graph.check_indices); a bool, float or
+    other non-integer entry is a ValueError naming its vector, as a cast would truncate it."""
+    pred, truth = check_indices("pred", pred), check_indices("truth", truth)
     if pred.shape != truth.shape or pred.ndim != 1:
-        raise ValueError(f"length mismatch: {pred.shape} vs {truth.shape}")
-    return pred.astype(np.int64, copy=False), truth.astype(np.int64, copy=False)
+        raise ValueError(f"pred and truth must be vectors of one length, got {pred.shape} and {truth.shape}")
+    return pred, truth
 
 
 def confusion_counts(pred, truth, positive: int) -> ConfusionCounts:
     """Binarize multiclass predictions against ``positive`` and count TP/FP/TN/FN."""
+    check_type("positive", positive, int)
     pred, truth = _class_vectors(pred, truth)
     p = pred == positive
     t = truth == positive

@@ -125,11 +125,11 @@ def test_loss_empty_labeled_set():
 
 
 @pytest.mark.parametrize("labeled, rows, message", [
-    ([0.5], 12, "labeled must be 1-D integer row indices, got 1-D float64"),
-    ([[0, 1]], 12, "labeled must be 1-D integer row indices, got 2-D int64"),
-    ([True, False], 12, "labeled must be 1-D integer row indices, got 1-D bool"),
-    ([3, -1], 12, "labeled index -1 outside 0..11"),
-    ([0, 12], 12, "labeled index 12 outside 0..11"),
+    ([0.5], 12, "labeled must hold integers, got float"),
+    ([[0, 1]], 12, r"labeled must be a vector of row indices, got shape \(1, 2\)"),
+    ([True, False], 12, "labeled must hold integers, got bool"),
+    ([3, -1], 12, "labeled holds -1, outside 0..11"),
+    ([0, 12], 12, "labeled holds 12, outside 0..11"),
     ([4, 2, 4, 2], 12, "duplicate labeled index 2"),
     ([0, 1], 11, r"Y must be 12x3, got \(11, 3\)"),
 ], ids=["float", "2-d", "bool", "negative", "past-n", "duplicate", "y-shape"])

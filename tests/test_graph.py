@@ -420,9 +420,9 @@ def adjacency(X, n, edges):
     (epsilon_graph, (1.0, "manhattan"), "unknown metric 'manhattan'"),
     (knn_graph, (2, "cosine"), "cosine distance undefined for a zero vector"),
     (epsilon_graph, (1.0, "cosine"), "cosine distance undefined for a zero vector"),
-    (adjacency, (3, [[0.5, 1.7]]), "edge endpoints must be integers, got float"),
-    (adjacency, (3, [[True, 2]]), "edge endpoints must be integers, got bool"),
-    (adjacency, (3, np.array([[0.0, 1.0]])), "edge endpoints must be integers, got float64"),
+    (adjacency, (3, [[0.5, 1.7]]), "edges must hold integers, got float"),
+    (adjacency, (3, [[True, 2]]), "edges must hold integers, got bool"),
+    (adjacency, (3, np.array([[0.0, 1.0]])), "edges must hold integers, got float64"),
     (adjacency, (3.9, []), "n must be an integer"),
 ], ids=["k-float", "k-bool", "k-str", "eps-nan", "eps-inf", "eps-str", "eps-int-beyond-float",
         "knn-metric", "eps-metric", "knn-cosine-zero-row", "eps-cosine-zero-row",
@@ -433,6 +433,27 @@ def test_builder_arguments_are_type_checked(build, args, message):
     X[3] = 0.0  # a zero row, which only cosine has no distance for
     with pytest.raises(ValueError, match=f"^{message}"):
         build(X, *args)
+
+
+@pytest.mark.parametrize("values, message", [
+    ([0.5, 1], "^x must hold integers, got float$"),
+    (np.array([True]), "^x must hold integers, got bool$"),
+    ([object()], "^x must hold integers, got object$"),
+    (np.array([2 ** 63], dtype=np.uint64), "^x holds an integer outside the 64-bit range$"),
+    ([-2 ** 63 - 1], "^x holds an integer outside the 64-bit range$"),
+    ([3, 5, -1], r"^x holds 5, outside 0\.\.4$"),
+], ids=["float", "bool-array", "object", "uint64-2^63", "below-int64", "first-outside"])
+def test_check_indices_names_the_first_fault(values, message):
+    with pytest.raises(ValueError, match=message):
+        graph.check_indices("x", values, 5)
+
+
+def test_check_indices_keeps_the_shape_and_the_values():
+    assert graph.check_indices("x", [], 3).dtype == np.int64
+    big = graph.check_indices("x", np.array([[2 ** 63 - 1], [0]], dtype=np.uint64))
+    assert big.shape == (2, 1) and big.dtype == np.int64 and big[0, 0] == 2 ** 63 - 1
+    edges = np.array([[0, 1]], dtype=np.int64)
+    assert graph.check_indices("x", edges) is edges  # an int64 array is not copied
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
@@ -736,7 +757,7 @@ def test_matmul_rows_may_repeat_and_be_empty():
 @pytest.mark.parametrize("rows", [[50], [-1], [0, 50]])
 def test_matmul_rejects_rows_outside_the_matrix(rows):
     S = random_propagation(50, seed=1)
-    with pytest.raises(ValueError, match="row index outside"):
+    with pytest.raises(ValueError, match=r"^rows holds (50|-1), outside 0\.\.49$"):
         S.take_rows(rows)
 
 

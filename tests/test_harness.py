@@ -90,7 +90,7 @@ def test_accuracy_simple_cases():
     assert accuracy([0, 0, 4, 3, 2, 1, 1, 2, 3, 0], [0, 0, 4, 3, 2, 1, 0, 0, 0, 0]) == 70.0
     with pytest.raises(ValueError):
         accuracy([], [])
-    with pytest.raises(ValueError, match=r"^length mismatch: \(2,\) vs \(1,\)$"):
+    with pytest.raises(ValueError, match=r"^pred and truth must be vectors of one length, got \(2,\) and \(1,\)$"):
         accuracy([0, 1], [0])
     # any integer dtype is read exactly
     assert accuracy(np.array([0, 1, 2], dtype=np.uint8), np.array([0, 1, 1], dtype=np.int32)) == 200 / 3
@@ -105,8 +105,16 @@ def test_accuracy_simple_cases():
 ], ids=["pred-float", "truth-float", "pred-bool", "truth-bool", "pred-str"])
 def test_scores_reject_class_vectors_that_are_not_integers(pred, truth, name):
     for score in (accuracy, lambda p, t: confusion_counts(p, t, positive=1)):
-        with pytest.raises(ValueError, match=f"^{name} must hold integer class indices, got dtype"):
+        with pytest.raises(ValueError, match=f"^{name} must hold integers, got"):
             score(pred, truth)
+
+
+@pytest.mark.parametrize("positive", [1.0, True, "1", None], ids=["float", "bool", "str", "none"])
+def test_confusion_counts_positive_must_be_an_integer(positive):
+    # 1.0 and True once matched class 1, "1" and None matched no class and counted no positive
+    with pytest.raises(ValueError, match="^positive must be an integer, got "):
+        confusion_counts([0, 1], [1, 1], positive)
+    assert confusion_counts([0, 1], [1, 1], np.int64(1)) == confusion_counts([0, 1], [1, 1], 1)
 
 
 def test_binary_accuracy_equals_confusion_formula_exactly():

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from gcnbench.baseline import LogRegModel
 from gcnbench.checkpoint import load_checkpoint, save_checkpoint
@@ -26,6 +27,7 @@ from gcnbench.gcn import GcnModel, Hyperparams, forward, init_model, train
 from gcnbench.graph import (
     METRICS,
     SparseAdjacency,
+    check_indices,
     epsilon_graph,
     knn_graph,
     load_graph,
@@ -110,6 +112,27 @@ def test_report_round_trip(report):
     text = render_report(report, "csv")
     assert text.startswith(REPORT_HEADER + "\n")
     assert render_report(parse_report_csv(text), "csv").encode("utf-8") == text.encode("utf-8")
+
+
+@st.composite
+def index_inputs(draw):
+    """An int8, int32, int64 or uint64 array of in-range integers (0-2 dimensions), or its
+    nested list of Python ints."""
+    dtype = draw(st.sampled_from([np.int8, np.int32, np.int64, np.uint64]))
+    info = np.iinfo(dtype)
+    elements = st.integers(int(info.min), min(int(info.max), 2 ** 63 - 1))
+    x = draw(arrays(dtype, array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=5), elements=elements))
+    return x.tolist() if draw(st.booleans()) else x
+
+
+@PROPERTY
+@given(x=index_inputs())
+def test_check_indices_reads_in_range_integers_as_the_int64_cast(x):
+    expected = np.asarray(x, dtype=np.int64)
+    got = check_indices("x", x)
+    assert got.dtype == np.int64 and got.shape == expected.shape and np.array_equal(got, expected)
+    if expected.size and expected.min() >= 0:
+        assert np.array_equal(check_indices("x", x, int(expected.max()) + 1), expected)
 
 
 @st.composite
