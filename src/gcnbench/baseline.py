@@ -43,7 +43,9 @@ def logreg_loss_grad(W, b, X, y, weight_decay: float = 0.0):
     """
     X = np.asarray(X, dtype=np.float64)
     y = check_indices("y", y, W.shape[1])
-    l = len(y)
+    l = len(X)
+    if y.shape != (l,):
+        raise ValueError(f"y must hold one class index per row of X ({l}), got shape {y.shape}")
     value, G = _cross_entropy(X @ W + b, np.eye(W.shape[1])[y])
     G /= l
     value = value / l + 0.5 * weight_decay * float((W ** 2).sum())

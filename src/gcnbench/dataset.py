@@ -82,6 +82,8 @@ class LabeledSplit:
     def __post_init__(self):
         self.labeled = check_indices("labeled", self.labeled)
         self.unlabeled = check_indices("unlabeled", self.unlabeled)
+        if self.labeled.ndim != 1 or self.unlabeled.ndim != 1:
+            raise ValueError("labeled and unlabeled must be vectors of node indices")
         if len(self.labeled) < 1:
             raise ValueError("labeled set must be non-empty")
         n = len(self.labeled) + len(self.unlabeled)

@@ -119,7 +119,10 @@ class SparseAdjacency:
         check_type("n", self.n, int)
         if self.n < 1:
             raise ValueError(f"need n >= 1, got {self.n}")
-        edges = check_indices("edges", self.edges, self.n).reshape(-1, 2)
+        edges = check_indices("edges", self.edges, self.n)
+        if edges.size and edges.shape[1:] != (2,):
+            raise ValueError(f"edges must be an m x 2 array of pairs, got shape {edges.shape}")
+        edges = edges.reshape(-1, 2)
         if (edges[:, 0] >= edges[:, 1]).any():
             raise ValueError("edges must satisfy i < j (no self-loops)")
         if not _strictly_increasing(edges):
@@ -169,6 +172,8 @@ class PropagationMatrix:
     def take_rows(self, rows) -> PropagationMatrix:
         """The cut to stored rows ``rows`` (any order, repeats allowed), full segments kept."""
         rows = check_indices("rows", rows, len(self.rows))
+        if rows.ndim != 1:
+            raise ValueError(f"rows must be a vector of stored row indices, got shape {rows.shape}")
         lengths = self.indptr[rows + 1] - self.indptr[rows]
         indptr = np.concatenate([[0], np.cumsum(lengths)])
         # the position in indices/data of every entry of the chosen row segments

@@ -109,6 +109,13 @@ def test_train_validation_errors():
         train_logreg(np.zeros((2, 2)), [0, 0], C=1)
 
 
+@pytest.mark.parametrize("y", [[0], [0, 1, 1], [[0, 1]], [[0], [1]]], ids=["short", "long", "row", "column"])
+def test_loss_grad_needs_one_class_index_per_row(y):
+    # [0] once broadcast against both rows and was divided by l=1
+    with pytest.raises(ValueError, match=r"^y must hold one class index per row of X \(2\), got shape"):
+        logreg_loss_grad(np.zeros((2, 2)), np.zeros(2), np.eye(2), y)
+
+
 def _stepwise_logreg(X, y, C, hp):
     """train_logreg's descent restated with its own loop and its own softmax and P - onehot
     arithmetic: the W and b that the shared loop must reproduce bit for bit."""

@@ -10,8 +10,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gcnbench import graph
-from gcnbench.dataset import synth_blobs
+from gcnbench import gcn, graph
+from gcnbench.baseline import logreg_loss_grad, train_logreg
+from gcnbench.dataset import LabeledSplit, synth_blobs
 from gcnbench.graph import (
     DISTANCE_BLOCK_ROWS,
     MATMUL_BLOCK_BYTES,
@@ -26,6 +27,7 @@ from gcnbench.graph import (
     normalize,
     save_graph,
 )
+from gcnbench.harness import accuracy, confusion_counts
 from oracles import (
     edge_list_oracle,
     epsilon_oracle_edges,
@@ -435,6 +437,62 @@ def test_builder_arguments_are_type_checked(build, args, message):
         build(X, *args)
 
 
+def _index_entry_points():
+    """{entry: (argument name, call)} for every input read as label or row indices, on n=4
+    nodes and C=2 classes, where [0, 1] is valid everywhere."""
+    ds = synth_blobs(n=4, d=2, C=2, sep=3.0, seed=0)
+    S = normalize(SparseAdjacency(n=4, edges=[(0, 1), (1, 2), (2, 3)]))
+    Y, model = np.eye(2)[[0, 1, 0, 1]], gcn.init_model(2, 3, 2, 0)
+    cache = gcn.forward(model, S, ds.X)
+    X2 = np.array([[1.0, 0.0], [0.0, 1.0]])
+    return {
+        # the form as the single pair of an m x 2 edge array
+        "SparseAdjacency": ("edges", lambda v: SparseAdjacency(n=4, edges=[v] if isinstance(v, list) else v[None])),
+        "take_rows": ("rows", S.take_rows),
+        "train": ("labeled", lambda v: gcn.train(model, S, ds.X, Y, v, gcn.Hyperparams(epochs=1))),
+        "loss": ("labeled", lambda v: gcn.loss(cache, Y, v)),
+        "backward": ("labeled", lambda v: gcn.backward(model, S, ds.X, cache, Y, v)),
+        "train_logreg": ("y_l", lambda v: train_logreg(X2, v, 2, gcn.Hyperparams(epochs=1))),
+        "logreg_loss_grad": ("y", lambda v: logreg_loss_grad(np.zeros((2, 2)), np.zeros(2), X2, v)),
+        "accuracy-pred": ("pred", lambda v: accuracy(v, [0, 1])),
+        "accuracy-truth": ("truth", lambda v: accuracy([0, 1], v)),
+        "confusion_counts": ("pred", lambda v: confusion_counts(v, [0, 1], 1)),
+        "split-labeled": ("labeled", lambda v: LabeledSplit(labeled=v, unlabeled=[2, 3])),
+        "split-unlabeled": ("unlabeled", lambda v: LabeledSplit(labeled=[2, 3], unlabeled=v)),
+    }
+
+
+MALFORMED_INDICES = {
+    "bool": [True, 1],
+    "floats": [0.0, 1.0],
+    "strings": ["0", "1"],
+    "2-d": [[0, 1], [1, 0]],
+    "uint64-past-int64": np.array([2 ** 64 - 1, 1], dtype=np.uint64),
+    "int-past-int64": [2 ** 70, 1],
+    # outside 0..3 (nodes) and 0..1 (classes); the scores know no class count, so take any integer
+    "negative": [-1, 0],
+    "past-the-end": [0, 99],
+}
+UNBOUNDED = ("accuracy-pred", "accuracy-truth", "confusion_counts")
+
+
+@pytest.mark.parametrize("entry, form", [
+    (entry, form) for entry in _index_entry_points() for form in MALFORMED_INDICES
+    if entry not in UNBOUNDED or form not in ("negative", "past-the-end")])
+def test_every_index_input_rejects_each_malformed_form_naming_it(entry, form):
+    # each was once truncated, wrapped, promoted from bool, reshaped or read past the end
+    name, call = _index_entry_points()[entry]
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        call(MALFORMED_INDICES[form])
+
+
+@pytest.mark.parametrize("entry", _index_entry_points())
+@pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.uint64, np.int64])
+def test_every_index_input_reads_in_range_integers_of_any_width(entry, dtype):
+    _, call = _index_entry_points()[entry]
+    call(np.array([0, 1], dtype=dtype))
+
+
 @pytest.mark.parametrize("values, message", [
     ([0.5, 1], "^x must hold integers, got float$"),
     (np.array([True]), "^x must hold integers, got bool$"),
@@ -446,6 +504,14 @@ def test_builder_arguments_are_type_checked(build, args, message):
 def test_check_indices_names_the_first_fault(values, message):
     with pytest.raises(ValueError, match=message):
         graph.check_indices("x", values, 5)
+
+
+@pytest.mark.parametrize("edges", [[0, 1], [[[0, 1], [1, 2]]], [[0, 1, 2]]], ids=["flat", "3-d", "triple"])
+def test_edges_must_be_pairs(edges):
+    # each was reshaped into pairs: [[[0, 1], [1, 2]]] read as the two edges it holds
+    with pytest.raises(ValueError, match=r"^edges must be an m x 2 array of pairs, got shape \("):
+        SparseAdjacency(n=3, edges=edges)
+    assert SparseAdjacency(n=3, edges=[]).edges.shape == (0, 2)
 
 
 def test_check_indices_keeps_the_shape_and_the_values():
