@@ -53,15 +53,25 @@ class EmbeddingDataset:
         for i, text_id in enumerate(self.ids):
             if not text_id or "," in text_id or "\n" in text_id or "\r" in text_id:
                 raise ValueError(f"data row {i + 1}: id must be non-empty, with no comma or line break")
-        if not isinstance(self.C, int) or self.C < 2:
-            raise ValueError(f"class count must be an integer >= 2, got {self.C!r}")
+        check_type("C", self.C, int)
+        if self.C < 2:
+            raise ValueError(f"need C >= 2, got {self.C}")
         if self.truth is not None:
             if len(self.truth) != n:
                 raise ValueError(f"{len(self.truth)} truth entries for {n} rows")
+            # None marks an unlabeled row.  The class indices are checked all at once, and one
+            # by one only after a fault, to name the first bad row
+            classes = [0 if t is None else t for t in self.truth]
+            try:
+                check_indices("truth", classes, self.C)
+            except ValueError:
+                for i, t in enumerate(classes):
+                    try:
+                        check_indices("class index", [t], self.C)
+                    except ValueError as error:
+                        raise ValueError(f"data row {i + 1}: {error}") from None
+                raise
             self.truth = [None if t is None else int(t) for t in self.truth]
-            for i, t in enumerate(self.truth):
-                if t is not None and not 0 <= t < self.C:
-                    raise ValueError(f"data row {i + 1}: class index {t} outside [0, {self.C})")
 
     @property
     def n(self) -> int:

@@ -123,12 +123,6 @@ def softmax(z, axis=-1):
     return e / total
 
 
-def log_softmax(z, axis=-1):
-    """log of softmax as a log-sum-exp composite; never takes ln of an underflowed 0."""
-    shifted, _, total = _shifted_exp(z, axis)
-    return shifted - np.log(total)
-
-
 def _shifted_exp(z, axis):
     """z - max(z), its exponential and that exponential's sum along axis."""
     z = np.asarray(z, dtype=np.float64)
@@ -210,7 +204,8 @@ def loss(cache: ForwardCache, Y, labeled) -> float:
 def _cross_entropy(logits: np.ndarray, Y: np.ndarray) -> tuple[float, np.ndarray]:
     """Softmax cross-entropy of logits against Y summed over rows (0.0 for none), and its
     gradient by the logits, softmax(logits) - Y, for rows of Y that sum to 1."""
-    # -log_softmax and softmax from one exponential: log(total) - shifted and e / total
+    # -log(softmax) and softmax from one exponential: log(total) - shifted, which never takes
+    # the log of an underflowed 0, and e / total
     shifted, e, total = _shifted_exp(logits, -1)
     return float((Y * (np.log(total) - shifted)).sum()), e / total - Y
 

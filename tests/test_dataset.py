@@ -81,9 +81,9 @@ def test_load_rejects_a_malformed_file_naming_the_fault(tmp_path, text, message)
     (["a,0,1.0", ",1,2.0", "c,0,3.0"], 2, "id must be non-empty"),
     (["a,0,1.0", "b,1,2.0", "c,0,nan"], 3, "non-finite embedding value"),
     (["a,0,-inf", "b,1,2.0"], 1, "non-finite embedding value"),
-    (["a,0,1.0", "b,1,2.0", "c,3,3.0"], 3, r"class index 3 outside \[0, 3\)"),
-    (["a,0,1.0", "b,-1,2.0"], 2, r"class index -1 outside \[0, 3\)"),
-    (["a,x,1.0", "b,y,2.0", "c,z,3.0", "d,w,4.0"], 3, r"class index 3 outside \[0, 3\)"),
+    (["a,0,1.0", "b,1,2.0", "c,3,3.0"], 3, r"class index holds 3, outside 0\.\.2$"),
+    (["a,0,1.0", "b,-1,2.0"], 2, r"class index holds -1, outside 0\.\.2$"),
+    (["a,x,1.0", "b,y,2.0", "c,z,3.0", "d,w,4.0"], 3, r"class index holds 3, outside 0\.\.2$"),
 ], ids=["empty-id", "nan", "inf", "index-at-c", "negative-index", "too-many-names"])
 def test_dataset_rule_faults_name_the_data_row(tmp_path, capsys, rows, row, message):
     path = write_csv(tmp_path, "#classes=3\nid,label,e0\n" + "\n".join(rows) + "\n")
@@ -370,6 +370,32 @@ def test_dataset_invariant_violations_rejected():
         EmbeddingDataset(ids=["a", "b"], X=np.eye(2), C=2, truth=[0, 5])
     with pytest.raises(ValueError):
         EmbeddingDataset(ids=["has,comma", "b"], X=np.eye(2), C=2)
+
+
+@pytest.mark.parametrize("truth, row, kind", [
+    ([0.9, 1.7, True], 1, "float"),
+    ([0, None, 1.0], 3, "float"),
+    ([1, True, 0], 2, "bool"),
+    ([np.int64(1), np.True_, 0], 2, "bool"),
+    ([0, "1", 1], 2, "str"),
+    ([0, 1, 2 ** 70], 3, None),
+], ids=["floats", "float-after-none", "bool", "numpy-bool", "string", "past-int64"])
+def test_truth_entries_must_be_integers_and_name_their_data_row(truth, row, kind):
+    # int() once truncated 0.9 to 0 and 1.7 to 1, and read True as class 1
+    fault = f"must hold integers, got {kind}" if kind else "holds an integer outside the 64-bit range"
+    with pytest.raises(ValueError, match=f"^data row {row}: class index {fault}$"):
+        EmbeddingDataset(ids=["a", "b", "c"], X=np.eye(3), C=3, truth=truth)
+
+
+def test_class_count_and_truth_take_any_integer_type():
+    # np.int64(3) was once "not an integer"; numpy truth entries are read as Python ints
+    ds = EmbeddingDataset(ids=["a", "b", "c"], X=np.eye(3), C=np.int64(3),
+                          truth=[np.int64(2), None, np.uint8(0)])
+    assert ds.C == 3 and ds.truth == [2, None, 0] and type(ds.truth[0]) is int
+    for C, message in ((2.0, "C must be an integer, got 2.0"), (True, "C must be an integer, got True"),
+                       (1, "need C >= 2, got 1")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            EmbeddingDataset(ids=["a"], X=np.eye(1), C=C)
 
 
 @pytest.mark.parametrize("call, message", [

@@ -14,7 +14,6 @@ from gcnbench.gcn import (
     backward,
     forward,
     init_model,
-    log_softmax,
     loss,
     predict,
     relu,
@@ -420,10 +419,15 @@ def test_node_permutation_equivariance():
     assert np.abs(Z_perm - Z[perm]).max() <= 1e-12
 
 
-def test_log_softmax_handles_underflowing_rows():
-    a = np.array([[0.0, -2000.0]])
-    lz = log_softmax(a)
-    assert np.isfinite(lz[0, 1]) and lz[0, 1] == pytest.approx(-2000.0, abs=1e-9)
+def test_loss_handles_underflowing_rows():
+    # softmax([0, -1e4]) underflows to [1, 0], yet the loss of label 1 is log(1 + e^-1e4) + 1e4,
+    # exactly 1e4 in float64, and finite: no log of the underflowed 0
+    A2 = np.array([[0.0, -1e4], [3.0, 3.0]])
+    cache = gcn.ForwardCache(A1=A2, H1=A2, A2=A2, Z=softmax(A2), SX=A2, SH1=A2)
+    assert softmax(A2)[0, 1] == 0.0
+    assert loss(cache, np.array([[0.0, 1.0], [1.0, 0.0]]), [0]) == 1e4
+    value, G = gcn._cross_entropy(A2[:1], np.array([[0.0, 1.0]]))
+    assert value == 1e4 and np.array_equal(G, [[1.0, -1.0]])
 
 
 def test_gcn_checkpoint_round_trip(tmp_path):
