@@ -61,16 +61,22 @@ class ConfusionCounts:
 
 def _class_vectors(pred, truth) -> tuple[np.ndarray, np.ndarray]:
     """pred and truth as int64 vectors of one length (graph.check_indices); a bool, float or
-    other non-integer entry is a ValueError naming its vector, as a cast would truncate it."""
+    other non-integer entry is a ValueError naming its vector, as a cast would truncate it,
+    and so is a negative entry, which is no class index."""
     pred, truth = check_indices("pred", pred), check_indices("truth", truth)
     if pred.shape != truth.shape or pred.ndim != 1:
         raise ValueError(f"pred and truth must be vectors of one length, got {pred.shape} and {truth.shape}")
+    for name, classes in (("pred", pred), ("truth", truth)):
+        if (classes < 0).any():
+            raise ValueError(f"{name} holds {classes[classes < 0][0]}, a negative class index")
     return pred, truth
 
 
 def confusion_counts(pred, truth, positive: int) -> ConfusionCounts:
     """Binarize multiclass predictions against ``positive`` and count TP/FP/TN/FN."""
     check_type("positive", positive, int)
+    if positive < 0:
+        raise ValueError(f"positive must be >= 0, got {positive}")
     pred, truth = _class_vectors(pred, truth)
     p = pred == positive
     t = truth == positive

@@ -117,6 +117,25 @@ def test_confusion_counts_positive_must_be_an_integer(positive):
     assert confusion_counts([0, 1], [1, 1], np.int64(1)) == confusion_counts([0, 1], [1, 1], 1)
 
 
+@pytest.mark.parametrize("pred, truth, name", [
+    ([-1, 0], [-1, 0], "pred"),
+    ([0, 1], [0, -3], "truth"),
+], ids=["pred", "truth"])
+def test_scores_reject_a_negative_class_index(pred, truth, name):
+    # accuracy([-1, 0], [-1, 0]) was once 100.0
+    for score in (accuracy, lambda p, t: confusion_counts(p, t, positive=0)):
+        with pytest.raises(ValueError, match=f"^{name} holds -[0-9]+, a negative class index$"):
+            score(pred, truth)
+
+
+def test_confusion_counts_positive_must_not_be_negative():
+    # positive=-5 once counted tn=2 against a class no model predicts
+    with pytest.raises(ValueError, match="^positive must be >= 0, got -5$"):
+        confusion_counts([0, 1], [1, 1], positive=-5)
+    counts = confusion_counts([0, 1], [1, 1], positive=0)
+    assert (counts.tp, counts.fp, counts.tn, counts.fn) == (0, 1, 1, 0)
+
+
 def test_binary_accuracy_equals_confusion_formula_exactly():
     rng = np.random.default_rng(1)
     for _ in range(100):
