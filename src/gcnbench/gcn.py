@@ -74,10 +74,9 @@ class ForwardCache:
     """Layer intermediates kept for backprop.
 
     SX = S @ X and SH1 = S @ H1 are stored alongside the activations because
-    the gradient of each parameter matrix contracts against them.  SX has no
-    parameters, so train() computes it once per run and reuses it every epoch.
-    forward() fills every row; train(), through S cut to the labeled rows, fills
-    SH1, A2 and Z only there and leaves zero rows where the loss never reads.
+    the gradient of each parameter matrix contracts against them.  forward() fills
+    every row.  train() builds no cache: it computes SX once per run, and its epochs
+    write the rest into buffers of their own (see train).
     """
 
     A1: np.ndarray
@@ -153,27 +152,13 @@ def _features(model: GcnModel, S: PropagationMatrix, X) -> np.ndarray:
     return X
 
 
-def _propagate(P: PropagationMatrix, M: np.ndarray) -> np.ndarray:
-    """P @ M on P's rows (all of S, or a cut) and zero rows elsewhere.
-
-    The result always has all n rows, so the dense products that follow keep their full-n
-    shapes: a GEMM on a subset of rows may round differently, while zero rows in a full-n
-    GEMM leave its other rows and its sums over n bit-identical."""
-    out = np.zeros((P.n, M.shape[1]))
-    out[P.rows] = P.matmul(M)
-    return out
-
-
-def _layers(model: GcnModel, S2: PropagationMatrix, SX: np.ndarray) -> ForwardCache:
-    """forward() from an already propagated SX = S @ X; SH1 and Z only on S2's rows (S or a
-    cut).  softmax works row by row, so the rows it computes are the full call's bits."""
+def _layers(model: GcnModel, S: PropagationMatrix, SX: np.ndarray) -> ForwardCache:
+    """forward() from an already propagated SX = S @ X."""
     A1 = SX @ model.theta1
     H1 = relu(A1)
-    SH1 = _propagate(S2, H1)
+    SH1 = S.matmul(H1)
     A2 = SH1 @ model.theta2
-    Z = np.zeros_like(A2)
-    Z[S2.rows] = softmax(A2[S2.rows])
-    return ForwardCache(A1=A1, H1=H1, A2=A2, Z=Z, SX=SX, SH1=SH1)
+    return ForwardCache(A1=A1, H1=H1, A2=A2, Z=softmax(A2), SX=SX, SH1=SH1)
 
 
 def _targets(Y, labeled, n: int, C: int) -> tuple[np.ndarray, np.ndarray]:
@@ -225,24 +210,15 @@ def backward(model: GcnModel, S: PropagationMatrix, X, cache: ForwardCache, Y, l
     if cache.Z.shape != (S.n, C) or cache.A1.shape != (S.n, L2) or X.shape != (S.n, L1):
         raise ValueError("cache does not match this model/graph/feature combination")
     y, labeled = _targets(Y, labeled, S.n, C)
-    G_L = _cross_entropy(cache.A2[labeled], y[labeled])[1]
-    return Gradients(*_gradients(model, S, cache, G_L, labeled, weight_decay))
-
-
-def _gradients(model: GcnModel, S1: PropagationMatrix, cache: ForwardCache, G_L: np.ndarray,
-               labeled: np.ndarray, weight_decay: float) -> tuple[np.ndarray, np.ndarray]:
-    """backward() without its checks, from G_L = the loss gradient by A2[labeled], as a
-    tuple.  G1 is propagated only on S1's rows (S or a cut), which must hold every row of S
-    that touches a labeled row, or G1 loses entries."""
     G2 = np.zeros_like(cache.A2)
-    G2[labeled] = G_L
+    G2[labeled] = _cross_entropy(cache.A2[labeled], y[labeled])[1]
     g_theta2 = cache.SH1.T @ G2
-    G1 = _propagate(S1, G2 @ model.theta2.T) * (cache.A1 > 0)
+    G1 = S.matmul(G2 @ model.theta2.T) * (cache.A1 > 0)
     g_theta1 = cache.SX.T @ G1
     if weight_decay > 0:
         g_theta1 = g_theta1 + weight_decay * model.theta1
         g_theta2 = g_theta2 + weight_decay * model.theta2
-    return g_theta1, g_theta2
+    return Gradients(g_theta1, g_theta2)
 
 
 def train(model: GcnModel, S: PropagationMatrix, X, Y, labeled,
@@ -253,17 +229,23 @@ def train(model: GcnModel, S: PropagationMatrix, X, Y, labeled,
     trace of epochs+1 objective values, the initial one first.  The trace
     records the training objective, i.e. the masked cross-entropy plus the
     weight-decay penalty 0.5 * wd * (|theta1|^2 + |theta2|^2) when enabled.
-    S @ X and the cuts of S are computed once per run.  Every epoch, the
-    first included, propagates only the rows the result depends on: S @ H1
-    on the labeled rows L, which are all the masked loss reads, and the
-    layer-1 gradient on N1, the rows of S that touch L, where alone it can be
-    nonzero.  That gradient's operand is exactly +-0 off L, and adding +-0 to a
+    Y and labeled are checked once, as loss() checks them.  Raises if the
+    parameters or the objective become non-finite.
+
+    What does not depend on theta is prepared once per run: S @ X, the labeled
+    rows of Y, the cuts of S and the buffers every epoch reuses.  An epoch runs
+    the five dense products of forward() and backward() at full n, and sums
+    sparse rows only where the result depends on them: S @ relu(A1) on the
+    labeled rows L, which are all the masked loss reads, and the layer-1
+    gradient S @ B, B = G2 @ theta2^T, on N1, the rows of S that touch L, where
+    alone it can be nonzero.  B is exactly +-0 off L, and adding +-0 to a
     nonzero partial sum changes nothing, so an N1 row with at most two entries
-    in L's columns sums those alone; one or two terms add the same in any order,
-    and a row with more sums its full segment.  The parameters and trace are
-    thus bit-identical to full-graph forward()/backward() steps, except that an
-    exactly zero sum may carry the other sign.  Y and labeled are checked once, as
-    loss() checks them.  Raises if the parameters or the objective become non-finite.
+    in L's columns sums those alone: one term is itself, two add the same in any
+    order, and a row with more sums its full segment with the reduceat of
+    PropagationMatrix.matmul.  The ReLU and the A1 > 0 mask act entry by entry,
+    so they give the same bits on the gathered rows.  The parameters and trace
+    are thus bit-identical to full-graph forward()/backward() steps, except
+    that an exactly zero sum may carry the other sign.
     """
     return _train(model, S, S.matmul(_features(model, S, X)), Y, labeled, hp)
 
@@ -272,27 +254,79 @@ def _train(model: GcnModel, S: PropagationMatrix, SX: np.ndarray, Y, labeled,
            hp: Hyperparams) -> tuple[GcnModel, list[float]]:
     """train() from an already propagated SX = S @ X, which the caller may reuse to predict."""
     y, labeled = _targets(Y, labeled, S.n, model.dims[2])
-    wd = hp.weight_decay
+    y_L, wd = y[labeled], hp.weight_decay
     S_L = S.take_rows(labeled)
     # N1: S is symmetric, so the rows that touch L are the columns of L's rows
     S_N1 = S.take_rows(np.unique(S_L.indices))
-    # an N1 row with at most two entries in L's columns keeps only those (see above)
+    # an N1 row with at most two entries in L's columns keeps only those (see train)
     in_L = np.zeros(S.n, dtype=bool)
     in_L[labeled] = True
     hits = in_L[S_N1.indices]
     per_row = np.diff(np.concatenate([[0], np.cumsum(hits)])[S_N1.indptr])
     S_N1 = S_N1.take_entries(hits | np.repeat(per_row > 2, np.diff(S_N1.indptr)))
+    # N1's rows in the order one-entry, two-entry, whole: the entries of the first two kinds
+    # come first, a row's pair side by side, and the whole rows are a cut of their own
+    kept = np.diff(S_N1.indptr)
+    ones, twos = int((kept == 1).sum()), int((kept == 2).sum())
+    S_N1 = S_N1.take_rows(np.argsort(np.minimum(kept, 3), kind="stable"))
+    few_cols, few_weights = S_N1.indices[:ones + 2 * twos], S_N1.data[:ones + 2 * twos, None]
+    S_whole = S_N1.take_rows(np.arange(ones + twos, len(S_N1.rows)))
+    # buffers every epoch writes in place: SH1 and G2 stay zero off L, and G1 off N1
+    L2, C = model.dims[1:]
+    A1, SH1, B, G1 = (np.zeros((S.n, L2)) for _ in range(4))
+    A2, G2 = np.zeros((S.n, C)), np.zeros((S.n, C))
+    SH1_L, G1_N1 = np.empty((len(labeled), L2)), np.empty((len(S_N1.rows), L2))
+    at_few, mask = np.empty((len(few_cols), L2)), np.empty((len(S_N1.rows), L2), dtype=bool)
+    L_blocks, whole_blocks = list(S_L.row_blocks(L2)), list(S_whole.row_blocks(L2))
+    # one gather buffer for the largest block of either cut
+    at = np.empty((max((e.stop - e.start for _, e, _ in L_blocks + whole_blocks), default=0), L2))
 
     def objective(params):
-        current = GcnModel(*params)
-        cache = _layers(current, S_L, SX)
-        value, G_L = _cross_entropy(cache.A2[labeled], y[labeled])
+        theta1, theta2 = params
+        np.matmul(SX, theta1, out=A1)
+        _sum_rows(S_L, L_blocks, A1, at, SH1_L, relu=True)
+        SH1[labeled] = SH1_L
+        np.matmul(SH1, theta2, out=A2)
+        value, G_L = _cross_entropy(A2[labeled], y_L)
         if wd > 0:
             value += 0.5 * wd * sum(float((p ** 2).sum()) for p in params)
-        return value, lambda: _gradients(current, S_N1, cache, G_L, labeled, wd)
+        return value, lambda: gradients(theta1, theta2, G_L)
+
+    def gradients(theta1, theta2, G_L):
+        G2[labeled] = G_L
+        np.matmul(G2, theta2.T, out=B)
+        # G1 = (S @ B) * (A1 > 0) on N1's rows: a one-entry row's sum is that entry and a
+        # two-entry row's the pair's sum, which is what reduceat gives
+        np.take(B, few_cols, axis=0, out=at_few)
+        np.multiply(at_few, few_weights, out=at_few)
+        G1_N1[:ones] = at_few[:ones]
+        np.add(at_few[ones::2], at_few[ones + 1::2], out=G1_N1[ones:ones + twos])
+        _sum_rows(S_whole, whole_blocks, B, at, G1_N1[ones + twos:])
+        np.greater(A1[S_N1.rows], 0.0, out=mask)
+        np.multiply(G1_N1, mask, out=G1_N1)
+        G1[S_N1.rows] = G1_N1
+        g_theta1, g_theta2 = SX.T @ G1, SH1.T @ G2
+        if wd > 0:
+            g_theta1 = g_theta1 + wd * theta1
+            g_theta2 = g_theta2 + wd * theta2
+        return g_theta1, g_theta2
 
     params, trace = _descend((model.theta1.copy(), model.theta2.copy()), objective, hp)
     return GcnModel(*params), trace
+
+
+def _sum_rows(P: PropagationMatrix, blocks: list, M: np.ndarray, at: np.ndarray, out: np.ndarray,
+              relu: bool = False) -> None:
+    """out = P.matmul(M), or P.matmul(relu(M)), bit for bit, by P's row_blocks(M.shape[1]) and
+    in ``at``, a buffer for the largest block's gather.  The ReLU acts entry by entry, so it
+    gives the same bits on the gathered rows."""
+    for rows, entries, starts in blocks:
+        block = at[:entries.stop - entries.start]
+        np.take(M, P.indices[entries], axis=0, out=block)
+        if relu:
+            np.maximum(block, 0.0, out=block)
+        np.multiply(block, P.data[entries, None], out=block)
+        np.add.reduceat(block, starts, axis=0, out=out[rows])
 
 
 def _descend(params: tuple, objective, hp: Hyperparams) -> tuple[tuple, list[float]]:

@@ -193,31 +193,39 @@ class PropagationMatrix:
             raise ValueError(f"row {self.rows[empty[0]]} would keep no entry")
         return PropagationMatrix(self.n, indptr, self.indices[keep], self.data[keep], self.rows)
 
+    def row_blocks(self, cols: int):
+        """Yield the stored rows in contiguous blocks whose gather of a ``cols``-column operand
+        holds about MATMUL_BLOCK_BYTES, as (rows, entries, starts): the block's stored rows and
+        their entries in indices/data, two slices, and each row's first entry counted from the
+        block's first.  A block is max(1, MATMUL_BLOCK_BYTES // (8 * cols * ceil(nnz / stored
+        rows))) rows, the last one fewer."""
+        segment = -(-self.nnz // max(1, len(self.rows)))  # mean stored entries per row, rounded up
+        block = max(1, MATMUL_BLOCK_BYTES // max(1, 8 * cols * segment))
+        for i in range(0, len(self.rows), block):
+            ptr = self.indptr[i:i + block + 1]
+            yield slice(i, i + len(ptr) - 1), slice(ptr[0], ptr[-1]), ptr[:-1] - ptr[0]
+
     def matmul(self, M: np.ndarray) -> np.ndarray:
         """The stored rows of S @ M for a dense 2-D M (n x cols): all of S @ M, or a cut's
         rows in its order.
 
-        Rows go in contiguous blocks whose gather holds about MATMUL_BLOCK_BYTES: a block
-        is max(1, MATMUL_BLOCK_BYTES // (8 * cols * ceil(nnz / stored rows))) rows, fixed
-        per call.  A block gathers M at its rows' column segments, scales that copy in place
-        and sums each segment with np.add.reduceat, in an order fixed for a given NumPy build
-        that is not a sequential ascending-column sum.  Every row is summed over its whole
-        stored segment whatever the block, so the product does not depend on the block size,
-        and a take_rows cut's rows match the full product bit for bit.  M is left unmodified."""
+        Rows go in the blocks of row_blocks(cols), fixed per call.  A block gathers M at its
+        rows' column segments, scales that copy in place and sums each segment with
+        np.add.reduceat, in an order fixed for a given NumPy build that is not a sequential
+        ascending-column sum.  Every row is summed over its whole stored segment whatever the
+        block, so the product does not depend on the block size, and a take_rows cut's rows
+        match the full product bit for bit.  M is left unmodified."""
         M = np.asarray(M, dtype=np.float64)
         if M.ndim != 2:
             raise ValueError(f"operand must be 2-D (n x cols), got shape {M.shape}")
         if M.shape[0] != self.n:
             raise ValueError(f"operand has {M.shape[0]} rows, matrix is {len(self.rows)}x{self.n}")
         out = np.empty((len(self.rows), M.shape[1]))
-        segment = -(-self.nnz // max(1, len(self.rows)))  # mean stored entries per row, rounded up
-        block = max(1, MATMUL_BLOCK_BYTES // max(1, 8 * M.shape[1] * segment))
-        for i in range(0, len(self.rows), block):
-            ptr = self.indptr[i:i + block + 1]
-            contrib = M[self.indices[ptr[0]:ptr[-1]]]
-            contrib *= self.data[ptr[0]:ptr[-1], None]
+        for rows, entries, starts in self.row_blocks(M.shape[1]):
+            contrib = M[self.indices[entries]]
+            contrib *= self.data[entries, None]
             # reduceat is safe because no stored row segment is empty (see the class docstring)
-            out[i:i + block] = np.add.reduceat(contrib, ptr[:-1] - ptr[0], axis=0)
+            out[rows] = np.add.reduceat(contrib, starts, axis=0)
         return out
 
     def to_dense(self) -> np.ndarray:

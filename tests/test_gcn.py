@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from gcnbench import gcn
+from gcnbench import gcn, graph
 from gcnbench.checkpoint import load_checkpoint, save_checkpoint
 from gcnbench.dataset import build_label_matrix, full_truth, make_split, synth_blobs
 from gcnbench.gcn import (
@@ -240,8 +240,16 @@ def test_train_lr_zero_is_identity():
 def test_train_computes_no_gradient_after_its_last_step(monkeypatch, epochs):
     ds, S, split, Y, model = small_instance(12)
     calls = []
-    gradients = gcn._gradients
-    monkeypatch.setattr(gcn, "_gradients", lambda *args: calls.append(1) or gradients(*args))
+    descend = gcn._descend
+
+    def counting_descend(params, objective, hp):
+        def counted(p):
+            value, gradients = objective(p)
+            return value, lambda: calls.append(1) or gradients()
+        return descend(params, counted, hp)
+
+    # the epoch's gradient is the callable its objective returns, which runs only if asked
+    monkeypatch.setattr(gcn, "_descend", counting_descend)
     _, trace = train(model, S, ds.X, Y, split.labeled, Hyperparams(epochs=epochs))
     assert len(trace) == epochs + 1 and len(calls) == epochs
 
@@ -332,30 +340,58 @@ def test_train_propagates_the_features_once(monkeypatch):
     monkeypatch.setattr(PropagationMatrix, "matmul", counting_matmul)
     monkeypatch.setattr(PropagationMatrix, "take_rows", counting_take_rows)
     monkeypatch.setattr(PropagationMatrix, "take_entries", counting_take_entries)
-    epochs = 6
-    train(model, S, ds.X, Y, split.labeled, Hyperparams(epochs=epochs))
-    # the rows of S at L and at N1, each cut once per run
-    assert len(cuts) == 2
-    assert np.array_equal(cuts[0].rows, split.labeled)
-    # N1's cut is cut once more, to the entries the layer-1 gradient reads, on the same rows
-    assert len(entry_cuts) == 1 and entry_cuts[0][0] is cuts[1]
-    S_N1 = entry_cuts[0][1]
-    assert np.array_equal(S_N1.rows, cuts[1].rows)
-    # S @ X is full; every product after it runs on L's cut or on N1's entry cut, the first
-    # epoch's too: the loss on L, then each epoch the layer-1 gradient on N1 and the loss
-    assert products[0][0] is S and products[0][1]
-    assert len(products) == 2 * epochs + 2
-    assert not any(features for _, features in products[1:])
-    assert [P for P, _ in products[1:]] == [cuts[0]] + [S_N1, cuts[0]] * epochs
+    for epochs in (1, 6):
+        for record in (products, cuts, entry_cuts):
+            record.clear()
+        train(model, S, ds.X, Y, split.labeled, Hyperparams(epochs=epochs))
+        # S @ X, once per run, is the one product through matmul: the epochs sum their cuts'
+        # gathered rows themselves, and no product on X follows
+        assert products == [(S, True)]
+        # the rows of S at L and at N1, each cut once per run, whatever the epoch count
+        assert len(cuts) == 4
+        assert np.array_equal(cuts[0].rows, split.labeled)
+        assert np.array_equal(cuts[1].rows, np.unique(cuts[0].indices))
+        # N1's cut is cut once more, to the entries the layer-1 gradient reads; its rows are
+        # then put in the order one-entry, two-entry, whole, and the whole rows cut apart
+        assert len(entry_cuts) == 1 and entry_cuts[0][0] is cuts[1]
+        S_N1 = entry_cuts[0][1]
+        assert np.array_equal(np.sort(cuts[2].rows), S_N1.rows)
+        kept = np.minimum(np.diff(cuts[2].indptr), 3)
+        assert np.array_equal(kept, np.sort(kept))
+        assert np.array_equal(cuts[3].rows, cuts[2].rows[kept == 3])
+
+
+def n1_case(case):
+    """(ds, S, labeled, Y, model, epochs) whose N1 entry cut has the named shape."""
+    if case == "wide":
+        ds = synth_blobs(n=400, d=32, C=5, sep=2.0, seed=20)
+        split = make_split(ds, 40, seed=21)
+        model = init_model(32, 16, 5, seed=22)
+        return ds, normalize(knn_graph(ds, k=8)), split.labeled, build_label_matrix(ds, split), \
+            model, 60
+    ds, S, split, Y, model = small_instance(18, n=40, labeled=9)
+    labeled = split.labeled
+    if case == "full":  # every row touches all 9 labeled rows, so every row stays whole
+        S = normalize(full_graph(ds.n))
+    elif case == "one":
+        labeled = split.labeled[:1]
+    elif case == "pairs":  # two neighbours of row 0: it keeps both entries, and no row has three
+        labeled = [j for j in S.indices[S.indptr[0]:S.indptr[1]] if j != 0][:2]
+    elif case == "empty":
+        labeled = []
+    # Y's other rows are never read
+    return ds, S, labeled, np.eye(ds.C)[full_truth(ds)], model, 25
 
 
 @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
-@pytest.mark.parametrize("graph", ["full", "knn"])
+@pytest.mark.parametrize("case", ["knn", "full", "one", "pairs", "empty", "wide", "blocks"])
 def test_train_sums_an_n1_row_with_at_most_two_labeled_entries_over_those_alone(
-        monkeypatch, graph, weight_decay):
-    ds, S, split, Y, model = small_instance(18, n=40, labeled=9)
-    if graph == "full":  # every row touches all 9 labeled rows, so every row stays whole
-        S = normalize(full_graph(ds.n))
+        monkeypatch, case, weight_decay):
+    ds, S, labeled, Y, model, epochs = n1_case(case)
+    hp = Hyperparams(lr=0.2, epochs=epochs, weight_decay=weight_decay)
+    if case == "blocks":  # the knn case with one row per block of every cut's sum
+        monkeypatch.setattr(graph, "MATMUL_BLOCK_BYTES", 1)
+        assert len(list(S.take_rows(labeled).row_blocks(model.dims[1]))) == len(labeled)
     entry_cuts = []
     original_take_entries = PropagationMatrix.take_entries
 
@@ -364,22 +400,46 @@ def test_train_sums_an_n1_row_with_at_most_two_labeled_entries_over_those_alone(
         return entry_cuts[-1][1]
 
     monkeypatch.setattr(PropagationMatrix, "take_entries", recording_take_entries)
-    hp = Hyperparams(lr=0.2, epochs=25, weight_decay=weight_decay)
-    trained, trace = train(model, S, ds.X, Y, split.labeled, hp)
-    expected, expected_trace = train_oracle(model, S, ds.X, Y, split.labeled, hp)
+    trained, trace = train(model, S, ds.X, Y, labeled, hp)
+    expected, expected_trace = train_oracle(model, S, ds.X, Y, labeled, hp)
     assert np.array_equal(trained.theta1, expected.theta1)
     assert np.array_equal(trained.theta2, expected.theta2)
     assert trace == expected_trace
     [(rows_cut, entry_cut)] = entry_cuts
     whole, kept = np.diff(rows_cut.indptr), np.diff(entry_cut.indptr)
-    hits = np.add.reduceat(np.isin(rows_cut.indices, split.labeled).astype(np.int64),
+    hits = np.add.reduceat(np.isin(rows_cut.indices, labeled).astype(np.int64),
                            rows_cut.indptr[:-1])
     assert np.array_equal(kept, np.where(hits <= 2, hits, whole))
-    assert (hits > 2).any()
-    if graph == "full":
-        assert np.array_equal(kept, whole)
+    # the fit reaches the shape its case is for
+    if case == "one":
+        assert len(kept) > 1 and (kept == 1).all()
+    elif case == "pairs":
+        assert (kept == 2).any() and (hits <= 2).all()
+    elif case == "full":
+        assert (hits > 2).all()
+    elif case == "empty":
+        assert len(kept) == 0
+        if not weight_decay:
+            assert trace == [0.0] * (epochs + 1)
     else:
-        assert set(kept[kept < whole]) == {1, 2}
+        assert (hits > 2).any() and set(kept[kept < whole]) == {1, 2}
+
+
+def test_train_diverges_at_the_epoch_of_full_graph_steps():
+    # the summed loss on 180 of 200 rows is too steep for the default lr
+    ds = synth_blobs(n=200, d=8, C=3, sep=6.0, seed=0)
+    S = normalize(knn_graph(ds, k=5, metric="cosine"))
+    split = make_split(ds, 180, seed=1)
+    Y = build_label_matrix(ds, split)
+    model = init_model(8, 16, 3, seed=2)
+    with pytest.raises(ValueError, match=r"^training diverged: non-finite loss at epoch \d+$") as error:
+        train(model, S, ds.X, Y, split.labeled, Hyperparams())
+    epoch = int(str(error.value).rsplit(" ", 1)[1])
+    # forward()/backward() steps reach the same non-finite loss at that epoch, with finite
+    # parameters and loss before it
+    with np.errstate(all="ignore"):
+        _, trace = train_oracle(model, S, ds.X, Y, split.labeled, Hyperparams(epochs=epoch))
+    assert np.isfinite(trace[:-1]).all() and not np.isfinite(trace[-1])
 
 
 def test_train_deterministic():
