@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import check_indices, check_type
 from .gcn import Hyperparams, _cross_entropy, _descend
-from .graph import check_indices, check_type
 
 LOGREG_DEFAULTS = Hyperparams(lr=0.5, epochs=500, weight_decay=1e-4)
 

@@ -21,8 +21,8 @@ import json
 from dataclasses import asdict
 
 from .baseline import LogRegModel
+from .checks import check_type
 from .gcn import GcnModel, Hyperparams
-from .graph import check_type
 
 FORMAT = "model-checkpoint"
 VERSION = 1

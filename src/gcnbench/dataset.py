@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import check_indices, check_type
+from .checks import check_indices, check_type
 
 
 @dataclass

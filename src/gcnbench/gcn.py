@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import PropagationMatrix, check_indices, check_type
+from .checks import check_indices, check_type
+from .graph import PropagationMatrix
 
 
 @dataclass(frozen=True)
@@ -163,7 +164,7 @@ def _layers(model: GcnModel, S: PropagationMatrix, SX: np.ndarray) -> ForwardCac
 
 def _targets(Y, labeled, n: int, C: int) -> tuple[np.ndarray, np.ndarray]:
     """(Y, labeled) as a finite float64 n x C matrix and int64 row indices, checked: labeled is a
-    vector of distinct row indices in 0..n-1 (graph.check_indices), so no index is truncated,
+    vector of distinct row indices in 0..n-1 (checks.check_indices), so no index is truncated,
     wraps around or counts twice.  An empty labeled set is valid."""
     y = np.asarray(Y, dtype=np.float64)
     if y.shape != (n, C):

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .baseline import LOGREG_DEFAULTS, predict_logreg, train_logreg
+from .checks import check_indices, check_type
 from .dataset import (
     EmbeddingDataset,
     build_label_matrix,
@@ -32,8 +33,7 @@ from .dataset import (
     synth_blobs,
 )
 from .gcn import GcnModel, Hyperparams, _train_predict, forward, init_model, predict
-from .graph import (GraphBuildConfig, build_graph, check_indices, check_type, graph_config,
-                    normalize, usable_cpus)
+from .graph import GraphBuildConfig, build_graph, graph_config, normalize, usable_cpus
 
 # Every model a run can fit, with its default hyperparameters; only the GCN uses the graph.
 DEFAULT_HYPERPARAMS = {"gcn": Hyperparams(), "logreg": LOGREG_DEFAULTS}
@@ -60,7 +60,7 @@ class ConfusionCounts:
 
 
 def _class_vectors(pred, truth) -> tuple[np.ndarray, np.ndarray]:
-    """pred and truth as int64 vectors of one length (graph.check_indices); a bool, float or
+    """pred and truth as int64 vectors of one length (checks.check_indices); a bool, float or
     other non-integer entry is a ValueError naming its vector, as a cast would truncate it,
     and so is a negative entry, which is no class index."""
     pred, truth = check_indices("pred", pred), check_indices("truth", truth)
