@@ -30,6 +30,7 @@ from gcnbench.harness import (
     render_report,
     run_experiment,
 )
+from test_package import modules_after
 
 
 def quick_config(**overrides):
@@ -330,21 +331,13 @@ def test_a_sweep_without_a_graph_model_builds_no_graph(tmp_path):
         run_experiment(replace(cfg, models=["gcn", "logreg"]))
 
 
-def imported_with_the_package(module):
-    """Whether a fresh ``import gcnbench`` imports ``module``."""
-    src = os.path.dirname(os.path.dirname(harness.__file__))
-    code = f"import sys, gcnbench; print({module!r} in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
-                         capture_output=True, text=True, check=True).stdout
-    return out == "True\n"
-
-
 def test_importing_the_package_does_not_import_multiprocessing():
-    assert not imported_with_the_package("multiprocessing")
+    # the star import loads every module of the package, harness and graph among them
+    assert "multiprocessing" not in modules_after("from gcnbench import *")
 
 
 def test_importing_the_package_does_not_import_concurrent_futures():
-    assert not imported_with_the_package("concurrent.futures")
+    assert "concurrent.futures" not in modules_after("from gcnbench import *")
 
 
 def test_config_rejects_unknown_model():

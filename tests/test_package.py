@@ -1,6 +1,8 @@
 """The package namespace: its public names, resolved on first use, and what each use imports."""
 
+import ast
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -45,6 +47,22 @@ def test_star_import_binds_every_public_name():
     assert all(value is getattr(gcnbench, name) for name, value in namespace.items())
 
 
+def test_type_checkers_see_the_same_names_from_the_same_modules():
+    tree = ast.parse(pathlib.Path(gcnbench.__file__).read_text(encoding="utf-8"))
+    block, = [node for node in tree.body
+              if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING"]
+    seen = {}
+    for node in block.body:
+        assert isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names:
+            assert alias.asname is None and alias.name not in seen
+            seen[alias.name] = f"gcnbench.{node.module}" if node.module else f"gcnbench.{alias.name}"
+    assert sorted(seen) == PUBLIC_NAMES
+    for name, module in seen.items():
+        value = getattr(gcnbench, name)
+        assert (value.__name__ if name in SUBMODULES else value.__module__) == module
+
+
 def test_an_unknown_name_is_an_attribute_error_naming_it():
     with pytest.raises(AttributeError, match="'no_such_name'"):
         gcnbench.no_such_name
@@ -73,19 +91,22 @@ def test_a_name_is_looked_up_on_every_access(monkeypatch):
 
 
 def modules_after(statement, *args):
-    """The gcnbench modules a fresh interpreter holds after ``import gcnbench`` and
-    ``statement``, which reads its arguments from sys.argv[1:]."""
+    """The modules a fresh interpreter holds after ``import gcnbench`` and ``statement``,
+    which reads its arguments from sys.argv[1:]; the test process's own imports do not count."""
     src = os.path.dirname(os.path.dirname(gcnbench.__file__))
-    code = ("import sys, gcnbench\n" + statement + "\n"
-            "print(*sorted(m for m in sys.modules if m.startswith('gcnbench')))")
+    code = "import sys, gcnbench\n" + statement + "\nprint(*sorted(sys.modules))"
     out = subprocess.run([sys.executable, "-c", code, *args],
                          env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True).stdout
     return out.split()
 
 
+def package_modules_after(statement, *args):
+    return [m for m in modules_after(statement, *args) if m.split(".")[0] == "gcnbench"]
+
+
 def test_importing_the_package_imports_no_submodule():
-    assert modules_after("") == ["gcnbench"]
+    assert package_modules_after("") == ["gcnbench"]
 
 
 def test_loading_a_dataset_imports_only_its_checks_and_reader(tmp_path):
@@ -94,10 +115,10 @@ def test_loading_a_dataset_imports_only_its_checks_and_reader(tmp_path):
     sidecar = tmp_path / ("blobs.csv" + dataset.SIDECAR_SUFFIX)
     expected = ["gcnbench", "gcnbench.checks", "gcnbench.dataset"]
     assert not sidecar.exists()
-    assert modules_after("gcnbench.load_dataset(sys.argv[1])", str(path)) == expected  # a parse
+    assert package_modules_after("gcnbench.load_dataset(sys.argv[1])", str(path)) == expected  # a parse
     assert sidecar.exists()
-    assert modules_after("gcnbench.load_dataset(sys.argv[1])", str(path)) == expected  # a hit
+    assert package_modules_after("gcnbench.load_dataset(sys.argv[1])", str(path)) == expected  # a hit
 
 
 def test_a_graph_builder_imports_the_graph_but_not_the_model_or_harness():
-    assert modules_after("gcnbench.knn_graph") == ["gcnbench", "gcnbench.checks", "gcnbench.graph"]
+    assert package_modules_after("gcnbench.knn_graph") == ["gcnbench", "gcnbench.checks", "gcnbench.graph"]
