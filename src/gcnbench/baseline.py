@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import check_indices, check_type
+from .checks import check_floats, check_indices, check_type
 from .gcn import Hyperparams, _cross_entropy, _descend
 
 LOGREG_DEFAULTS = Hyperparams(lr=0.5, epochs=500, weight_decay=1e-4)
@@ -24,15 +24,8 @@ class LogRegModel:
     b: np.ndarray
 
     def __post_init__(self):
-        try:
-            self.W = np.asarray(self.W, dtype=np.float64)
-            self.b = np.asarray(self.b, dtype=np.float64)
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError("parameters must be arrays of numbers") from None
-        if self.W.ndim != 2 or self.b.shape != (self.W.shape[1],):
-            raise ValueError(f"shape mismatch: W is {self.W.shape}, b is {self.b.shape}")
-        if not (np.isfinite(self.W).all() and np.isfinite(self.b).all()):
-            raise ValueError("parameters must be finite")
+        self.W = check_floats("W", self.W, (None, None))
+        self.b = check_floats("b", self.b, (self.W.shape[1],))
 
 
 def logreg_loss_grad(W, b, X, y, weight_decay: float = 0.0):
@@ -58,11 +51,9 @@ def train_logreg(X_l, y_l, C: int, hp: Hyperparams = LOGREG_DEFAULTS) -> tuple[L
     Returns the model and the loss trace (epochs+1 entries, initial first).
     Deterministic: the convex objective makes the zero start canonical.
     """
-    X_l = np.asarray(X_l, dtype=np.float64)
-    if X_l.ndim != 2 or len(X_l) < 1:
+    X_l = check_floats("X_l", X_l, (None, None))
+    if len(X_l) < 1:
         raise ValueError("need at least one labeled row")
-    if not np.isfinite(X_l).all():
-        raise ValueError("X_l must be finite")
     check_type("C", C, int)
     if C < 2:
         raise ValueError(f"need C >= 2, got {C}")
@@ -81,7 +72,5 @@ def train_logreg(X_l, y_l, C: int, hp: Hyperparams = LOGREG_DEFAULTS) -> tuple[L
 def predict_logreg(model: LogRegModel, X) -> np.ndarray:
     """Argmax over softmax(x @ W + b) per row; softmax preserves the argmax,
     so the logits are ranked directly.  Ties break toward the lowest index."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.W.shape[0]:
-        raise ValueError(f"X must have {model.W.shape[0]} columns, got shape {X.shape}")
+    X = check_floats("X", X, (None, model.W.shape[0]))
     return np.argmax(X @ model.W + model.b, axis=1)

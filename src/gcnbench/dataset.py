@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import check_indices, check_type
+from .checks import check_floats, check_indices, check_type
 
 
 @dataclass
@@ -39,15 +39,17 @@ class EmbeddingDataset:
     class_names: list[str] | None = None
 
     def __post_init__(self):
-        self.X = np.asarray(self.X, dtype=np.float64)
-        if self.X.ndim != 2:
-            raise ValueError("X must be a 2-D matrix")
+        try:
+            self.X = check_floats("embedding", self.X, (None, None))
+        except ValueError as error:
+            # the rule counts a non-finite row from 0, the CSV from 1
+            row = str(error).removeprefix("embedding row ").partition(":")[0]
+            if not row.isdigit():
+                raise
+            raise ValueError(f"data row {int(row) + 1}: non-finite embedding value") from None
         n, d = self.X.shape
         if n < 1 or d < 1:
             raise ValueError(f"need at least one row and one column, got shape {self.X.shape}")
-        if not np.isfinite(self.X).all():
-            bad = int(np.argwhere(~np.isfinite(self.X))[0, 0])
-            raise ValueError(f"data row {bad + 1}: non-finite embedding value")
         if len(self.ids) != n:
             raise ValueError(f"{len(self.ids)} ids for {n} rows")
         for i, text_id in enumerate(self.ids):
@@ -119,7 +121,7 @@ def full_truth(ds: EmbeddingDataset) -> np.ndarray:
 
 def l2_normalize_rows(X) -> np.ndarray:
     """Scale every row to unit Euclidean norm (off by default everywhere)."""
-    X = np.asarray(X, dtype=np.float64)
+    X = check_floats("X", X, (None, None))
     norms = np.linalg.norm(X, axis=1, keepdims=True)
     if (norms == 0.0).any():
         raise ValueError("cannot L2-normalize a zero row")

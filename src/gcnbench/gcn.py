@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import check_indices, check_type
+from .checks import check_floats, check_indices, check_type
 from .graph import PropagationMatrix
 
 
@@ -51,19 +51,8 @@ class GcnModel:
     theta2: np.ndarray
 
     def __post_init__(self):
-        try:
-            self.theta1 = np.asarray(self.theta1, dtype=np.float64)
-            self.theta2 = np.asarray(self.theta2, dtype=np.float64)
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError("parameters must be matrices of numbers") from None
-        if self.theta1.ndim != 2 or self.theta2.ndim != 2:
-            raise ValueError("parameter matrices must be 2-D")
-        if self.theta1.shape[1] != self.theta2.shape[0]:
-            raise ValueError(
-                f"shape mismatch: theta1 is {self.theta1.shape}, theta2 is {self.theta2.shape}"
-            )
-        if not (np.isfinite(self.theta1).all() and np.isfinite(self.theta2).all()):
-            raise ValueError("parameters must be finite")
+        self.theta1 = check_floats("theta1", self.theta1, (None, None))
+        self.theta2 = check_floats("theta2", self.theta2, (self.theta1.shape[1], None))
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -142,15 +131,9 @@ def forward(model: GcnModel, S: PropagationMatrix, X) -> ForwardCache:
 
 
 def _features(model: GcnModel, S: PropagationMatrix, X) -> np.ndarray:
-    """X as float64, checked to be finite and to hold one row per node of S and one column
-    per model input."""
-    X = np.asarray(X, dtype=np.float64)
-    L1, _, _ = model.dims
-    if X.ndim != 2 or X.shape != (S.n, L1):
-        raise ValueError(f"X must be {S.n}x{L1}, got {X.shape}")
-    if not np.isfinite(X).all():
-        raise ValueError("X must be finite")
-    return X
+    """X as a finite float64 array (checks.check_floats) with one row per node of S and one
+    column per model input."""
+    return check_floats("X", X, (S.n, model.dims[0]))
 
 
 def _layers(model: GcnModel, S: PropagationMatrix, SX: np.ndarray) -> ForwardCache:
@@ -163,14 +146,10 @@ def _layers(model: GcnModel, S: PropagationMatrix, SX: np.ndarray) -> ForwardCac
 
 
 def _targets(Y, labeled, n: int, C: int) -> tuple[np.ndarray, np.ndarray]:
-    """(Y, labeled) as a finite float64 n x C matrix and int64 row indices, checked: labeled is a
-    vector of distinct row indices in 0..n-1 (checks.check_indices), so no index is truncated,
-    wraps around or counts twice.  An empty labeled set is valid."""
-    y = np.asarray(Y, dtype=np.float64)
-    if y.shape != (n, C):
-        raise ValueError(f"Y must be {n}x{C}, got {y.shape}")
-    if not np.isfinite(y).all():
-        raise ValueError("Y must be finite")
+    """(Y, labeled) as a finite float64 n x C matrix and int64 row indices, checked (checks):
+    labeled is a vector of distinct row indices in 0..n-1, so no index is truncated, wraps
+    around or counts twice.  An empty labeled set is valid."""
+    y = check_floats("Y", Y, (n, C))
     rows = check_indices("labeled", labeled, n)
     if rows.ndim != 1:
         raise ValueError(f"labeled must be a vector of row indices, got shape {rows.shape}")
@@ -206,9 +185,9 @@ def backward(model: GcnModel, S: PropagationMatrix, X, cache: ForwardCache, Y, l
     With weight decay, wd * theta is added to each gradient, matching the
     objective used by train().
     """
-    X = np.asarray(X, dtype=np.float64)
-    L1, L2, C = model.dims
-    if cache.Z.shape != (S.n, C) or cache.A1.shape != (S.n, L2) or X.shape != (S.n, L1):
+    _features(model, S, X)
+    _, L2, C = model.dims
+    if cache.Z.shape != (S.n, C) or cache.A1.shape != (S.n, L2):
         raise ValueError("cache does not match this model/graph/feature combination")
     y, labeled = _targets(Y, labeled, S.n, C)
     G2 = np.zeros_like(cache.A2)

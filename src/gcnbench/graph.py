@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import check_indices, check_type
+from .checks import check_floats, check_indices, check_type
 
 METRICS = ("euclidean", "cosine")
 # the GraphBuildConfig settings each method reads besides its name
@@ -122,9 +122,10 @@ class PropagationMatrix:
 
     With A_hat = A + I and d_hat the row sums of A_hat, the entry for a
     connected pair (i, j) is 1/sqrt(d_hat_i * d_hat_j) and the diagonal is
-    1/d_hat_i.  Stored in CSR form, and no stored row is empty: a full or take_rows
-    matrix holds every diagonal, and take_entries rejects a cut that leaves a row empty.
-    Stored row r is node rows[r]'s: all n in order, or those of a take_rows cut.
+    1/d_hat_i.  Stored in CSR form, checked on construction: indptr runs from 0 to nnz
+    and rises at every stored row, so no stored row is empty (a full or take_rows matrix
+    holds every diagonal), indices and rows lie in 0..n-1 and data is finite.  Stored
+    row r is node rows[r]'s: all n in order, or those of a take_rows cut.
     """
 
     n: int
@@ -132,6 +133,19 @@ class PropagationMatrix:
     indices: np.ndarray
     data: np.ndarray
     rows: np.ndarray
+
+    def __post_init__(self):
+        self.indices = check_indices("indices", self.indices, self.n)
+        self.rows = check_indices("rows", self.rows, self.n)
+        if self.indices.ndim != 1 or self.rows.ndim != 1:
+            raise ValueError("indices and rows must be vectors")
+        self.data = check_floats("data", self.data, self.indices.shape)
+        ptr = self.indptr = check_indices("indptr", self.indptr)
+        if ptr.shape != (len(self.rows) + 1,) or ptr[0] != 0 or ptr[-1] != self.nnz:
+            raise ValueError(f"indptr must run from 0 to nnz={self.nnz} in {len(self.rows)} steps")
+        r = np.flatnonzero(np.diff(ptr) < 1)  # an empty stored row, or a negative count
+        if len(r):
+            raise ValueError(f"indptr must rise at every stored row, not at row {r[0]} (node {self.rows[r[0]]})")
 
     @property
     def nnz(self) -> int:
@@ -156,9 +170,6 @@ class PropagationMatrix:
         if keep.shape != self.data.shape:
             raise ValueError(f"need one flag per stored entry ({self.nnz}), got {keep.shape}")
         indptr = np.concatenate([[0], np.cumsum(keep)])[self.indptr]
-        empty = np.flatnonzero(indptr[1:] == indptr[:-1])
-        if len(empty):
-            raise ValueError(f"row {self.rows[empty[0]]} would keep no entry")
         return PropagationMatrix(self.n, indptr, self.indices[keep], self.data[keep], self.rows)
 
     def row_blocks(self, cols: int):
@@ -183,11 +194,7 @@ class PropagationMatrix:
         ascending-column sum.  Every row is summed over its whole stored segment whatever the
         block, so the product does not depend on the block size, and a take_rows cut's rows
         match the full product bit for bit.  M is left unmodified."""
-        M = np.asarray(M, dtype=np.float64)
-        if M.ndim != 2:
-            raise ValueError(f"operand must be 2-D (n x cols), got shape {M.shape}")
-        if M.shape[0] != self.n:
-            raise ValueError(f"operand has {M.shape[0]} rows, matrix is {len(self.rows)}x{self.n}")
+        M = check_floats("operand", M, (self.n, None))
         out = np.empty((len(self.rows), M.shape[1]))
         for rows, entries, starts in self.row_blocks(M.shape[1]):
             contrib = M[self.indices[entries]]
@@ -213,12 +220,7 @@ def _features(ds, metric=None):
     in [2^-458, 2^400): entries that differ then do so by at least 2^-510, so no squared
     difference underflows, and nothing overflows.  Data no power of two fits is a
     ValueError.  Data already in range is left as it is, bit for bit."""
-    X = np.asarray(getattr(ds, "X", ds), dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError("expected a 2-D feature matrix")
-    finite = np.isfinite(X).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"feature row {int(np.argmin(finite))}: non-finite value")
+    X = check_floats("feature", getattr(ds, "X", ds), (None, None))
     shift = 0
     if metric == "cosine":
         peak = np.maximum(X.max(axis=1, initial=0.0), -X.min(axis=1, initial=0.0))

@@ -170,8 +170,8 @@ def test_divergence_names_the_epoch_of_non_finite_parameters():
     ([[0.0], [1.0]], [[0], [1]], 2, "y_l must hold one class index per row of X_l (2), got shape (2, 1)"),
     ([[0.0], [1.0]], [0, 1], 2.5, "C must be an integer, got 2.5"),
     ([[0.0], [1.0]], [0, 1], "3", "C must be an integer, got '3'"),
-    ([[0.0], [np.nan]], [0, 1], 2, "X_l must be finite"),
-    ([[0.0], [np.inf]], [0, 1], 2, "X_l must be finite"),
+    ([[0.0], [np.nan]], [0, 1], 2, "X_l row 1: non-finite value"),
+    ([[0.0], [np.inf]], [0, 1], 2, "X_l row 1: non-finite value"),
 ], ids=["float-labels", "bool-labels", "string-labels", "2-d-labels", "float-C", "string-C",
         "nan-X", "inf-X"])
 def test_malformed_inputs_are_named_errors(X_l, y_l, C, message):

@@ -465,3 +465,19 @@ def test_eval_rejects_malformed_checkpoint(tmp_path, blob_csv, capsys, model, co
     capsys.readouterr()
     assert main(["eval", "--checkpoint", str(ckpt), "--data", str(blob_csv), *graph]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("entry, kind", [(True, "bool"), ("0.5", "str"), (None, "NoneType")],
+                         ids=["true", "string", "null"])
+def test_eval_rejects_a_theta1_entry_that_is_no_number(tmp_path, blob_csv, capsys, entry, kind):
+    # true and "0.5" once loaded as 1.0 and 0.5 and were scored; null named no parameter
+    edges, ckpt = tmp_path / "g.edges", tmp_path / "gcn.json"
+    assert main(["build-graph", "--data", str(blob_csv), "--out", str(edges)]) == 0
+    assert main(["train", "--data", str(blob_csv), "--graph", str(edges), "--model", "gcn",
+                 "--labeled", "9", "--epochs", "5", "--out", str(ckpt)]) == 0
+    payload = json.loads(ckpt.read_text(encoding="utf-8"))
+    payload["theta1"][0][0] = entry
+    ckpt.write_text(json.dumps(payload), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt), "--data", str(blob_csv), "--graph", str(edges)]) == 1
+    assert capsys.readouterr().err == f"error: theta1 must hold real numbers, got {kind}\n"

@@ -399,7 +399,8 @@ def test_class_count_and_truth_take_any_integer_type():
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: EmbeddingDataset(ids=["a", "b"], X=np.ones(2), C=2), "X must be a 2-D matrix"),
+    (lambda: EmbeddingDataset(ids=["a", "b"], X=np.ones(2), C=2),
+     "embedding must have shape (any, any), got (2,)"),
     (lambda: EmbeddingDataset(ids=["a", "b"], X=np.ones((2, 0)), C=2),
      "need at least one row and one column, got shape (2, 0)"),
     (lambda: EmbeddingDataset(ids=["a"], X=np.eye(2), C=2), "1 ids for 2 rows"),

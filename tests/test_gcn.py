@@ -130,7 +130,7 @@ def test_loss_empty_labeled_set():
     ([3, -1], 12, "labeled holds -1, outside 0..11"),
     ([0, 12], 12, "labeled holds 12, outside 0..11"),
     ([4, 2, 4, 2], 12, "duplicate labeled index 2"),
-    ([0, 1], 11, r"Y must be 12x3, got \(11, 3\)"),
+    ([0, 1], 11, r"Y must have shape \(12, 3\), got \(11, 3\)"),
 ], ids=["float", "2-d", "bool", "negative", "past-n", "duplicate", "y-shape"])
 @pytest.mark.parametrize("call", ["train", "loss", "backward"])
 def test_malformed_labeled_indices_or_targets_are_named_errors(call, labeled, rows, message):
@@ -155,7 +155,7 @@ def test_non_finite_targets_are_named_errors(call, bad):
     run = {"train": lambda: train(model, S, ds.X, Y, split.labeled, Hyperparams(epochs=2)),
            "loss": lambda: loss(cache, Y, split.labeled),
            "backward": lambda: backward(model, S, ds.X, cache, Y, split.labeled)}[call]
-    with pytest.raises(ValueError, match="^Y must be finite$"):
+    with pytest.raises(ValueError, match=f"^Y row {split.labeled[0]}: non-finite value$"):
         run()
 
 
@@ -167,7 +167,7 @@ def test_non_finite_features_are_named_errors(call, bad):
     X[3, 1] = bad
     run = {"train": lambda: train(model, S, X, Y, split.labeled, Hyperparams(epochs=2)),
            "forward": lambda: forward(model, S, X)}[call]
-    with pytest.raises(ValueError, match="^X must be finite$"):
+    with pytest.raises(ValueError, match="^X row 3: non-finite value$"):
         run()
 
 
@@ -521,10 +521,12 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: GcnModel(theta1=np.ones(3), theta2=np.ones((3, 2))), "parameter matrices must be 2-D"),
-    (lambda: GcnModel(theta1=np.ones((3, 4)), theta2=np.ones(4)), "parameter matrices must be 2-D"),
+    (lambda: GcnModel(theta1=np.ones(3), theta2=np.ones((3, 2))),
+     "theta1 must have shape (any, any), got (3,)"),
+    (lambda: GcnModel(theta1=np.ones((3, 4)), theta2=np.ones(4)),
+     "theta2 must have shape (4, any), got (4,)"),
     (lambda: GcnModel(theta1=np.ones((3, 4)), theta2=np.ones((5, 2))),
-     "shape mismatch: theta1 is (3, 4), theta2 is (5, 2)"),
+     "theta2 must have shape (4, any), got (5, 2)"),
     (lambda: init_model(3, 0, 2, seed=0), "dimensions must be positive, got (3, 0, 2)"),
     (lambda: init_model(0, 4, 2, seed=0), "dimensions must be positive, got (0, 4, 2)"),
 ], ids=["theta1-1d", "theta2-1d", "shape-mismatch", "init-no-hidden", "init-no-input"])

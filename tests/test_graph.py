@@ -11,13 +11,15 @@ import numpy as np
 import pytest
 
 from gcnbench import gcn, graph
-from gcnbench.baseline import logreg_loss_grad, train_logreg
-from gcnbench.dataset import LabeledSplit, synth_blobs
+from gcnbench.baseline import LogRegModel, logreg_loss_grad, predict_logreg, train_logreg
+from gcnbench.checks import check_floats
+from gcnbench.dataset import EmbeddingDataset, LabeledSplit, l2_normalize_rows, synth_blobs
 from gcnbench.graph import (
     DISTANCE_BLOCK_ROWS,
     MATMUL_BLOCK_BYTES,
     METRICS,
     GraphBuildConfig,
+    PropagationMatrix,
     SparseAdjacency,
     build_graph,
     epsilon_graph,
@@ -523,6 +525,104 @@ def test_check_indices_keeps_the_shape_and_the_values():
     assert graph.check_indices("x", edges) is edges  # an int64 array is not copied
 
 
+def _float_entry_points():
+    """{entry: (argument name, a valid value, call)} for every input read as a float array, on
+    n=4 nodes with d=2 features, 3 hidden units and C=2 classes."""
+    ds = synth_blobs(n=4, d=2, C=2, sep=3.0, seed=0)
+    S = normalize(SparseAdjacency(n=4, edges=[(0, 1), (1, 2), (2, 3)]))
+    Y, model = np.eye(2)[[0, 1, 0, 1]], gcn.init_model(2, 3, 2, 0)
+    cache = gcn.forward(model, S, ds.X)
+    logreg = LogRegModel(W=np.ones((2, 2)), b=np.zeros(2))
+    return {
+        "EmbeddingDataset": ("embedding", ds.X, lambda v: EmbeddingDataset(ids=list("abcd"), X=v, C=2)),
+        "l2_normalize_rows": ("X", ds.X, l2_normalize_rows),
+        "knn_graph": ("feature", ds.X, lambda v: knn_graph(v, 1)),
+        "matmul": ("operand", ds.X, S.matmul),
+        "PropagationMatrix": ("data", S.data, lambda v: PropagationMatrix(4, S.indptr, S.indices, v, S.rows)),
+        "GcnModel-theta1": ("theta1", model.theta1, lambda v: gcn.GcnModel(theta1=v, theta2=model.theta2)),
+        "GcnModel-theta2": ("theta2", model.theta2, lambda v: gcn.GcnModel(theta1=model.theta1, theta2=v)),
+        "forward": ("X", ds.X, lambda v: gcn.forward(model, S, v)),
+        "loss": ("Y", Y, lambda v: gcn.loss(cache, v, [0, 1])),
+        "backward": ("X", ds.X, lambda v: gcn.backward(model, S, v, cache, Y, [0, 1])),
+        "LogRegModel-W": ("W", logreg.W, lambda v: LogRegModel(W=v, b=logreg.b)),
+        "LogRegModel-b": ("b", logreg.b, lambda v: LogRegModel(W=logreg.W, b=v)),
+        "train_logreg": ("X_l", ds.X[:2], lambda v: train_logreg(v, [0, 1], 2, gcn.Hyperparams(epochs=1))),
+        "predict_logreg": ("X", ds.X, lambda v: predict_logreg(logreg, v)),
+    }
+
+
+def _first_entry(a, value):
+    """a as nested lists, its first entry replaced by value."""
+    entries = a.tolist()
+    (entries if a.ndim == 1 else entries[0])[0] = value
+    return entries
+
+
+def _ragged(a):
+    """a as nested lists that no array shape fits."""
+    return _first_entry(a, [1.0, 2.0]) if a.ndim == 1 else [*a.tolist()[:-1], a[-1, 1:].tolist()]
+
+
+def _last_entry(a, value):
+    a = a.copy()
+    a.flat[-1] = value
+    return a
+
+
+MALFORMED_FLOATS = {
+    "bool-array": lambda a: a > 0,
+    "list-with-true": lambda a: _first_entry(a, True),
+    "complex-array": lambda a: a + 0j,
+    "string-array": lambda a: a.astype(str),
+    "list-with-none": lambda a: _first_entry(a, None),
+    "ragged-list": _ragged,
+    "int-beyond-float64": lambda a: _first_entry(a, 10 ** 400),
+    "nan": lambda a: _last_entry(a, np.nan),
+    "inf": lambda a: _last_entry(a, -np.inf),
+    "one-more-dimension": lambda a: a[..., None],
+}
+
+
+@pytest.mark.parametrize("entry, form", [
+    (entry, form) for entry in _float_entry_points() for form in MALFORMED_FLOATS])
+def test_every_float_input_rejects_each_malformed_form_naming_it(entry, form):
+    # each was once read as 1.0 or parsed from its string, lost its imaginary part with only a
+    # warning, put a NaN row in class 0 or failed inside NumPy without naming the input
+    name, valid, call = _float_entry_points()[entry]
+    call(valid)
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        call(MALFORMED_FLOATS[form](valid))
+
+
+@pytest.mark.parametrize("values, message", [
+    ([[1.0, True]], "^x must hold real numbers, got bool$"),
+    (np.ones((1, 2), dtype=np.complex64), "^x must hold real numbers, got complex64$"),
+    ([[1.0, "0.5"]], "^x must hold real numbers, got str$"),
+    ([[1.0, 2.0], [3.0]], "^x must hold real numbers, got list$"),
+    ([np.zeros((2, 2)), np.zeros((2, 3))], "^x must hold real numbers, got a ragged array$"),
+    ([[10 ** 400, 0.0]], "^x holds a number outside the float64 range$"),
+    (np.ones((2, 3)), r"^x must have shape \(any, 2\), got \(2, 3\)$"),
+    (np.ones(2), r"^x must have shape \(any, 2\), got \(2,\)$"),
+    ([[0.0, 1.0], [2.0, np.inf], [np.nan, 0.0]], "^x row 1: non-finite value$"),
+], ids=["bool", "complex", "string", "ragged-list", "ragged-arrays", "int-beyond-float64",
+        "width", "dimensions", "first-non-finite-row"])
+def test_check_floats_names_the_first_fault(values, message):
+    with pytest.raises(ValueError, match=message):
+        check_floats("x", values, (None, 2))
+
+
+def test_check_floats_reads_real_numbers_of_any_kind_as_float64():
+    X = np.arange(6.0).reshape(3, 2)
+    assert check_floats("x", X, (3, None)) is X  # a float64 array is not copied
+    for values in (X.astype(np.float32), X.astype(np.int8), X.astype(np.uint64), X.tolist(),
+                   [[Fraction(0), 1], [2, np.float16(3)], [4, 5]]):
+        got = check_floats("x", values, (None, 2))
+        assert got.dtype == np.float64 and np.array_equal(got, X)
+    with pytest.raises(ValueError, match=r"^b must have shape \(2,\), got \(3,\)$"):
+        check_floats("b", [1.0, 2.0, 3.0], (2,))
+    assert check_floats("x", np.ones((0, 2), dtype=bool), (None, 2)).shape == (0, 2)
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("build", [
     lambda X: knn_graph(X, 2),
@@ -545,7 +645,7 @@ def test_builders_reject_non_finite_features(build, value):
     lambda X: build_graph(X, GraphBuildConfig(method="full")),
 ], ids=["knn", "epsilon", "full"])
 def test_builders_reject_features_that_are_not_a_matrix(build):
-    with pytest.raises(ValueError, match="^expected a 2-D feature matrix$"):
+    with pytest.raises(ValueError, match=r"^feature must have shape \(any, any\), got \(6,\)$"):
         build(np.arange(6.0))
 
 
@@ -710,16 +810,16 @@ def test_normalize_lays_out_the_entries_of_a_lexsort_by_row_then_column(kind):
 @pytest.mark.parametrize("shape", [(3,), (), (3, 5, 1)])
 def test_matmul_rejects_an_operand_that_is_not_2d(shape):
     S = normalize(SparseAdjacency(n=3, edges=[(0, 1)]))
-    message = re.escape(f"operand must be 2-D (n x cols), got shape {shape}")
+    message = re.escape(f"operand must have shape (3, any), got {shape}")
     with pytest.raises(ValueError, match=f"^{message}$"):
         S.matmul(np.ones(shape))
 
 
 def test_matmul_rejects_an_operand_with_the_wrong_row_count():
     S = normalize(SparseAdjacency(n=3, edges=[(0, 1)]))
-    with pytest.raises(ValueError, match=r"^operand has 4 rows, matrix is 3x3$"):
+    with pytest.raises(ValueError, match=r"^operand must have shape \(3, any\), got \(4, 2\)$"):
         S.matmul(np.ones((4, 2)))
-    with pytest.raises(ValueError, match=r"^operand has 4 rows, matrix is 2x3$"):
+    with pytest.raises(ValueError, match=r"^operand must have shape \(3, any\), got \(4, 2\)$"):
         S.take_rows([2, 0]).matmul(np.ones((4, 2)))
 
 
@@ -869,10 +969,33 @@ def test_an_entry_cut_rejects_an_emptied_row_or_a_wrong_length_mask():
     cut = random_propagation(50, seed=3).take_rows([7, 30])
     keep = np.ones(cut.nnz, dtype=bool)
     keep[cut.indptr[1]:cut.indptr[2]] = False
-    with pytest.raises(ValueError, match="^row 30 would keep no entry$"):
+    with pytest.raises(ValueError, match=r"^indptr must rise at every stored row, not at row 1 \(node 30\)$"):
         cut.take_entries(keep)
     with pytest.raises(ValueError, match="one flag per stored entry"):
         cut.take_entries(keep[:-1])
+
+
+def test_a_propagation_matrix_rejects_an_empty_stored_row():
+    # matmul's reduceat read the empty row 0 as row 1's sum: [[7], [7]] for [[5], [7]]
+    with pytest.raises(ValueError, match=r"^indptr must rise at every stored row, not at row 0 \(node 0\)$"):
+        PropagationMatrix(n=2, indptr=[0, 0, 1], indices=[1], data=[1.0], rows=[0, 1])
+    with pytest.raises(ValueError, match=r"^indptr must rise at every stored row, not at row 1 \(node 1\)$"):
+        PropagationMatrix(n=2, indptr=[0, 2, 1], indices=[1], data=[1.0], rows=[0, 1])
+    for indptr, indices in (([1, 1, 1], []), ([0, 1], [1]), ([0, 1, 3], [0, 1]), ([[0, 1, 2]], [0, 1])):
+        with pytest.raises(ValueError, match=rf"^indptr must run from 0 to nnz={len(indices)} in 2 steps$"):
+            PropagationMatrix(n=2, indptr=indptr, indices=indices, data=[1.0] * len(indices), rows=[0, 1])
+
+
+def test_a_propagation_matrix_rejects_an_index_past_n():
+    # a column past n was an IndexError inside matmul, a row past n a wrong to_dense
+    with pytest.raises(ValueError, match=r"^indices holds 2, outside 0\.\.1$"):
+        PropagationMatrix(n=2, indptr=[0, 1, 2], indices=[0, 2], data=[1.0, 1.0], rows=[0, 1])
+    with pytest.raises(ValueError, match=r"^rows holds 2, outside 0\.\.1$"):
+        PropagationMatrix(n=2, indptr=[0, 1, 2], indices=[0, 1], data=[1.0, 1.0], rows=[0, 2])
+    with pytest.raises(ValueError, match=r"^data must have shape \(2,\), got \(1,\)$"):
+        PropagationMatrix(n=2, indptr=[0, 1, 2], indices=[0, 1], data=[1.0], rows=[0, 1])
+    with pytest.raises(ValueError, match=r"^indices and rows must be vectors$"):
+        PropagationMatrix(n=2, indptr=[0, 1], indices=[[0]], data=[[1.0]], rows=[0])
 
 
 def test_blocked_matmul_matches_the_one_shot_kernel_on_the_wide_gcn_graph():

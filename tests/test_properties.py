@@ -22,6 +22,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from gcnbench.baseline import LogRegModel
 from gcnbench.checkpoint import load_checkpoint, save_checkpoint
+from gcnbench.checks import check_floats
 from gcnbench.dataset import SIDECAR_VERSION, EmbeddingDataset, load_dataset, save_dataset, synth_blobs
 from gcnbench.gcn import GcnModel, Hyperparams, forward, init_model, train
 from gcnbench.graph import (
@@ -133,6 +134,26 @@ def test_check_indices_reads_in_range_integers_as_the_int64_cast(x):
     assert got.dtype == np.int64 and got.shape == expected.shape and np.array_equal(got, expected)
     if expected.size and expected.min() >= 0:
         assert np.array_equal(check_indices("x", x, int(expected.max()) + 1), expected)
+
+
+@st.composite
+def float_inputs(draw):
+    """A float16, float32, float64, int32 or uint64 array of finite values (1-2 dimensions), or
+    its nested list of Python numbers."""
+    dtype = np.dtype(draw(st.sampled_from([np.float16, np.float32, np.float64, np.int32, np.uint64])))
+    finite = {"allow_nan": False, "allow_infinity": False} if dtype.kind == "f" else None
+    x = draw(arrays(dtype, array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=5), elements=finite))
+    return x.tolist() if draw(st.booleans()) else x
+
+
+@PROPERTY
+@given(x=float_inputs())
+def test_check_floats_reads_finite_real_numbers_as_the_float64_cast(x):
+    expected = np.asarray(x, dtype=np.float64)
+    got = check_floats("x", x, (None,) * expected.ndim)
+    assert got.dtype == np.float64 and got.shape == expected.shape and np.array_equal(got, expected)
+    if isinstance(x, np.ndarray) and x.dtype == np.float64:
+        assert got is x
 
 
 @st.composite
