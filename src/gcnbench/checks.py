@@ -53,17 +53,19 @@ def check_indices(name: str, values, stop: int | None = None) -> np.ndarray:
     return values
 
 
-def check_floats(name: str, values, shape: tuple) -> np.ndarray:
-    """``values`` as a float64 array of ``shape`` (None takes any size), or a ValueError naming
-    ``name`` for an entry that is no real number by its own type (a bool, complex, string, None
-    or a ragged list), an int beyond float64, another shape, or a NaN or infinity, named by its
-    first row from 0: ``<name> row <i>: non-finite value``.  A float64 array is returned as is."""
+def check_floats(name: str, values, shape: tuple | None) -> np.ndarray:
+    """``values`` as a float64 array of ``shape`` (a None entry takes any size, and None any
+    shape), or a ValueError naming ``name`` for an entry that is no real number by its own type
+    (a bool, complex, string, None or a ragged list), an int beyond float64, another shape, or
+    a NaN or infinity, named by its first row from 0: ``<name> row <i>: non-finite value``.
+    A float64 array is returned as is."""
     values = _entries(name, values, numbers.Real, "real numbers")
     try:
         values = np.asarray(values, dtype=np.float64)
     except OverflowError:
         raise ValueError(f"{name} holds a number outside the float64 range") from None
-    if values.ndim != len(shape) or any(want not in (None, got) for want, got in zip(shape, values.shape)):
+    if shape is not None and (values.ndim != len(shape)
+                              or any(want not in (None, got) for want, got in zip(shape, values.shape))):
         dims = ", ".join("any" if want is None else str(want) for want in shape)
         raise ValueError(f"{name} must have shape ({dims}{',' * (len(shape) == 1)}), got {values.shape}")
     finite = np.isfinite(values)

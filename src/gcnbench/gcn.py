@@ -105,16 +105,16 @@ def relu(x):
 def softmax(z, axis=-1):
     """Row probabilities e^z_i / sum_j e^z_j, computed with max-subtraction.
 
-    The shift leaves the result mathematically unchanged and prevents
-    overflow for large inputs.
+    z, of any shape, is read by checks.check_floats, so an entry that is no finite real
+    number is a ValueError naming z.  The shift leaves the result mathematically unchanged
+    and prevents overflow for large inputs.
     """
-    _, e, total = _shifted_exp(z, axis)
+    _, e, total = _shifted_exp(check_floats("z", z, None), axis)
     return e / total
 
 
 def _shifted_exp(z, axis):
-    """z - max(z), its exponential and that exponential's sum along axis."""
-    z = np.asarray(z, dtype=np.float64)
+    """z - max(z), its exponential and that exponential's sum along axis, for a float64 z."""
     shifted = z - z.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     return shifted, e, e.sum(axis=axis, keepdims=True)
@@ -213,19 +213,24 @@ def train(model: GcnModel, S: PropagationMatrix, X, Y, labeled,
     parameters or the objective become non-finite.
 
     What does not depend on theta is prepared once per run: S @ X, the labeled
-    rows of Y, the cuts of S and the buffers every epoch reuses.  An epoch runs
-    the five dense products of forward() and backward() at full n, and sums
-    sparse rows only where the result depends on them: S @ relu(A1) on the
-    labeled rows L, which are all the masked loss reads, and the layer-1
-    gradient S @ B, B = G2 @ theta2^T, on N1, the rows of S that touch L, where
-    alone it can be nonzero.  B is exactly +-0 off L, and adding +-0 to a
-    nonzero partial sum changes nothing, so an N1 row with at most two entries
-    in L's columns sums those alone: one term is itself, two add the same in any
-    order, and a row with more sums its full segment with the reduceat of
-    PropagationMatrix.matmul.  The ReLU and the A1 > 0 mask act entry by entry,
-    so they give the same bits on the gathered rows.  The parameters and trace
-    are thus bit-identical to full-graph forward()/backward() steps, except
-    that an exactly zero sum may carry the other sign.
+    rows of Y, the cuts of S and the buffers every epoch reuses.  An epoch reads
+    the layer-1 product A1 = (S @ X) @ theta1 only on N1, the rows of S that
+    touch the labeled rows L, so it computes A1 on N1's rows of S @ X alone
+    wherever that gives the full product's rows bit for bit, which a check of
+    one product of each form decides once per run (see _rows_product_matches);
+    where it does not, and where N1 is every row, A1 is computed on all n.  The
+    other four dense products of forward() and backward() run at full n.  It
+    sums sparse rows only where the result depends on them: S @ relu(A1) on L,
+    which are all the masked loss reads, and the layer-1 gradient S @ B,
+    B = G2 @ theta2^T, on N1, where alone it can be nonzero.  B is exactly +-0
+    off L, and adding +-0 to a nonzero partial sum changes nothing, so an N1 row
+    with at most two entries in L's columns sums those alone: one term is
+    itself, two add the same in any order, and a row with more sums its full
+    segment with the reduceat of PropagationMatrix.matmul.  The ReLU and the
+    A1 > 0 mask act entry by entry, so they give the same bits on the gathered
+    rows.  The parameters and trace are thus bit-identical to full-graph
+    forward()/backward() steps, except that an exactly zero sum may carry the
+    other sign.
     """
     return _train(model, S, S.matmul(_features(model, S, X)), Y, labeled, hp)
 
@@ -237,7 +242,8 @@ def _train(model: GcnModel, S: PropagationMatrix, SX: np.ndarray, Y, labeled,
     y_L, wd = y[labeled], hp.weight_decay
     S_L = S.take_rows(labeled)
     # N1: S is symmetric, so the rows that touch L are the columns of L's rows
-    S_N1 = S.take_rows(np.unique(S_L.indices))
+    N1 = np.unique(S_L.indices)
+    S_N1 = S.take_rows(N1)
     # an N1 row with at most two entries in L's columns keeps only those (see train)
     in_L = np.zeros(S.n, dtype=bool)
     in_L[labeled] = True
@@ -249,22 +255,32 @@ def _train(model: GcnModel, S: PropagationMatrix, SX: np.ndarray, Y, labeled,
     kept = np.diff(S_N1.indptr)
     ones, twos = int((kept == 1).sum()), int((kept == 2).sum())
     S_N1 = S_N1.take_rows(np.argsort(np.minimum(kept, 3), kind="stable"))
-    few_cols, few_weights = S_N1.indices[:ones + 2 * twos], S_N1.data[:ones + 2 * twos, None]
-    S_whole = S_N1.take_rows(np.arange(ones + twos, len(S_N1.rows)))
-    # buffers every epoch writes in place: SH1 and G2 stay zero off L, and G1 off N1
     L2, C = model.dims[1:]
-    A1, SH1, B, G1 = (np.zeros((S.n, L2)) for _ in range(4))
+    few_cols, few_weights = S_N1.indices[:ones + 2 * twos], _widened(S_N1.data[:ones + 2 * twos], L2)
+    S_whole = S_N1.take_rows(np.arange(ones + twos, len(S_N1.rows)))
+    initial = (model.theta1.copy(), model.theta2.copy())
+    # layer 1 on N1's rows of SX alone, which hold all an epoch reads of A1, where that gives
+    # the full product's rows bit for bit; A1's row of node N1[i] is then row i, and the L-row
+    # sum and the ReLU mask read A1 at those positions
+    if len(N1) < S.n and _rows_product_matches(SX, N1, initial[0]):
+        SX1, L_cols, N1_at = SX[N1], np.searchsorted(N1, S_L.indices), np.searchsorted(N1, S_N1.rows)
+    else:
+        SX1, L_cols, N1_at = SX, S_L.indices, S_N1.rows
+    # buffers every epoch writes in place: SH1 and G2 stay zero off L, and G1 off N1
+    A1, A1_N1 = np.empty((len(SX1), L2)), np.empty((len(N1), L2))
+    SH1, B, G1 = (np.zeros((S.n, L2)) for _ in range(3))
     A2, G2 = np.zeros((S.n, C)), np.zeros((S.n, C))
-    SH1_L, G1_N1 = np.empty((len(labeled), L2)), np.empty((len(S_N1.rows), L2))
-    at_few, mask = np.empty((len(few_cols), L2)), np.empty((len(S_N1.rows), L2), dtype=bool)
+    SH1_L, G1_N1 = np.empty((len(labeled), L2)), np.empty((len(N1), L2))
+    at_few, mask = np.empty((len(few_cols), L2)), np.empty((len(N1), L2), dtype=bool)
     L_blocks, whole_blocks = list(S_L.row_blocks(L2)), list(S_whole.row_blocks(L2))
+    L_weights, whole_weights = _widened(S_L.data, L2), _widened(S_whole.data, L2)
     # one gather buffer for the largest block of either cut
     at = np.empty((max((e.stop - e.start for _, e, _ in L_blocks + whole_blocks), default=0), L2))
 
     def objective(params):
         theta1, theta2 = params
-        np.matmul(SX, theta1, out=A1)
-        _sum_rows(S_L, L_blocks, A1, at, SH1_L, relu=True)
+        np.matmul(SX1, theta1, out=A1)
+        _sum_rows(L_cols, L_weights, L_blocks, A1, at, SH1_L, relu=True)
         SH1[labeled] = SH1_L
         np.matmul(SH1, theta2, out=A2)
         value, G_L = _cross_entropy(A2[labeled], y_L)
@@ -277,12 +293,13 @@ def _train(model: GcnModel, S: PropagationMatrix, SX: np.ndarray, Y, labeled,
         np.matmul(G2, theta2.T, out=B)
         # G1 = (S @ B) * (A1 > 0) on N1's rows: a one-entry row's sum is that entry and a
         # two-entry row's the pair's sum, which is what reduceat gives
-        np.take(B, few_cols, axis=0, out=at_few)
+        np.take(B, few_cols, axis=0, out=at_few, mode="clip")
         np.multiply(at_few, few_weights, out=at_few)
         G1_N1[:ones] = at_few[:ones]
         np.add(at_few[ones::2], at_few[ones + 1::2], out=G1_N1[ones:ones + twos])
-        _sum_rows(S_whole, whole_blocks, B, at, G1_N1[ones + twos:])
-        np.greater(A1[S_N1.rows], 0.0, out=mask)
+        _sum_rows(S_whole.indices, whole_weights, whole_blocks, B, at, G1_N1[ones + twos:])
+        np.take(A1, N1_at, axis=0, out=A1_N1, mode="clip")
+        np.greater(A1_N1, 0.0, out=mask)
         np.multiply(G1_N1, mask, out=G1_N1)
         G1[S_N1.rows] = G1_N1
         g_theta1, g_theta2 = SX.T @ G1, SH1.T @ G2
@@ -291,21 +308,44 @@ def _train(model: GcnModel, S: PropagationMatrix, SX: np.ndarray, Y, labeled,
             g_theta2 = g_theta2 + wd * theta2
         return g_theta1, g_theta2
 
-    params, trace = _descend((model.theta1.copy(), model.theta2.copy()), objective, hp)
+    params, trace = _descend(initial, objective, hp)
     return GcnModel(*params), trace
 
 
-def _sum_rows(P: PropagationMatrix, blocks: list, M: np.ndarray, at: np.ndarray, out: np.ndarray,
-              relu: bool = False) -> None:
-    """out = P.matmul(M), or P.matmul(relu(M)), bit for bit, by P's row_blocks(M.shape[1]) and
-    in ``at``, a buffer for the largest block's gather.  The ReLU acts entry by entry, so it
-    gives the same bits on the gathered rows."""
+def _rows_product_matches(SX: np.ndarray, rows: np.ndarray, theta1: np.ndarray) -> bool:
+    """Whether SX[rows] @ theta1 equals (SX @ theta1)[rows] bit for bit, each product made as
+    an epoch of _train makes it: np.matmul of C-contiguous arrays into a C-contiguous buffer.
+    BLAS picks its kernel by shape and thread count, not by value, so this one pair of
+    products decides for every epoch of a fit.  It does not hold on every build and shape:
+    on OpenBLAS 0.3.31 one row, or up to about 65 rows at 768 columns, or a hidden width of 1,
+    can take another kernel than the full product."""
+    full = np.matmul(SX, theta1, out=np.empty((len(SX), theta1.shape[1])))[rows]
+    part = np.matmul(SX[rows], theta1, out=np.empty_like(full))
+    return np.array_equal(part.view(np.int64), full.view(np.int64))
+
+
+def _widened(weights: np.ndarray, cols: int) -> np.ndarray:
+    """Each weight repeated across ``cols`` columns: a product with a gathered block then runs
+    over whole rows, not a broadcast column, at about half the time, with the same bits."""
+    return np.repeat(weights[:, None], cols, axis=1)
+
+
+def _sum_rows(cols: np.ndarray, weights: np.ndarray, blocks: list, M: np.ndarray, at: np.ndarray,
+              out: np.ndarray, relu: bool = False) -> None:
+    """out = P.matmul(M'), or P.matmul(relu(M')), bit for bit, for a cut P, by its
+    row_blocks(M.shape[1]) and in ``at``, a buffer for the largest block's gather.  M holds the
+    rows of M' that P reads, M' row P.indices[e] being M row cols[e] (M is M' itself with
+    cols = P.indices), and weights is P.data _widened to M's columns.  The ReLU acts entry by
+    entry, so it gives the same bits on the gathered rows.  Every gather of _train's epochs is
+    an np.take with mode="clip": under the default mode="raise" NumPy gathers through a
+    buffered copy of ``out``, and the indices, columns of a checked cut or positions in N1,
+    all lie in range."""
     for rows, entries, starts in blocks:
         block = at[:entries.stop - entries.start]
-        np.take(M, P.indices[entries], axis=0, out=block)
+        np.take(M, cols[entries], axis=0, out=block, mode="clip")
         if relu:
             np.maximum(block, 0.0, out=block)
-        np.multiply(block, P.data[entries, None], out=block)
+        np.multiply(block, weights[entries], out=block)
         np.add.reduceat(block, starts, axis=0, out=out[rows])
 
 

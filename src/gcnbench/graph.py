@@ -165,10 +165,13 @@ class PropagationMatrix:
 
     def take_entries(self, keep) -> PropagationMatrix:
         """The same stored rows with only the entries where ``keep`` (one bool per stored
-        entry) is true, in their order.  Raises if a row would be left with no entry."""
-        keep = np.asarray(keep, dtype=bool)
-        if keep.shape != self.data.shape:
-            raise ValueError(f"need one flag per stored entry ({self.nnz}), got {keep.shape}")
+        entry) is true, in their order.  Raises if ``keep`` is no bool array of that length
+        (a string, int or float mask is not read as truth values) or a row would be left with
+        no entry."""
+        keep = np.asarray(keep)
+        if keep.dtype != bool or keep.shape != self.data.shape:
+            raise ValueError(f"keep must be a bool array with one flag per stored entry ({self.nnz}), "
+                             f"got {keep.dtype} of shape {keep.shape}")
         indptr = np.concatenate([[0], np.cumsum(keep)])[self.indptr]
         return PropagationMatrix(self.n, indptr, self.indices[keep], self.data[keep], self.rows)
 

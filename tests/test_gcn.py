@@ -72,6 +72,32 @@ def test_softmax_extreme_logits_match_extended_precision():
     assert np.array_equal(got, expected)
 
 
+@pytest.mark.parametrize("z, kind", [
+    (np.array([[1 + 2j, 0]]), "complex128"),  # once a ComplexWarning, and the imaginary part lost
+    ([["1", "2"]], "str"),  # once parsed as the numbers 1 and 2
+    ([[True, 0.5]], "bool"),
+    ([[None, 0.5]], "NoneType"),
+    (np.array([[0.5, False]], dtype=object), "bool"),
+    ([1.0, "2"], "str"),
+], ids=["complex", "string", "bool", "none", "object-bool", "1d-string"])
+def test_softmax_rejects_an_entry_that_is_no_real_number(z, kind):
+    with pytest.raises(ValueError, match=rf"^z must hold real numbers, got {kind}$"):
+        softmax(z)
+
+
+@pytest.mark.parametrize("z", [[[0.0, np.nan]], [[0.0, 1.0], [np.inf, 0.0]], [[[0.0], [-np.inf]]]])
+def test_softmax_rejects_a_non_finite_entry_of_any_shape(z):
+    with pytest.raises(ValueError, match=rf"^z row {len(z) - 1}: non-finite value$"):
+        softmax(z)
+
+
+def test_softmax_reads_any_shape():
+    z = np.arange(24.0).reshape(2, 3, 4)
+    assert np.array_equal(softmax(z), softmax(z.tolist()))
+    assert np.array_equal(softmax(z, axis=0)[:, 1, 2], softmax(z[:, 1, 2]))
+    assert softmax([[7]]).tolist() == [[1.0]]
+
+
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(1)
     z = rng.uniform(-700.0, 700.0, size=(50, 9))
@@ -423,6 +449,69 @@ def test_train_sums_an_n1_row_with_at_most_two_labeled_entries_over_those_alone(
             assert trace == [0.0] * (epochs + 1)
     else:
         assert (hits > 2).any() and set(kept[kept < whole]) == {1, 2}
+
+
+class _MatmulRecorder:
+    """NumPy as gcn sees it, with every np.matmul call's operand shapes recorded."""
+
+    def __init__(self):
+        self.shapes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, a, b, **kwargs):
+        self.shapes.append((a.shape, b.shape))
+        return np.matmul(a, b, **kwargs)
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
+@pytest.mark.parametrize("case", ["knn", "wide", "one", "empty", "full", "isolated"])
+@pytest.mark.parametrize("branch", ["checked", "full-product"])
+def test_train_computes_layer_1_on_n1_alone_where_the_check_shows_the_full_products_bits(
+        monkeypatch, branch, case, weight_decay):
+    if case == "isolated":
+        # L is one node without neighbours, so N1 is that one row, where OpenBLAS 0.3.31 takes
+        # another kernel than for the full product and the check fails
+        ds, S, labeled, Y, model, epochs = n1_case("one")
+        edges = knn_graph(ds, k=5).edges
+        S = normalize(SparseAdjacency(ds.n, edges[(edges != labeled[0]).all(axis=1)]))
+    else:
+        ds, S, labeled, Y, model, epochs = n1_case(case)
+    hp = Hyperparams(lr=0.2, epochs=epochs, weight_decay=weight_decay)
+    N1 = np.unique(S.take_rows(labeled).indices)
+    SX = S.matmul(ds.X)
+    if case in ("knn", "wide", "one", "empty"):
+        # shapes where the check passes, so that forcing the full product changes the path
+        assert gcn._rows_product_matches(SX, N1, model.theta1.copy())
+    check, results = gcn._rows_product_matches, []
+
+    def recording_check(SX, rows, theta1):
+        # the full-product branch through the check's one seam
+        results.append(branch == "checked" and check(SX, rows, theta1))
+        return results[-1]
+
+    monkeypatch.setattr(gcn, "_rows_product_matches", recording_check)
+    recorder = _MatmulRecorder()
+    monkeypatch.setattr(gcn, "np", recorder)
+    trained, trace = train(model, S, ds.X, Y, labeled, hp)
+    monkeypatch.undo()
+    expected, expected_trace = train_oracle(model, S, ds.X, Y, labeled, hp)
+    assert np.array_equal(trained.theta1, expected.theta1)
+    assert np.array_equal(trained.theta2, expected.theta2)
+    assert trace == expected_trace
+    if case == "full":  # N1 is every row: no check, and no copy of SX
+        assert len(N1) == S.n and results == []
+    else:  # one check per fit
+        assert len(results) == 1
+    # every epoch's layer-1 product, the last epochs + 1 products by theta1, has N1's rows
+    # where the check passed and all n where it did not
+    rows = len(N1) if results and results[0] else S.n
+    layer_1 = [a[0] for a, b in recorder.shapes if b == model.theta1.shape]
+    assert layer_1[-(epochs + 1):] == [rows] * (epochs + 1)
+    assert len(layer_1) == epochs + 1 + 2 * (branch == "checked" and case != "full")
+    if branch == "checked" and case != "isolated":
+        assert rows == len(N1)
 
 
 def test_train_diverges_at_the_epoch_of_full_graph_steps():

@@ -975,6 +975,21 @@ def test_an_entry_cut_rejects_an_emptied_row_or_a_wrong_length_mask():
         cut.take_entries(keep[:-1])
 
 
+@pytest.mark.parametrize("keep", [
+    ["no", "", "x", "y", "z"],  # once read as truth values: it kept the 4 non-empty entries
+    np.array([1, 0, 1, 1, 1]),
+    [1, 0, 1, 1, 1],
+    np.array([1.0, 0.0, 1.0, 1.0, 1.0]),
+    np.array([True, False, True, True, True], dtype=object),
+], ids=["strings", "int-array", "int-list", "float-array", "object-bools"])
+def test_an_entry_cut_reads_only_a_bool_mask(keep):
+    P = PropagationMatrix(n=3, indptr=[0, 2, 3, 5], indices=[0, 1, 1, 1, 2], data=[0.5] * 5, rows=[0, 1, 2])
+    with pytest.raises(ValueError, match=r"^keep must be a bool array with one flag per stored entry \(5\), got "):
+        P.take_entries(keep)
+    kept = P.take_entries([True, False, True, True, True])
+    assert kept.indices.tolist() == [0, 1, 1, 2] and kept.indptr.tolist() == [0, 1, 2, 4]
+
+
 def test_a_propagation_matrix_rejects_an_empty_stored_row():
     # matmul's reduceat read the empty row 0 as row 1's sum: [[7], [7]] for [[5], [7]]
     with pytest.raises(ValueError, match=r"^indptr must rise at every stored row, not at row 0 \(node 0\)$"):
