@@ -35,10 +35,8 @@ def logreg_loss_grad(W, b, X, y, weight_decay: float = 0.0):
     against X, plus wd * W; exactness is covered by a finite-difference test.
     """
     X = np.asarray(X, dtype=np.float64)
-    y = check_indices("y", y, W.shape[1])
     l = len(X)
-    if y.shape != (l,):
-        raise ValueError(f"y must hold one class index per row of X ({l}), got shape {y.shape}")
+    y = check_indices("y", y, W.shape[1], (l,))
     value, G = _cross_entropy(X @ W + b, np.eye(W.shape[1])[y])
     G /= l
     value = value / l + 0.5 * weight_decay * float((W ** 2).sum())
@@ -54,12 +52,8 @@ def train_logreg(X_l, y_l, C: int, hp: Hyperparams = LOGREG_DEFAULTS) -> tuple[L
     X_l = check_floats("X_l", X_l, (None, None))
     if len(X_l) < 1:
         raise ValueError("need at least one labeled row")
-    check_type("C", C, int)
-    if C < 2:
-        raise ValueError(f"need C >= 2, got {C}")
-    y_l = check_indices("y_l", y_l, C)
-    if y_l.shape != (len(X_l),):
-        raise ValueError(f"y_l must hold one class index per row of X_l ({len(X_l)}), got shape {y_l.shape}")
+    check_type("C", C, int, 2)
+    y_l = check_indices("y_l", y_l, C, (len(X_l),))
 
     def objective(params):
         value, g_W, g_b = logreg_loss_grad(*params, X_l, y_l, hp.weight_decay)

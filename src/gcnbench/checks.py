@@ -1,5 +1,9 @@
 """The package's three input rules: for a scalar setting, an index array and a float array.
 
+Each rule judges its input's type, and its range or shape, in one call, with one message a
+fault: ``<name> must be >= <low>, got <value>`` (or ``<= <high>``) and ``<name> must have shape
+(...), got (...)``.
+
 A leaf module: it imports only ``numbers`` and NumPy, so that loading a dataset does
 not import the graph code.
 """
@@ -11,15 +15,19 @@ import numbers
 import numpy as np
 
 
-def check_type(name: str, value, kind: type) -> None:
-    """Raise ValueError naming ``name`` unless ``value`` is a ``kind``: int, float or bool.
-    A bool is no int or float, an int serves as a float, and a float must be finite
-    (an int too, once converted: 10**400 is not)."""
+def check_type(name: str, value, kind: type, low=None, high=None) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is a ``kind``: int, float or bool,
+    within ``low``..``high`` inclusive where given.  A bool is no int or float, an int serves
+    as a float, and a float must be finite (an int too, once converted: 10**400 is not)."""
     abc, expected = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a finite number"),
                      bool: (bool, "true or false")}[kind]
     if (not isinstance(value, abc) or isinstance(value, bool) != (kind is bool)
             or (kind is float and not abs(value) <= np.finfo(np.float64).max.item())):
         raise ValueError(f"{name} must be {expected}, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise ValueError(f"{name} must be <= {high}, got {value}")
 
 
 def _entries(name: str, values, kind: type, what: str) -> np.ndarray:
@@ -37,10 +45,11 @@ def _entries(name: str, values, kind: type, what: str) -> np.ndarray:
     return values
 
 
-def check_indices(name: str, values, stop: int | None = None) -> np.ndarray:
-    """``values`` as an int64 array of their shape, or a ValueError naming ``name`` for an entry
-    that is no integer (a bool, float or string), one outside the 64-bit range (checked before
-    the cast, which would wrap it) or, when ``stop`` is given, one outside 0..stop-1."""
+def check_indices(name: str, values, stop: int | None = None, shape: tuple | None = None) -> np.ndarray:
+    """``values`` as an int64 array, or a ValueError naming ``name`` for an entry that is no
+    integer (a bool, float or string), one outside the 64-bit range (checked before the cast,
+    which would wrap it), another ``shape`` (as in check_floats) or, when ``stop`` is given,
+    an entry outside 0..stop-1."""
     values = _entries(name, values, numbers.Integral, "integers")
     try:
         if values.dtype.kind == "u" and values.max(initial=0) > np.iinfo(np.int64).max:
@@ -48,6 +57,7 @@ def check_indices(name: str, values, stop: int | None = None) -> np.ndarray:
         values = np.asarray(values, dtype=np.int64)
     except OverflowError:
         raise ValueError(f"{name} holds an integer outside the 64-bit range") from None
+    _check_shape(name, values, shape)
     if stop is not None and values.size and (values.min() < 0 or values.max() >= stop):
         raise ValueError(f"{name} holds {values[(values < 0) | (values >= stop)][0]}, outside 0..{stop - 1}")
     return values
@@ -64,11 +74,17 @@ def check_floats(name: str, values, shape: tuple | None) -> np.ndarray:
         values = np.asarray(values, dtype=np.float64)
     except OverflowError:
         raise ValueError(f"{name} holds a number outside the float64 range") from None
-    if shape is not None and (values.ndim != len(shape)
-                              or any(want not in (None, got) for want, got in zip(shape, values.shape))):
-        dims = ", ".join("any" if want is None else str(want) for want in shape)
-        raise ValueError(f"{name} must have shape ({dims}{',' * (len(shape) == 1)}), got {values.shape}")
+    _check_shape(name, values, shape)
     finite = np.isfinite(values)
     if not finite.all():
         raise ValueError(f"{name} row {np.argmin(finite.all(axis=tuple(range(1, values.ndim))))}: non-finite value")
     return values
+
+
+def _check_shape(name: str, values: np.ndarray, shape: tuple | None) -> None:
+    """Raise ValueError naming ``name`` unless ``values`` has ``shape``, where a None entry
+    takes any size and None any shape."""
+    if shape is not None and (values.ndim != len(shape)
+                              or any(want not in (None, got) for want, got in zip(shape, values.shape))):
+        dims = ", ".join("any" if want is None else str(want) for want in shape)
+        raise ValueError(f"{name} must have shape ({dims}{',' * (len(shape) == 1)}), got {values.shape}")

@@ -55,9 +55,7 @@ class EmbeddingDataset:
         for i, text_id in enumerate(self.ids):
             if not text_id or "," in text_id or "\n" in text_id or "\r" in text_id:
                 raise ValueError(f"data row {i + 1}: id must be non-empty, with no comma or line break")
-        check_type("C", self.C, int)
-        if self.C < 2:
-            raise ValueError(f"need C >= 2, got {self.C}")
+        check_type("C", self.C, int, 2)
         if self.truth is not None:
             if len(self.truth) != n:
                 raise ValueError(f"{len(self.truth)} truth entries for {n} rows")
@@ -92,10 +90,8 @@ class LabeledSplit:
     unlabeled: np.ndarray
 
     def __post_init__(self):
-        self.labeled = check_indices("labeled", self.labeled)
-        self.unlabeled = check_indices("unlabeled", self.unlabeled)
-        if self.labeled.ndim != 1 or self.unlabeled.ndim != 1:
-            raise ValueError("labeled and unlabeled must be vectors of node indices")
+        self.labeled = check_indices("labeled", self.labeled, shape=(None,))
+        self.unlabeled = check_indices("unlabeled", self.unlabeled, shape=(None,))
         if len(self.labeled) < 1:
             raise ValueError("labeled set must be non-empty")
         n = len(self.labeled) + len(self.unlabeled)
@@ -373,20 +369,11 @@ def synth_blobs(n: int, d: int, C: int, sep: float = 6.0, seed: int = 0) -> Embe
     evenly spaced along the first axis.  Class sizes differ by at most 1
     and the ground truth is recorded.
     """
-    for name, value in (("n", n), ("d", d), ("C", C), ("seed", seed)):
-        check_type(name, value, int)
-    if not isinstance(sep, float):  # a float's range is checked below, with its own message
-        check_type("sep", sep, float)
-    if C < 2:
-        raise ValueError(f"need C >= 2, got {C}")
-    if n < C:
-        raise ValueError(f"need n >= C, got n={n}, C={C}")
-    if d < 1:
-        raise ValueError(f"need d >= 1, got {d}")
-    if not (math.isfinite(sep) and sep >= 0):
-        raise ValueError(f"separation must be finite and >= 0, got {sep}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    check_type("C", C, int, 2)
+    check_type("n", n, int, C)
+    check_type("d", d, int, 1)
+    check_type("sep", sep, float, 0)
+    check_type("seed", seed, int, 0)
 
     centers = np.zeros((C, d))
     if d >= C:
@@ -412,17 +399,13 @@ def make_split(ds: EmbeddingDataset, l: int, seed: int, stratified: bool = True)
     truth and l >= C.  On a fully labeled dataset the draws are those of
     sampling from all n rows.
     """
-    check_type("l", l, int)
-    check_type("seed", seed, int)
+    check_type("l", l, int, 1)
+    check_type("seed", seed, int, 0)
     check_type("stratified", stratified, bool)
     n = ds.n
     # class index per row, -1 where a row has no ground truth
     truth = None if ds.truth is None else np.array([-1 if t is None else t for t in ds.truth])
     candidates = np.arange(n) if truth is None else np.flatnonzero(truth >= 0)
-    if seed < 0:
-        raise ValueError(f"split seed must be >= 0, got {seed}")
-    if l < 1:
-        raise ValueError(f"need l >= 1, got {l}")
     if l > len(candidates):
         raise ValueError(f"need l <= {len(candidates)}, the rows that can be labeled, got {l}")
     rng = np.random.default_rng(seed)

@@ -32,15 +32,9 @@ class Hyperparams:
     weight_decay: float = 0.0
 
     def __post_init__(self):
-        for name, kind, low, what in (("lr", float, 0, "learning rate"),
-                                      ("epochs", int, 0, "epoch count"),
-                                      ("seed", int, 0, "model seed"),
-                                      ("hidden", int, 1, "hidden width"),
-                                      ("weight_decay", float, 0, "weight decay")):
-            value = getattr(self, name)
-            check_type(name, value, kind)
-            if value < low:
-                raise ValueError(f"{what} must be >= {low}, got {value}")
+        for name, kind, low in (("lr", float, 0), ("epochs", int, 0), ("seed", int, 0),
+                                ("hidden", int, 1), ("weight_decay", float, 0)):
+            check_type(name, getattr(self, name), kind, low)
 
 
 @dataclass
@@ -85,10 +79,8 @@ class Gradients:
 
 def init_model(L1: int, L2: int, C: int, seed: int) -> GcnModel:
     """Glorot-uniform initialization: entries in +-sqrt(6/(fan_in+fan_out))."""
-    for name, value in (("L1", L1), ("L2", L2), ("C", C), ("seed", seed)):
-        check_type(name, value, int)
-    if min(L1, L2, C) < 1:
-        raise ValueError(f"dimensions must be positive, got {(L1, L2, C)}")
+    for name, value, low in (("L1", L1, 1), ("L2", L2, 1), ("C", C, 1), ("seed", seed, 0)):
+        check_type(name, value, int, low)
     rng = np.random.default_rng(seed)
     lim1 = np.sqrt(6.0 / (L1 + L2))
     lim2 = np.sqrt(6.0 / (L2 + C))
@@ -150,9 +142,7 @@ def _targets(Y, labeled, n: int, C: int) -> tuple[np.ndarray, np.ndarray]:
     labeled is a vector of distinct row indices in 0..n-1, so no index is truncated, wraps
     around or counts twice.  An empty labeled set is valid."""
     y = check_floats("Y", Y, (n, C))
-    rows = check_indices("labeled", labeled, n)
-    if rows.ndim != 1:
-        raise ValueError(f"labeled must be a vector of row indices, got shape {rows.shape}")
+    rows = check_indices("labeled", labeled, n, (None,))
     unique, counts = np.unique(rows, return_counts=True)
     if (counts > 1).any():
         raise ValueError(f"duplicate labeled index {unique[np.argmax(counts > 1)]}")

@@ -48,15 +48,13 @@ class GraphBuildConfig:
     metric: str = "euclidean"
 
     def __post_init__(self):
-        check_type("k", self.k, int)
+        check_type("k", self.k, int, 1 if self.method == "knn" else None)
         if self.eps is not None:
             check_type("eps", self.eps, float)
         if self.method not in METHODS:
             raise ValueError(f"unknown graph method {self.method!r}, expected one of {METHODS}")
         if self.metric not in METRICS:
             raise ValueError(f"unknown metric {self.metric!r}, expected one of {METRICS}")
-        if self.method == "knn" and self.k < 1:
-            raise ValueError(f"knn needs k >= 1, got k={self.k}")
         if self.method == "epsilon" and (self.eps is None or self.eps <= 0):
             raise ValueError(f"epsilon graph needs eps > 0, got {self.eps}")
 
@@ -84,9 +82,7 @@ class SparseAdjacency:
     edges: np.ndarray
 
     def __post_init__(self):
-        check_type("n", self.n, int)
-        if self.n < 1:
-            raise ValueError(f"need n >= 1, got {self.n}")
+        check_type("n", self.n, int, 1)
         edges = check_indices("edges", self.edges, self.n)
         if edges.size and edges.shape[1:] != (2,):
             raise ValueError(f"edges must be an m x 2 array of pairs, got shape {edges.shape}")
@@ -135,13 +131,11 @@ class PropagationMatrix:
     rows: np.ndarray
 
     def __post_init__(self):
-        self.indices = check_indices("indices", self.indices, self.n)
-        self.rows = check_indices("rows", self.rows, self.n)
-        if self.indices.ndim != 1 or self.rows.ndim != 1:
-            raise ValueError("indices and rows must be vectors")
+        self.indices = check_indices("indices", self.indices, self.n, (None,))
+        self.rows = check_indices("rows", self.rows, self.n, (None,))
         self.data = check_floats("data", self.data, self.indices.shape)
-        ptr = self.indptr = check_indices("indptr", self.indptr)
-        if ptr.shape != (len(self.rows) + 1,) or ptr[0] != 0 or ptr[-1] != self.nnz:
+        ptr = self.indptr = check_indices("indptr", self.indptr, shape=(len(self.rows) + 1,))
+        if ptr[0] != 0 or ptr[-1] != self.nnz:
             raise ValueError(f"indptr must run from 0 to nnz={self.nnz} in {len(self.rows)} steps")
         r = np.flatnonzero(np.diff(ptr) < 1)  # an empty stored row, or a negative count
         if len(r):
@@ -153,9 +147,7 @@ class PropagationMatrix:
 
     def take_rows(self, rows) -> PropagationMatrix:
         """The cut to stored rows ``rows`` (any order, repeats allowed), full segments kept."""
-        rows = check_indices("rows", rows, len(self.rows))
-        if rows.ndim != 1:
-            raise ValueError(f"rows must be a vector of stored row indices, got shape {rows.shape}")
+        rows = check_indices("rows", rows, len(self.rows), (None,))
         lengths = self.indptr[rows + 1] - self.indptr[rows]
         indptr = np.concatenate([[0], np.cumsum(lengths)])
         # the position in indices/data of every entry of the chosen row segments
@@ -397,11 +389,9 @@ def knn_graph(ds, k: int, metric: str = "euclidean") -> SparseAdjacency:
     row and one stable argsort per node, bit for bit.  The blocks are decided
     on every usable CPU; the exact rows follow serially, in row order.
     """
-    check_type("k", k, int)
     X, _ = _features(ds, metric)
     n = len(X)
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"need 1 <= k <= n-1={n - 1}, got k={k}")
+    check_type("k", k, int, 1, n - 1)
     norms = _row_norms(X, metric)
     nearest = np.empty((n, k), dtype=np.int64)
     decided = np.zeros(n, dtype=bool)
@@ -476,9 +466,7 @@ def epsilon_graph(ds, eps: float, metric: str = "euclidean") -> SparseAdjacency:
 
 def full_graph(n: int) -> SparseAdjacency:
     """The complete graph on n nodes: all n(n-1)/2 edges."""
-    check_type("n", n, int)
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    check_type("n", n, int, 1)
     i, j = np.triu_indices(n, k=1)
     return SparseAdjacency(n=n, edges=np.column_stack([i, j]))
 

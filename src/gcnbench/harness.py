@@ -63,9 +63,8 @@ def _class_vectors(pred, truth) -> tuple[np.ndarray, np.ndarray]:
     """pred and truth as int64 vectors of one length (checks.check_indices); a bool, float or
     other non-integer entry is a ValueError naming its vector, as a cast would truncate it,
     and so is a negative entry, which is no class index."""
-    pred, truth = check_indices("pred", pred), check_indices("truth", truth)
-    if pred.shape != truth.shape or pred.ndim != 1:
-        raise ValueError(f"pred and truth must be vectors of one length, got {pred.shape} and {truth.shape}")
+    pred = check_indices("pred", pred, shape=(None,))
+    truth = check_indices("truth", truth, shape=pred.shape)
     for name, classes in (("pred", pred), ("truth", truth)):
         if (classes < 0).any():
             raise ValueError(f"{name} holds {classes[classes < 0][0]}, a negative class index")
@@ -74,9 +73,7 @@ def _class_vectors(pred, truth) -> tuple[np.ndarray, np.ndarray]:
 
 def confusion_counts(pred, truth, positive: int) -> ConfusionCounts:
     """Binarize multiclass predictions against ``positive`` and count TP/FP/TN/FN."""
-    check_type("positive", positive, int)
-    if positive < 0:
-        raise ValueError(f"positive must be >= 0, got {positive}")
+    check_type("positive", positive, int, 0)
     pred, truth = _class_vectors(pred, truth)
     p = pred == positive
     t = truth == positive
@@ -148,11 +145,11 @@ class ExperimentConfig:
             check_type("budgets", l, int)
             if l in self.budgets[:k]:
                 raise ValueError(f"duplicate label budget {l}")
-        for name, kind in (("repeats", int), ("seed", int), ("stratified", bool),
-                           ("normalize_features", bool)):
-            check_type(name, getattr(self, name), kind)
-        if self.repeats < 1:
-            raise ValueError(f"need repeats >= 1, got {self.repeats}")
+        check_type("repeats", self.repeats, int, 1)
+        # derive_seed mixes the seed as 64 bits: any other value would alias one of these
+        check_type("seed", self.seed, int, 0, _MASK64)
+        check_type("stratified", self.stratified, bool)
+        check_type("normalize_features", self.normalize_features, bool)
 
 
 _SYNTH_KEYS = {"n", "d", "classes", "sep", "seed"}
@@ -436,12 +433,12 @@ def parse_report_csv(text: str) -> EvalReport:
     ``line N:``: a wrong field count, a model outside MODEL_NAMES, a budget, repeat or seed
     that is not a plain decimal integer >= 0, an accuracy or wall time that is not a finite
     number, an accuracy outside [0, 100], a negative wall time, or a repeated
-    (model, budget, repeat)."""
-    lines = [ln for ln in text.split("\n") if ln != ""]
-    if not lines or lines[0] != REPORT_HEADER:
+    (model, budget, repeat).  Blank lines are skipped, and N counts them too."""
+    lines = [(lineno, ln) for lineno, ln in enumerate(text.split("\n"), start=1) if ln != ""]
+    if not lines or lines[0][1] != REPORT_HEADER:
         raise ValueError("not a report CSV: bad header")
     rows, seen = [], set()
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         cells = line.split(",")
         if len(cells) != 6:
             raise ValueError(f"line {lineno}: expected 6 fields, got {len(cells)}")

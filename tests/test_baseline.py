@@ -103,16 +103,16 @@ def test_train_validation_errors():
         train_logreg(np.zeros((0, 2)), [], C=2)
     with pytest.raises(ValueError):
         train_logreg(np.zeros((2, 2)), [0, 3], C=2)
-    with pytest.raises(ValueError, match=r"^y_l must hold one class index per row of X_l \(2\), got shape \(1,\)$"):
+    with pytest.raises(ValueError, match=r"^y_l must have shape \(2,\), got \(1,\)$"):
         train_logreg(np.zeros((2, 2)), [0], C=2)
-    with pytest.raises(ValueError, match="^need C >= 2, got 1$"):
+    with pytest.raises(ValueError, match="^C must be >= 2, got 1$"):
         train_logreg(np.zeros((2, 2)), [0, 0], C=1)
 
 
 @pytest.mark.parametrize("y", [[0], [0, 1, 1], [[0, 1]], [[0], [1]]], ids=["short", "long", "row", "column"])
 def test_loss_grad_needs_one_class_index_per_row(y):
     # [0] once broadcast against both rows and was divided by l=1
-    with pytest.raises(ValueError, match=r"^y must hold one class index per row of X \(2\), got shape"):
+    with pytest.raises(ValueError, match=r"^y must have shape \(2,\), got "):
         logreg_loss_grad(np.zeros((2, 2)), np.zeros(2), np.eye(2), y)
 
 
@@ -167,7 +167,7 @@ def test_divergence_names_the_epoch_of_non_finite_parameters():
     ([[0.0], [1.0]], [0.9, 1.7], 2, "y_l must hold integers, got float"),
     ([[0.0], [1.0]], [True, False], 2, "y_l must hold integers, got bool"),
     ([[0.0], [1.0]], ["0", "1"], 2, "y_l must hold integers, got str"),
-    ([[0.0], [1.0]], [[0], [1]], 2, "y_l must hold one class index per row of X_l (2), got shape (2, 1)"),
+    ([[0.0], [1.0]], [[0], [1]], 2, "y_l must have shape (2,), got (2, 1)"),
     ([[0.0], [1.0]], [0, 1], 2.5, "C must be an integer, got 2.5"),
     ([[0.0], [1.0]], [0, 1], "3", "C must be an integer, got '3'"),
     ([[0.0], [np.nan]], [0, 1], 2, "X_l row 1: non-finite value"),

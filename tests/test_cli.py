@@ -141,16 +141,16 @@ def test_the_gcn_only_flags_follow_the_hyperparameters_each_model_reads(
 
 @pytest.mark.parametrize("argv, message", [
     (["synth", "--n", "30", "--d", "4", "--classes", "3", "--sep", "nan", "--out", "{out}"],
-     "separation must be finite and >= 0, got nan"),
+     "sep must be a finite number, got nan"),
     (["synth", "--n", "30", "--d", "4", "--classes", "3", "--sep", "inf", "--out", "{out}"],
-     "separation must be finite and >= 0, got inf"),
+     "sep must be a finite number, got inf"),
     (["synth", "--n", "30", "--d", "4", "--classes", "3", "--seed", "-1", "--out", "{out}"],
      "seed must be >= 0, got -1"),
     (["train", "--data", "{csv}", "--model", "logreg", "--labeled", "9", "--seed", "-1",
-      "--out", "{out}"], "split seed must be >= 0, got -1"),
+      "--out", "{out}"], "seed must be >= 0, got -1"),
     (["train", "--data", "{csv}", "--graph", "{edges}", "--labeled", "9", "--model-seed", "-1",
-      "--out", "{out}"], "model seed must be >= 0, got -1"),
-    (["experiment", "--config", "{config}", "--out", "{out}"], "model seed must be >= 0, got -1"),
+      "--out", "{out}"], "seed must be >= 0, got -1"),
+    (["experiment", "--config", "{config}", "--out", "{out}"], "seed must be >= 0, got -1"),
 ], ids=["synth-sep-nan", "synth-sep-inf", "synth-seed", "train-seed", "train-model-seed",
         "config-gcn-seed"])
 def test_out_of_range_separation_or_seed_exits_1_naming_it(tmp_path, blob_csv, capsys, argv, message):
@@ -256,10 +256,14 @@ def test_experiment_non_object_config_exits_1(tmp_path, capsys, text):
     ({"dataset": {"synth": {"n": 60, "d": 4, "classes": 3}}, "budgets": []},
      "config lists no label budgets"),
     ({"dataset": {"synth": {"n": 60, "d": 4, "classes": 3}}, "budgets": [9], "repeats": 0},
-     "need repeats >= 1, got 0"),
+     "repeats must be >= 1, got 0"),
+    ({"dataset": {"synth": {"n": 60, "d": 4, "classes": 3}}, "budgets": [9], "seed": -1},
+     "seed must be >= 0, got -1"),
+    ({"dataset": {"synth": {"n": 60, "d": 4, "classes": 3}}, "budgets": [9], "seed": 2 ** 64},
+     f"seed must be <= {2 ** 64 - 1}, got {2 ** 64}"),
 ], ids=["models-int", "path-int", "logreg-gcn-keys", "knn-eps", "epsilon-k", "full-k-metric",
         "unknown-method", "duplicate-budget", "synth-missing-d", "no-models", "duplicate-model",
-        "no-budgets", "repeats-0"])
+        "no-budgets", "repeats-0", "seed-negative", "seed-past-64-bits"])
 def test_experiment_mistyped_config_exits_1(tmp_path, capsys, config, message):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config), encoding="utf-8")
@@ -310,9 +314,9 @@ def test_graph_is_rejected_for_a_model_that_uses_none(tmp_path, blob_csv, capsys
 
 
 @pytest.mark.parametrize("flags, message", [
-    (["--lr", "-1"], "learning rate must be >= 0, got -1.0"),
-    (["--epochs", "-1"], "epoch count must be >= 0, got -1"),
-    (["--hidden", "0"], "hidden width must be >= 1, got 0"),
+    (["--lr", "-1"], "lr must be >= 0, got -1.0"),
+    (["--epochs", "-1"], "epochs must be >= 0, got -1"),
+    (["--hidden", "0"], "hidden must be >= 1, got 0"),
 ], ids=["lr", "epochs", "hidden"])
 def test_train_rejects_an_out_of_range_hyperparameter_before_reading_a_file(
         tmp_path, capsys, flags, message):

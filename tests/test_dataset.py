@@ -242,9 +242,13 @@ def test_synth_blobs_rejects_n_below_c():
         synth_blobs(n=2, d=2, C=3, sep=1.0, seed=0)
 
 
-@pytest.mark.parametrize("sep", [float("nan"), float("inf"), -1.0])
-def test_synth_blobs_rejects_a_separation_that_is_not_finite_and_non_negative(sep):
-    with pytest.raises(ValueError, match=f"^separation must be finite and >= 0, got {sep}$"):
+@pytest.mark.parametrize("sep, message", [
+    (float("nan"), "sep must be a finite number, got nan"),
+    (float("inf"), "sep must be a finite number, got inf"),
+    (-1.0, "sep must be >= 0, got -1.0"),
+], ids=["nan", "inf", "-1.0"])
+def test_synth_blobs_rejects_a_separation_that_is_not_finite_and_non_negative(sep, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         synth_blobs(n=6, d=2, C=3, sep=sep)
 
 
@@ -393,7 +397,7 @@ def test_class_count_and_truth_take_any_integer_type():
                           truth=[np.int64(2), None, np.uint8(0)])
     assert ds.C == 3 and ds.truth == [2, None, 0] and type(ds.truth[0]) is int
     for C, message in ((2.0, "C must be an integer, got 2.0"), (True, "C must be an integer, got True"),
-                       (1, "need C >= 2, got 1")):
+                       (1, "C must be >= 2, got 1")):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             EmbeddingDataset(ids=["a"], X=np.eye(1), C=C)
 
@@ -407,8 +411,8 @@ def test_class_count_and_truth_take_any_integer_type():
     (lambda: EmbeddingDataset(ids=["a", "b"], X=np.eye(2), C=2, truth=[0]), "1 truth entries for 2 rows"),
     (lambda: LabeledSplit(labeled=[], unlabeled=[0, 1]), "labeled set must be non-empty"),
     (lambda: LabeledSplit(labeled=[0, 2], unlabeled=[2]), "labeled and unlabeled must partition 0..n-1"),
-    (lambda: synth_blobs(n=6, d=2, C=1), "need C >= 2, got 1"),
-    (lambda: synth_blobs(n=6, d=0, C=2), "need d >= 1, got 0"),
+    (lambda: synth_blobs(n=6, d=2, C=1), "C must be >= 2, got 1"),
+    (lambda: synth_blobs(n=6, d=0, C=2), "d must be >= 1, got 0"),
     (lambda: labeled_classes(EmbeddingDataset(ids=["a", "b"], X=np.eye(2), C=2),
                              LabeledSplit(labeled=[0], unlabeled=[1])), "dataset has no ground truth"),
 ], ids=["x-1d", "x-no-columns", "ids-length", "truth-length", "split-empty", "split-not-partition",

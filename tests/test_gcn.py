@@ -151,7 +151,7 @@ def test_loss_empty_labeled_set():
 
 @pytest.mark.parametrize("labeled, rows, message", [
     ([0.5], 12, "labeled must hold integers, got float"),
-    ([[0, 1]], 12, r"labeled must be a vector of row indices, got shape \(1, 2\)"),
+    ([[0, 1]], 12, r"labeled must have shape \(any,\), got \(1, 2\)"),
     ([True, False], 12, "labeled must hold integers, got bool"),
     ([3, -1], 12, "labeled holds -1, outside 0..11"),
     ([0, 12], 12, "labeled holds 12, outside 0..11"),
@@ -616,9 +616,13 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
      "theta2 must have shape (4, any), got (4,)"),
     (lambda: GcnModel(theta1=np.ones((3, 4)), theta2=np.ones((5, 2))),
      "theta2 must have shape (4, any), got (5, 2)"),
-    (lambda: init_model(3, 0, 2, seed=0), "dimensions must be positive, got (3, 0, 2)"),
-    (lambda: init_model(0, 4, 2, seed=0), "dimensions must be positive, got (0, 4, 2)"),
-], ids=["theta1-1d", "theta2-1d", "shape-mismatch", "init-no-hidden", "init-no-input"])
+    (lambda: init_model(3, 0, 2, seed=0), "L2 must be >= 1, got 0"),
+    (lambda: init_model(0, 4, 2, seed=0), "L1 must be >= 1, got 0"),
+    # NumPy's own "expected non-negative integer" named no input
+    (lambda: init_model(3, 4, 2, seed=-1), "seed must be >= 0, got -1"),
+    (lambda: knn_graph(np.eye(4), 4), "k must be <= 3, got 4"),
+], ids=["theta1-1d", "theta2-1d", "shape-mismatch", "init-no-hidden", "init-no-input",
+        "init-negative-seed", "knn-k-is-n"])
 def test_model_shapes_name_each_fault(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()

@@ -440,8 +440,10 @@ def test_builder_arguments_are_type_checked(build, args, message):
 
 
 def _index_entry_points():
-    """{entry: (argument name, call)} for every input read as label or row indices, on n=4
-    nodes and C=2 classes, where [0, 1] is valid everywhere."""
+    """{entry: (argument name, shape, call)} for every input read as label or row indices, on
+    n=4 nodes and C=2 classes, where [0, 1] is valid everywhere.  shape is the size in the
+    vector's shape message, "any" or 2 where the length is another input's, or None for the
+    edges, whose own m x 2 check names no shape."""
     ds = synth_blobs(n=4, d=2, C=2, sep=3.0, seed=0)
     S = normalize(SparseAdjacency(n=4, edges=[(0, 1), (1, 2), (2, 3)]))
     Y, model = np.eye(2)[[0, 1, 0, 1]], gcn.init_model(2, 3, 2, 0)
@@ -449,18 +451,23 @@ def _index_entry_points():
     X2 = np.array([[1.0, 0.0], [0.0, 1.0]])
     return {
         # the form as the single pair of an m x 2 edge array
-        "SparseAdjacency": ("edges", lambda v: SparseAdjacency(n=4, edges=[v] if isinstance(v, list) else v[None])),
-        "take_rows": ("rows", S.take_rows),
-        "train": ("labeled", lambda v: gcn.train(model, S, ds.X, Y, v, gcn.Hyperparams(epochs=1))),
-        "loss": ("labeled", lambda v: gcn.loss(cache, Y, v)),
-        "backward": ("labeled", lambda v: gcn.backward(model, S, ds.X, cache, Y, v)),
-        "train_logreg": ("y_l", lambda v: train_logreg(X2, v, 2, gcn.Hyperparams(epochs=1))),
-        "logreg_loss_grad": ("y", lambda v: logreg_loss_grad(np.zeros((2, 2)), np.zeros(2), X2, v)),
-        "accuracy-pred": ("pred", lambda v: accuracy(v, [0, 1])),
-        "accuracy-truth": ("truth", lambda v: accuracy([0, 1], v)),
-        "confusion_counts": ("pred", lambda v: confusion_counts(v, [0, 1], 1)),
-        "split-labeled": ("labeled", lambda v: LabeledSplit(labeled=v, unlabeled=[2, 3])),
-        "split-unlabeled": ("unlabeled", lambda v: LabeledSplit(labeled=[2, 3], unlabeled=v)),
+        "SparseAdjacency": ("edges", None,
+                            lambda v: SparseAdjacency(n=4, edges=[v] if isinstance(v, list) else v[None])),
+        "take_rows": ("rows", "any", S.take_rows),
+        "train": ("labeled", "any", lambda v: gcn.train(model, S, ds.X, Y, v, gcn.Hyperparams(epochs=1))),
+        "loss": ("labeled", "any", lambda v: gcn.loss(cache, Y, v)),
+        "backward": ("labeled", "any", lambda v: gcn.backward(model, S, ds.X, cache, Y, v)),
+        "train_logreg": ("y_l", 2, lambda v: train_logreg(X2, v, 2, gcn.Hyperparams(epochs=1))),
+        "logreg_loss_grad": ("y", 2, lambda v: logreg_loss_grad(np.zeros((2, 2)), np.zeros(2), X2, v)),
+        "accuracy-pred": ("pred", "any", lambda v: accuracy(v, [0, 1])),
+        "accuracy-truth": ("truth", 2, lambda v: accuracy([0, 1], v)),
+        "confusion_counts": ("pred", "any", lambda v: confusion_counts(v, [0, 1], 1)),
+        "split-labeled": ("labeled", "any", lambda v: LabeledSplit(labeled=v, unlabeled=[2, 3])),
+        "split-unlabeled": ("unlabeled", "any", lambda v: LabeledSplit(labeled=[2, 3], unlabeled=v)),
+        "PropagationMatrix-indices": ("indices", "any", lambda v: PropagationMatrix(
+            n=4, indptr=[0, 1, 2], indices=v, data=[1.0, 1.0], rows=[0, 1])),
+        "PropagationMatrix-rows": ("rows", "any", lambda v: PropagationMatrix(
+            n=4, indptr=[0, 1, 2], indices=[0, 1], data=[1.0, 1.0], rows=v)),
     }
 
 
@@ -484,15 +491,17 @@ UNBOUNDED = ("accuracy-pred", "accuracy-truth", "confusion_counts")
     if entry not in UNBOUNDED or form != "past-the-end"])
 def test_every_index_input_rejects_each_malformed_form_naming_it(entry, form):
     # each was once truncated, wrapped, promoted from bool, reshaped or read past the end
-    name, call = _index_entry_points()[entry]
-    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+    name, shape, call = _index_entry_points()[entry]
+    two_d = form == "2-d" and shape is not None
+    with pytest.raises(ValueError, match=rf"^{name} must have shape \({shape},\), got \(2, 2\)$" if two_d
+                       else rf"\b{name}\b"):
         call(MALFORMED_INDICES[form])
 
 
 @pytest.mark.parametrize("entry", _index_entry_points())
 @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.uint64, np.int64])
 def test_every_index_input_reads_in_range_integers_of_any_width(entry, dtype):
-    _, call = _index_entry_points()[entry]
+    *_, call = _index_entry_points()[entry]
     call(np.array([0, 1], dtype=dtype))
 
 
@@ -727,9 +736,9 @@ def test_euclidean_features_transient_is_about_one_matrix():
 
 
 def test_epsilon_graph_needs_a_node():
-    with pytest.raises(ValueError, match="need n >= 1"):
+    with pytest.raises(ValueError, match="n must be >= 1"):
         epsilon_graph(np.empty((0, 3)), 1.0)
-    with pytest.raises(ValueError, match="^need n >= 1, got 0$"):
+    with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
         full_graph(0)
 
 
@@ -996,8 +1005,11 @@ def test_a_propagation_matrix_rejects_an_empty_stored_row():
         PropagationMatrix(n=2, indptr=[0, 0, 1], indices=[1], data=[1.0], rows=[0, 1])
     with pytest.raises(ValueError, match=r"^indptr must rise at every stored row, not at row 1 \(node 1\)$"):
         PropagationMatrix(n=2, indptr=[0, 2, 1], indices=[1], data=[1.0], rows=[0, 1])
-    for indptr, indices in (([1, 1, 1], []), ([0, 1], [1]), ([0, 1, 3], [0, 1]), ([[0, 1, 2]], [0, 1])):
-        with pytest.raises(ValueError, match=rf"^indptr must run from 0 to nnz={len(indices)} in 2 steps$"):
+    for indptr, indices, message in (([1, 1, 1], [], "indptr must run from 0 to nnz=0 in 2 steps"),
+                                     ([0, 1], [1], r"indptr must have shape \(3,\), got \(2,\)"),
+                                     ([0, 1, 3], [0, 1], "indptr must run from 0 to nnz=2 in 2 steps"),
+                                     ([[0, 1, 2]], [0, 1], r"indptr must have shape \(3,\), got \(1, 3\)")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             PropagationMatrix(n=2, indptr=indptr, indices=indices, data=[1.0] * len(indices), rows=[0, 1])
 
 
@@ -1009,7 +1021,7 @@ def test_a_propagation_matrix_rejects_an_index_past_n():
         PropagationMatrix(n=2, indptr=[0, 1, 2], indices=[0, 1], data=[1.0, 1.0], rows=[0, 2])
     with pytest.raises(ValueError, match=r"^data must have shape \(2,\), got \(1,\)$"):
         PropagationMatrix(n=2, indptr=[0, 1, 2], indices=[0, 1], data=[1.0], rows=[0, 1])
-    with pytest.raises(ValueError, match=r"^indices and rows must be vectors$"):
+    with pytest.raises(ValueError, match=r"^indices must have shape \(any,\), got \(1, 1\)$"):
         PropagationMatrix(n=2, indptr=[0, 1], indices=[[0]], data=[[1.0]], rows=[0])
 
 

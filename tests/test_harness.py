@@ -91,7 +91,7 @@ def test_accuracy_simple_cases():
     assert accuracy([0, 0, 4, 3, 2, 1, 1, 2, 3, 0], [0, 0, 4, 3, 2, 1, 0, 0, 0, 0]) == 70.0
     with pytest.raises(ValueError):
         accuracy([], [])
-    with pytest.raises(ValueError, match=r"^pred and truth must be vectors of one length, got \(2,\) and \(1,\)$"):
+    with pytest.raises(ValueError, match=r"^truth must have shape \(2,\), got \(1,\)$"):
         accuracy([0, 1], [0])
     # any integer dtype is read exactly
     assert accuracy(np.array([0, 1, 2], dtype=np.uint8), np.array([0, 1, 1], dtype=np.int32)) == 200 / 3
@@ -478,9 +478,12 @@ def test_a_gcn_fit_propagates_the_features_once(monkeypatch):
     (harness.REPORT_HEADER + "\ngcn,9,0,1,50.0,-1.0\n", "line 2: wall_ms -1.0 is negative"),
     (harness.REPORT_HEADER + "\ngcn,9,0,1,50.0,1.0\ngcn,9,0,2,60.0,1.0\n",
      r"line 3: duplicate report row for \('gcn', 9, 0\)"),
+    # blank lines are skipped but counted: this once said line 3
+    (harness.REPORT_HEADER + "\ngcn,9,0,1,50.0,1.0\n\n\ngcn,9,1,2,500.0,1.0\n",
+     r"line 5: accuracy_pct 500.0 outside \[0, 100\]"),
 ], ids=["empty", "bad-header", "short-row", "budget-not-int", "unknown-model", "empty-model",
         "negative-repeat", "padded-seed", "accuracy-not-number", "accuracy-nan", "accuracy-above-100",
-        "wall-inf", "wall-negative", "duplicate-row"])
+        "wall-inf", "wall-negative", "duplicate-row", "bad-row-after-blank-lines"])
 def test_parse_report_csv_names_a_malformed_report(text, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         parse_report_csv(text)
@@ -554,6 +557,9 @@ def test_config_from_dict_defaults_and_validation():
     ({"normalize_features": 1}, "normalize_features"),
     ({"repeats": 2.5}, "repeats"),
     ({"seed": True}, "seed"),
+    # derive_seed mixes 64 bits, so -1 and 2**64 ran the sweeps of 2**64 - 1 and 0
+    ({"seed": -1}, "seed"),
+    ({"seed": 2 ** 64}, "seed"),
     ({"budgets": [9.7]}, "budgets"),
     ({"budgets": 6}, "budgets"),
     ({"gcn": {"epochs": "5"}}, "epochs"),
@@ -564,7 +570,8 @@ def test_config_from_dict_defaults_and_validation():
     ({"dataset": {"synth": {"n": 60, "d": 4.0, "classes": 3}}}, "synth d"),
     ({"models": 5}, "models"),
     ({"dataset": {"path": 7}}, "dataset path"),
-], ids=["stratified-str", "normalize-int", "repeats-float", "seed-bool", "budget-float",
+], ids=["stratified-str", "normalize-int", "repeats-float", "seed-bool", "seed-negative",
+        "seed-past-64-bits", "budget-float",
         "budgets-int", "epochs-str", "lr-inf", "weight-decay-nan", "k-str", "eps-nan",
         "synth-d-float", "models-int", "path-int"])
 def test_config_values_are_type_checked_not_coerced(override, field):
