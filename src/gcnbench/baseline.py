@@ -34,6 +34,7 @@ def logreg_loss_grad(W, b, X, y, weight_decay: float = 0.0):
     Returns (loss, g_W, g_b).  The gradient is (P - onehot(y)) / l contracted
     against X, plus wd * W; exactness is covered by a finite-difference test.
     """
+    check_type("weight_decay", weight_decay, float, 0)
     X = np.asarray(X, dtype=np.float64)
     l = len(X)
     y = check_indices("y", y, W.shape[1], (l,))

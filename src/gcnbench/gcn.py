@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checks import check_floats, check_indices, check_type
-from .graph import PropagationMatrix
+from .graph import PropagationMatrix, _gather_buffer, _sum_rows
 
 
 @dataclass(frozen=True)
@@ -176,6 +176,7 @@ def backward(model: GcnModel, S: PropagationMatrix, X, cache: ForwardCache, Y, l
     objective used by train().
     """
     _features(model, S, X)
+    check_type("weight_decay", weight_decay, float, 0)
     _, L2, C = model.dims
     if cache.Z.shape != (S.n, C) or cache.A1.shape != (S.n, L2):
         raise ValueError("cache does not match this model/graph/feature combination")
@@ -210,15 +211,13 @@ def train(model: GcnModel, S: PropagationMatrix, X, Y, labeled,
     one product of each form decides once per run (see _rows_product_matches);
     where it does not, and where N1 is every row, A1 is computed on all n.  The
     other four dense products of forward() and backward() run at full n.  It
-    sums sparse rows only where the result depends on them: S @ relu(A1) on L,
-    which are all the masked loss reads, and the layer-1 gradient S @ B,
-    B = G2 @ theta2^T, on N1, where alone it can be nonzero.  B is exactly +-0
-    off L, and adding +-0 to a nonzero partial sum changes nothing, so an N1 row
-    with at most two entries in L's columns sums those alone: one term is
-    itself, two add the same in any order, and a row with more sums its full
-    segment with the reduceat of PropagationMatrix.matmul.  The ReLU and the
-    A1 > 0 mask act entry by entry, so they give the same bits on the gathered
-    rows.  The parameters and trace are thus bit-identical to full-graph
+    sums sparse rows, in S.matmul's kernel graph._sum_rows, only where the
+    result depends on them: S @ relu(A1) on L, which are all the masked loss
+    reads, and the layer-1 gradient S @ B, B = G2 @ theta2^T, on N1, where alone
+    it can be nonzero.  B is exactly +-0 off L, and adding +-0 to a nonzero
+    partial sum changes nothing, so an N1 row with at most two entries in L's
+    columns sums those alone: one term is itself and two add the same in any
+    order.  The parameters and trace are thus bit-identical to full-graph
     forward()/backward() steps, except that an exactly zero sum may carry the
     other sign.
     """
@@ -264,13 +263,13 @@ def _train(model: GcnModel, S: PropagationMatrix, SX: np.ndarray, Y, labeled,
     at_few, mask = np.empty((len(few_cols), L2)), np.empty((len(N1), L2), dtype=bool)
     L_blocks, whole_blocks = list(S_L.row_blocks(L2)), list(S_whole.row_blocks(L2))
     L_weights, whole_weights = _widened(S_L.data, L2), _widened(S_whole.data, L2)
-    # one gather buffer for the largest block of either cut
-    at = np.empty((max((e.stop - e.start for _, e, _ in L_blocks + whole_blocks), default=0), L2))
+    at = _gather_buffer(L_blocks + whole_blocks, L2)
 
     def objective(params):
         theta1, theta2 = params
         np.matmul(SX1, theta1, out=A1)
-        _sum_rows(L_cols, L_weights, L_blocks, A1, at, SH1_L, relu=True)
+        np.maximum(A1, 0.0, out=A1)  # H1; the ReLU mask reads it, as relu(a) > 0 where a > 0
+        _sum_rows(L_cols, L_weights, L_blocks, A1, at, SH1_L)
         SH1[labeled] = SH1_L
         np.matmul(SH1, theta2, out=A2)
         value, G_L = _cross_entropy(A2[labeled], y_L)
@@ -282,7 +281,7 @@ def _train(model: GcnModel, S: PropagationMatrix, SX: np.ndarray, Y, labeled,
         G2[labeled] = G_L
         np.matmul(G2, theta2.T, out=B)
         # G1 = (S @ B) * (A1 > 0) on N1's rows: a one-entry row's sum is that entry and a
-        # two-entry row's the pair's sum, which is what reduceat gives
+        # two-entry row's the pair's sum, which is what _sum_rows gives
         np.take(B, few_cols, axis=0, out=at_few, mode="clip")
         np.multiply(at_few, few_weights, out=at_few)
         G1_N1[:ones] = at_few[:ones]
@@ -318,25 +317,6 @@ def _widened(weights: np.ndarray, cols: int) -> np.ndarray:
     """Each weight repeated across ``cols`` columns: a product with a gathered block then runs
     over whole rows, not a broadcast column, at about half the time, with the same bits."""
     return np.repeat(weights[:, None], cols, axis=1)
-
-
-def _sum_rows(cols: np.ndarray, weights: np.ndarray, blocks: list, M: np.ndarray, at: np.ndarray,
-              out: np.ndarray, relu: bool = False) -> None:
-    """out = P.matmul(M'), or P.matmul(relu(M')), bit for bit, for a cut P, by its
-    row_blocks(M.shape[1]) and in ``at``, a buffer for the largest block's gather.  M holds the
-    rows of M' that P reads, M' row P.indices[e] being M row cols[e] (M is M' itself with
-    cols = P.indices), and weights is P.data _widened to M's columns.  The ReLU acts entry by
-    entry, so it gives the same bits on the gathered rows.  Every gather of _train's epochs is
-    an np.take with mode="clip": under the default mode="raise" NumPy gathers through a
-    buffered copy of ``out``, and the indices, columns of a checked cut or positions in N1,
-    all lie in range."""
-    for rows, entries, starts in blocks:
-        block = at[:entries.stop - entries.start]
-        np.take(M, cols[entries], axis=0, out=block, mode="clip")
-        if relu:
-            np.maximum(block, 0.0, out=block)
-        np.multiply(block, weights[entries], out=block)
-        np.add.reduceat(block, starts, axis=0, out=out[rows])
 
 
 def _descend(params: tuple, objective, hp: Hyperparams) -> tuple[tuple, list[float]]:

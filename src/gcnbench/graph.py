@@ -23,7 +23,7 @@ METRICS = ("euclidean", "cosine")
 # the GraphBuildConfig settings each method reads besides its name
 METHOD_SETTINGS = {"knn": ("k", "metric"), "epsilon": ("eps", "metric"), "full": ()}
 METHODS = tuple(METHOD_SETTINGS)
-# bytes of gathered entries x columns per block of PropagationMatrix.matmul
+# bytes of gathered entries x columns per block of the sparse row sum, _sum_rows
 MATMUL_BLOCK_BYTES = 512 * 1024
 # rows per block of the k-NN and epsilon filters: each thread holds two block x n float buffers
 DISTANCE_BLOCK_ROWS = 64
@@ -180,28 +180,46 @@ class PropagationMatrix:
             yield slice(i, i + len(ptr) - 1), slice(ptr[0], ptr[-1]), ptr[:-1] - ptr[0]
 
     def matmul(self, M: np.ndarray) -> np.ndarray:
-        """The stored rows of S @ M for a dense 2-D M (n x cols): all of S @ M, or a cut's
-        rows in its order.
-
-        Rows go in the blocks of row_blocks(cols), fixed per call.  A block gathers M at its
-        rows' column segments, scales that copy in place and sums each segment with
-        np.add.reduceat, in an order fixed for a given NumPy build that is not a sequential
-        ascending-column sum.  Every row is summed over its whole stored segment whatever the
-        block, so the product does not depend on the block size, and a take_rows cut's rows
-        match the full product bit for bit.  M is left unmodified."""
+        """The stored rows of S @ M for a dense 2-D M (n x cols), summed by _sum_rows: all of
+        S @ M, or a cut's rows in its order, which match the full product's bit for bit.  M is
+        left unmodified."""
         M = check_floats("operand", M, (self.n, None))
         out = np.empty((len(self.rows), M.shape[1]))
-        for rows, entries, starts in self.row_blocks(M.shape[1]):
-            contrib = M[self.indices[entries]]
-            contrib *= self.data[entries, None]
-            # reduceat is safe because no stored row segment is empty (see the class docstring)
-            out[rows] = np.add.reduceat(contrib, starts, axis=0)
+        blocks = list(self.row_blocks(M.shape[1]))
+        _sum_rows(self.indices, self.data[:, None], blocks, M, _gather_buffer(blocks, M.shape[1]), out)
         return out
 
     def to_dense(self) -> np.ndarray:
         dense = np.zeros((self.n, self.n))
         dense[np.repeat(self.rows, np.diff(self.indptr)), self.indices] = self.data
         return dense
+
+
+def _sum_rows(cols: np.ndarray, weights: np.ndarray, blocks: list, M: np.ndarray, at: np.ndarray,
+              out: np.ndarray) -> None:
+    """The package's one sparse row sum: out = P @ M' on the stored rows of P, a PropagationMatrix
+    or a cut of one, by blocks = list(P.row_blocks(M.shape[1])).  M holds the rows of M' that P
+    reads, M' row P.indices[e] being M row cols[e] (M is M' itself with cols = P.indices), and
+    weights[e] scales that row: P.data[:, None], or P.data widened to M's columns.
+
+    Each block gathers its entries' rows of M into ``at`` (a _gather_buffer), scales them in
+    place and sums each row's segment with np.add.reduceat, which is safe as no stored row
+    segment is empty.  Its order is fixed for a NumPy build but is not a sequential sum, and a
+    row is summed over its whole segment in any block, so the bits do not depend on the block
+    size.  The gather is an np.take with mode="clip", as under mode="raise" NumPy gathers
+    through a buffered copy of ``out``; it clips nothing: matmul's indices are P.indices, which
+    __post_init__ checks lie in 0..n-1, for an M that check_floats gives n rows, and
+    gcn._train's are a checked cut's columns or positions in its N1 rows."""
+    for rows, entries, starts in blocks:
+        block = at[:entries.stop - entries.start]
+        np.take(M, cols[entries], axis=0, out=block, mode="clip")
+        np.multiply(block, weights[entries], out=block)
+        np.add.reduceat(block, starts, axis=0, out=out[rows])
+
+
+def _gather_buffer(blocks: list, cols: int) -> np.ndarray:
+    """A buffer for _sum_rows' gather of a ``cols``-column operand by any of ``blocks``."""
+    return np.empty((max((e.stop - e.start for _, e, _ in blocks), default=0), cols))
 
 
 def _features(ds, metric=None):

@@ -57,6 +57,11 @@ def test_gradient_matches_finite_differences():
         fd_b[j] = (up - down) / (2 * h)
     assert_gradients_match(g_W, fd_W)
     assert_gradients_match(g_b, fd_b)
+    # these once gave a loss of -1.307, NaN and the loss of weight_decay=1.0
+    for bad, message in ((-1.0, "must be >= 0, got -1.0"), (np.nan, "must be a finite number, got nan"),
+                         (True, "must be a finite number, got True")):
+        with pytest.raises(ValueError, match=f"^weight_decay {message}$"):
+            logreg_loss_grad(np.ones((2, 2)), np.zeros(2), np.eye(2), [0, 1], bad)
 
 
 def test_separable_blobs_reach_perfect_training_accuracy():

@@ -235,6 +235,11 @@ def test_backward_weight_decay_term():
     decayed = backward(model, S, ds.X, cache, Y, split.labeled, weight_decay=0.3)
     assert np.abs(decayed.g_theta1 - plain.g_theta1 - 0.3 * model.theta1).max() <= 1e-15
     assert np.abs(decayed.g_theta2 - plain.g_theta2 - 0.3 * model.theta2).max() <= 1e-15
+    # each once gave the undecayed gradient, as weight_decay=0 does
+    for bad, message in ((-1.0, "must be >= 0, got -1.0"), (np.nan, "must be a finite number, got nan"),
+                         (True, "must be a finite number, got True")):
+        with pytest.raises(ValueError, match=f"^weight_decay {message}$"):
+            backward(model, S, ds.X, cache, Y, split.labeled, weight_decay=bad)
 
 
 def test_backward_zero_theta2_kills_theta1_gradient():

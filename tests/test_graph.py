@@ -840,14 +840,26 @@ def test_propagation_matmul_equals_dense_product():
     assert np.abs(S.matmul(M) - S.to_dense() @ M).max() <= 1e-12
 
 
-def test_propagation_matmul_keeps_operand_and_old_scale_then_sum_bits():
+def read_only(M):
+    M = M.copy()
+    M.flags.writeable = False
+    return M
+
+
+# M's values in other layouts: each must be read as M itself, whatever its strides
+@pytest.mark.parametrize("layout", [
+    lambda M: M, np.asfortranarray, lambda M: np.ascontiguousarray(M[::-1])[::-1],
+    lambda M: np.repeat(M, 2, axis=1)[:, ::2], read_only, lambda M: M.tolist(),
+], ids=["c-contiguous", "fortran", "row-reversed", "strided-columns", "read-only", "nested-list"])
+def test_propagation_matmul_keeps_operand_and_old_scale_then_sum_bits(layout):
     rng = np.random.default_rng(4)
     X = rng.standard_normal((40, 5))
     S = normalize(knn_graph(X, 6))
     M = rng.standard_normal((40, 7))
-    before = M.copy()
-    out = S.matmul(M)
-    assert np.array_equal(M, before)
+    operand = layout(M)
+    before = np.array(operand)
+    out = S.matmul(operand)
+    assert np.array_equal(operand, before) and np.array_equal(operand, M)
     reference = np.add.reduceat(S.data[:, None] * M[S.indices], S.indptr[:-1], axis=0)
     assert np.array_equal(out, reference)
 
