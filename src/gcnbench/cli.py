@@ -2,7 +2,8 @@
 
 Subcommands: synth, build-graph, train, experiment, eval.  Usage errors
 exit with 2; I/O and validation failures, and any other exception a command
-raises, print a one-line diagnostic on stderr and exit with 1.
+raises, print a one-line diagnostic on stderr and exit with 1.  A setting out
+of its range is named by the flag that gave it (``--model-seed must be >= 0``).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 
 from . import checkpoint, harness
@@ -70,6 +72,20 @@ def _given(**options):
     return {name: value for name, value in options.items() if value is not None}
 
 
+@contextmanager
+def _flags(flags: dict):
+    """Re-raise a ``<name> must ...`` ValueError of the block as ``<flag> must ...``, where
+    ``flags`` maps the library's setting names to the flags the user typed; the bounds
+    themselves stay in the library's checks."""
+    try:
+        yield
+    except ValueError as exc:
+        name, must, rest = str(exc).partition(" must ")
+        if must and name in flags:
+            raise ValueError(f"{flags[name]}{must}{rest}") from exc
+        raise
+
+
 def _check_output_dirs(args):
     """Each output path's directory must exist; checked before a command reads or computes anything."""
     for option in ("out", "agg_out", "md_out"):
@@ -79,15 +95,19 @@ def _check_output_dirs(args):
 
 
 def _cmd_synth(args):
-    ds = synth_blobs(n=args.n, d=args.d, C=args.classes, **_given(sep=args.sep, seed=args.seed))
+    with _flags({"n": "--n", "d": "--d", "C": "--classes", "sep": "--sep", "seed": "--seed"}):
+        ds = synth_blobs(n=args.n, d=args.d, C=args.classes, **_given(sep=args.sep, seed=args.seed))
     save_dataset(ds, args.out)
     print(f"wrote {args.out}: n={ds.n} d={ds.L1} classes={ds.C}")
 
 
 def _cmd_build_graph(args):
-    cfg = graph_config(_given(method=args.method, k=args.k, eps=args.eps, metric=args.metric), "--")
+    flags = {"k": "--k", "eps": "--eps"}
+    with _flags(flags):
+        cfg = graph_config(_given(method=args.method, k=args.k, eps=args.eps, metric=args.metric), "--")
     ds = load_dataset(args.data)
-    A = build_graph(ds, cfg)
+    with _flags(flags):
+        A = build_graph(ds, cfg)
     save_graph(A, args.out)
     print(f"wrote {args.out}: n={A.n} edges={A.num_edges}")
 
@@ -115,9 +135,12 @@ def _cmd_train(args):
                    hidden=args.hidden, seed=args.model_seed)
     if not given.keys() <= harness._HP_KEYS[args.model]:
         raise ValueError("--hidden and --model-seed apply only to --model gcn")
-    hp = replace(harness.DEFAULT_HYPERPARAMS[args.model], **given)
+    with _flags({"lr": "--lr", "epochs": "--epochs", "hidden": "--hidden",
+                 "weight_decay": "--weight-decay", "seed": "--model-seed"}):
+        hp = replace(harness.DEFAULT_HYPERPARAMS[args.model], **given)
     ds, S = _inputs(args, args.model, "gcn training")
-    split = make_split(ds, args.labeled, seed=args.seed, stratified=not args.uniform)
+    with _flags({"l": "--labeled", "seed": "--seed"}):
+        split = make_split(ds, args.labeled, seed=args.seed, stratified=not args.uniform)
     trained, trace, pred = harness.fit_predict(args.model, ds, S, split, hp)
     checkpoint.save_checkpoint(trained, args.out, hyperparams=hp)
     print(f"wrote {args.out}: final loss {trace[-1]:.6f}")

@@ -60,7 +60,7 @@ class ForwardCache:
     SX = S @ X and SH1 = S @ H1 are stored alongside the activations because
     the gradient of each parameter matrix contracts against them.  forward() fills
     every row.  train() builds no cache: it computes SX once per run, and its epochs
-    write the rest into buffers of their own (see train).
+    write the rest into buffers of their own (see _Epoch).
     """
 
     A1: np.ndarray
@@ -203,23 +203,9 @@ def train(model: GcnModel, S: PropagationMatrix, X, Y, labeled,
     Y and labeled are checked once, as loss() checks them.  Raises if the
     parameters or the objective become non-finite.
 
-    What does not depend on theta is prepared once per run: S @ X, the labeled
-    rows of Y, the cuts of S and the buffers every epoch reuses.  An epoch reads
-    the layer-1 product A1 = (S @ X) @ theta1 only on N1, the rows of S that
-    touch the labeled rows L, so it computes A1 on N1's rows of S @ X alone
-    wherever that gives the full product's rows bit for bit, which a check of
-    one product of each form decides once per run (see _rows_product_matches);
-    where it does not, and where N1 is every row, A1 is computed on all n.  The
-    other four dense products of forward() and backward() run at full n.  It
-    sums sparse rows, in S.matmul's kernel graph._sum_rows, only where the
-    result depends on them: S @ relu(A1) on L, which are all the masked loss
-    reads, and the layer-1 gradient S @ B, B = G2 @ theta2^T, on N1, where alone
-    it can be nonzero.  B is exactly +-0 off L, and adding +-0 to a nonzero
-    partial sum changes nothing, so an N1 row with at most two entries in L's
-    columns sums those alone: one term is itself and two add the same in any
-    order.  The parameters and trace are thus bit-identical to full-graph
-    forward()/backward() steps, except that an exactly zero sum may carry the
-    other sign.
+    S @ X is computed once per run, and the epochs are one _Epoch's steps: the
+    parameters and trace are bit-identical to full-graph forward()/backward()
+    steps, except that an exactly zero sum may carry the other sign (see _Epoch).
     """
     return _train(model, S, S.matmul(_features(model, S, X)), Y, labeled, hp)
 
@@ -227,89 +213,111 @@ def train(model: GcnModel, S: PropagationMatrix, X, Y, labeled,
 def _train(model: GcnModel, S: PropagationMatrix, SX: np.ndarray, Y, labeled,
            hp: Hyperparams) -> tuple[GcnModel, list[float]]:
     """train() from an already propagated SX = S @ X, which the caller may reuse to predict."""
-    y, labeled = _targets(Y, labeled, S.n, model.dims[2])
-    y_L, wd = y[labeled], hp.weight_decay
-    S_L = S.take_rows(labeled)
-    # N1: S is symmetric, so the rows that touch L are the columns of L's rows
-    N1 = np.unique(S_L.indices)
-    S_N1 = S.take_rows(N1)
-    # an N1 row with at most two entries in L's columns keeps only those (see train)
-    in_L = np.zeros(S.n, dtype=bool)
-    in_L[labeled] = True
-    hits = in_L[S_N1.indices]
-    per_row = np.diff(np.concatenate([[0], np.cumsum(hits)])[S_N1.indptr])
-    S_N1 = S_N1.take_entries(hits | np.repeat(per_row > 2, np.diff(S_N1.indptr)))
-    # N1's rows in the order one-entry, two-entry, whole: the entries of the first two kinds
-    # come first, a row's pair side by side, and the whole rows are a cut of their own
-    kept = np.diff(S_N1.indptr)
-    ones, twos = int((kept == 1).sum()), int((kept == 2).sum())
-    S_N1 = S_N1.take_rows(np.argsort(np.minimum(kept, 3), kind="stable"))
-    L2, C = model.dims[1:]
-    few_cols, few_weights = S_N1.indices[:ones + 2 * twos], _widened(S_N1.data[:ones + 2 * twos], L2)
-    S_whole = S_N1.take_rows(np.arange(ones + twos, len(S_N1.rows)))
-    initial = (model.theta1.copy(), model.theta2.copy())
-    # layer 1 on N1's rows of SX alone, which hold all an epoch reads of A1, where that gives
-    # the full product's rows bit for bit; A1's row of node N1[i] is then row i, and the L-row
-    # sum and the ReLU mask read A1 at those positions
-    if len(N1) < S.n and _rows_product_matches(SX, N1, initial[0]):
-        SX1, L_cols, N1_at = SX[N1], np.searchsorted(N1, S_L.indices), np.searchsorted(N1, S_N1.rows)
-    else:
-        SX1, L_cols, N1_at = SX, S_L.indices, S_N1.rows
-    # buffers every epoch writes in place: SH1 and G2 stay zero off L, and G1 off N1
-    A1, A1_N1 = np.empty((len(SX1), L2)), np.empty((len(N1), L2))
-    SH1, B, G1 = (np.zeros((S.n, L2)) for _ in range(3))
-    A2, G2 = np.zeros((S.n, C)), np.zeros((S.n, C))
-    SH1_L, G1_N1 = np.empty((len(labeled), L2)), np.empty((len(N1), L2))
-    at_few, mask = np.empty((len(few_cols), L2)), np.empty((len(N1), L2), dtype=bool)
-    L_blocks, whole_blocks = list(S_L.row_blocks(L2)), list(S_whole.row_blocks(L2))
-    L_weights, whole_weights = _widened(S_L.data, L2), _widened(S_whole.data, L2)
-    at = _gather_buffer(L_blocks + whole_blocks, L2)
-
-    def objective(params):
-        theta1, theta2 = params
-        np.matmul(SX1, theta1, out=A1)
-        np.maximum(A1, 0.0, out=A1)  # H1; the ReLU mask reads it, as relu(a) > 0 where a > 0
-        _sum_rows(L_cols, L_weights, L_blocks, A1, at, SH1_L)
-        SH1[labeled] = SH1_L
-        np.matmul(SH1, theta2, out=A2)
-        value, G_L = _cross_entropy(A2[labeled], y_L)
-        if wd > 0:
-            value += 0.5 * wd * sum(float((p ** 2).sum()) for p in params)
-        return value, lambda: gradients(theta1, theta2, G_L)
-
-    def gradients(theta1, theta2, G_L):
-        G2[labeled] = G_L
-        np.matmul(G2, theta2.T, out=B)
-        # G1 = (S @ B) * (A1 > 0) on N1's rows: a one-entry row's sum is that entry and a
-        # two-entry row's the pair's sum, which is what _sum_rows gives
-        np.take(B, few_cols, axis=0, out=at_few, mode="clip")
-        np.multiply(at_few, few_weights, out=at_few)
-        G1_N1[:ones] = at_few[:ones]
-        np.add(at_few[ones::2], at_few[ones + 1::2], out=G1_N1[ones:ones + twos])
-        _sum_rows(S_whole.indices, whole_weights, whole_blocks, B, at, G1_N1[ones + twos:])
-        np.take(A1, N1_at, axis=0, out=A1_N1, mode="clip")
-        np.greater(A1_N1, 0.0, out=mask)
-        np.multiply(G1_N1, mask, out=G1_N1)
-        G1[S_N1.rows] = G1_N1
-        g_theta1, g_theta2 = SX.T @ G1, SH1.T @ G2
-        if wd > 0:
-            g_theta1 = g_theta1 + wd * theta1
-            g_theta2 = g_theta2 + wd * theta2
-        return g_theta1, g_theta2
-
-    params, trace = _descend(initial, objective, hp)
+    epoch = _Epoch(model, S, SX, *_targets(Y, labeled, S.n, model.dims[2]), hp.weight_decay)
+    params, trace = _descend((model.theta1.copy(), model.theta2.copy()), epoch.value, hp)
     return GcnModel(*params), trace
 
 
-def _rows_product_matches(SX: np.ndarray, rows: np.ndarray, theta1: np.ndarray) -> bool:
-    """Whether SX[rows] @ theta1 equals (SX @ theta1)[rows] bit for bit, each product made as
-    an epoch of _train makes it: np.matmul of C-contiguous arrays into a C-contiguous buffer.
-    BLAS picks its kernel by shape and thread count, not by value, so this one pair of
-    products decides for every epoch of a fit.  It does not hold on every build and shape:
+class _Epoch:
+    """train()'s epoch as two steps, value and gradients, over what does not depend on
+    theta, prepared once per fit when the epoch is built: the labeled rows of Y, the cuts
+    of S and the buffers every epoch reuses.  An epoch reads the layer-1 product
+    A1 = (S @ X) @ theta1 only on N1, the rows of S that touch the labeled rows L, so it
+    computes A1 on N1's rows of S @ X alone wherever that gives the full product's rows
+    bit for bit, which a check of one product of each form decides once per fit (see
+    _rows_product_matches); where it does not, and where N1 is every row, A1 is computed
+    on all n.  The other four dense products of forward() and backward() run at full n.
+    It sums sparse rows, in S.matmul's kernel graph._sum_rows, only where the result
+    depends on them: S @ relu(A1) on L, which are all the masked loss reads, and the
+    layer-1 gradient S @ B, B = G2 @ theta2^T, on N1, where alone it can be nonzero.  B is
+    exactly +-0 off L, and adding +-0 to a nonzero partial sum changes nothing, so an N1
+    row with at most two entries in L's columns sums those alone: one term is itself and
+    two add the same in any order.
+    """
+
+    def __init__(self, model: GcnModel, S: PropagationMatrix, SX: np.ndarray, y, labeled, wd):
+        self.SX, self.labeled, self.y_L, self.wd = SX, labeled, y[labeled], wd
+        S_L = S.take_rows(labeled)
+        # N1: S is symmetric, so the rows that touch L are the columns of L's rows
+        N1 = np.unique(S_L.indices)
+        S_N1 = S.take_rows(N1)
+        # an N1 row with at most two entries in L's columns keeps only those
+        in_L = np.zeros(S.n, dtype=bool)
+        in_L[labeled] = True
+        hits = in_L[S_N1.indices]
+        per_row = np.diff(np.concatenate([[0], np.cumsum(hits)])[S_N1.indptr])
+        S_N1 = S_N1.take_entries(hits | np.repeat(per_row > 2, np.diff(S_N1.indptr)))
+        # N1's rows in the order one-entry, two-entry, whole: the entries of the first two kinds
+        # come first, a row's pair side by side, and the whole rows are a cut of their own
+        kept = np.diff(S_N1.indptr)
+        ones, twos = self.ones, self.twos = int((kept == 1).sum()), int((kept == 2).sum())
+        S_N1 = self.S_N1 = S_N1.take_rows(np.argsort(np.minimum(kept, 3), kind="stable"))
+        L2, C = model.dims[1:]
+        few = ones + 2 * twos
+        self.few_cols, self.few_weights = S_N1.indices[:few], _widened(S_N1.data[:few], L2)
+        S_whole = self.S_whole = S_N1.take_rows(np.arange(ones + twos, len(S_N1.rows)))
+        # layer 1 on N1's rows of SX alone, which hold all an epoch reads of A1, where that gives
+        # the full product's rows bit for bit; A1's row of node N1[i] is then row i, and the L-row
+        # sum and the ReLU mask read A1 at those positions
+        cut = len(N1) < S.n and _rows_product_matches(SX, N1, model.theta1.copy())
+        self.SX1 = SX[N1] if cut else SX
+        self.L_cols, self.N1_at = (np.searchsorted(N1, c) if cut else c for c in (S_L.indices, S_N1.rows))
+        # buffers every epoch writes in place: SH1 and G2 stay zero off L, and G1 off N1
+        self.A1, self.A1_N1 = np.empty((len(self.SX1), L2)), np.empty((len(N1), L2))
+        self.SH1, self.B, self.G1 = (np.zeros((S.n, L2)) for _ in range(3))
+        self.A2, self.G2 = np.zeros((S.n, C)), np.zeros((S.n, C))
+        self.SH1_L, self.G1_N1 = np.empty((len(labeled), L2)), np.empty((len(N1), L2))
+        self.at_few, self.mask = np.empty((len(self.few_cols), L2)), np.empty((len(N1), L2), dtype=bool)
+        self.L_blocks, self.whole_blocks = list(S_L.row_blocks(L2)), list(S_whole.row_blocks(L2))
+        self.L_weights, self.whole_weights = _widened(S_L.data, L2), _widened(S_whole.data, L2)
+        self.at = _gather_buffer(self.L_blocks + self.whole_blocks, L2)
+
+    def value(self, params):
+        """The objective at params = (theta1, theta2), and a callable for its gradients there."""
+        theta1, theta2 = params
+        np.matmul(self.SX1, theta1, out=self.A1)
+        np.maximum(self.A1, 0.0, out=self.A1)  # H1; the ReLU mask reads it, as relu(a) > 0 where a > 0
+        _sum_rows(self.L_cols, self.L_weights, self.L_blocks, self.A1, self.at, self.SH1_L)
+        self.SH1[self.labeled] = self.SH1_L
+        np.matmul(self.SH1, theta2, out=self.A2)
+        value, G_L = _cross_entropy(self.A2[self.labeled], self.y_L)
+        if self.wd > 0:
+            value += 0.5 * self.wd * sum(float((p ** 2).sum()) for p in params)
+        return value, lambda: self.gradients(theta1, theta2, G_L)
+
+    def gradients(self, theta1, theta2, G_L):
+        """(g_theta1, g_theta2) at value()'s parameters, from its gradient G_L on L's logits."""
+        ones, twos, at_few, G1_N1 = self.ones, self.twos, self.at_few, self.G1_N1
+        self.G2[self.labeled] = G_L
+        np.matmul(self.G2, theta2.T, out=self.B)
+        # G1 = (S @ B) * (A1 > 0) on N1's rows: a one-entry row's sum is that entry and a
+        # two-entry row's the pair's sum, which is what _sum_rows gives
+        np.take(self.B, self.few_cols, axis=0, out=at_few, mode="clip")
+        np.multiply(at_few, self.few_weights, out=at_few)
+        G1_N1[:ones] = at_few[:ones]
+        np.add(at_few[ones::2], at_few[ones + 1::2], out=G1_N1[ones:ones + twos])
+        _sum_rows(self.S_whole.indices, self.whole_weights, self.whole_blocks, self.B, self.at,
+                  G1_N1[ones + twos:])
+        np.take(self.A1, self.N1_at, axis=0, out=self.A1_N1, mode="clip")
+        np.greater(self.A1_N1, 0.0, out=self.mask)
+        np.multiply(G1_N1, self.mask, out=G1_N1)
+        self.G1[self.S_N1.rows] = G1_N1
+        g_theta1, g_theta2 = self.SX.T @ self.G1, self.SH1.T @ self.G2
+        if self.wd > 0:
+            g_theta1 = g_theta1 + self.wd * theta1
+            g_theta2 = g_theta2 + self.wd * theta2
+        return g_theta1, g_theta2
+
+
+def _rows_product_matches(M: np.ndarray, rows: np.ndarray, W: np.ndarray) -> bool:
+    """Whether M[rows] @ W equals (M @ W)[rows] bit for bit, for a product an epoch cuts by
+    rows (today layer 1's SX @ theta1), each made as an _Epoch makes it: np.matmul of
+    C-contiguous arrays into a C-contiguous buffer.  BLAS picks its kernel by shape and
+    thread count, not by value, so this one pair of products decides for every epoch of a fit.  It does not hold on every build and shape:
     on OpenBLAS 0.3.31 one row, or up to about 65 rows at 768 columns, or a hidden width of 1,
     can take another kernel than the full product."""
-    full = np.matmul(SX, theta1, out=np.empty((len(SX), theta1.shape[1])))[rows]
-    part = np.matmul(SX[rows], theta1, out=np.empty_like(full))
+    full = np.matmul(M, W, out=np.empty((len(M), W.shape[1])))[rows]
+    part = np.matmul(M[rows], W, out=np.empty_like(full))
     return np.array_equal(part.view(np.int64), full.view(np.int64))
 
 

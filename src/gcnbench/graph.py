@@ -209,7 +209,7 @@ def _sum_rows(cols: np.ndarray, weights: np.ndarray, blocks: list, M: np.ndarray
     size.  The gather is an np.take with mode="clip", as under mode="raise" NumPy gathers
     through a buffered copy of ``out``; it clips nothing: matmul's indices are P.indices, which
     __post_init__ checks lie in 0..n-1, for an M that check_floats gives n rows, and
-    gcn._train's are a checked cut's columns or positions in its N1 rows."""
+    gcn._Epoch's are a checked cut's columns or positions in its N1 rows."""
     for rows, entries, starts in blocks:
         block = at[:entries.stop - entries.start]
         np.take(M, cols[entries], axis=0, out=block, mode="clip")

@@ -141,17 +141,26 @@ def test_the_gcn_only_flags_follow_the_hyperparameters_each_model_reads(
 
 @pytest.mark.parametrize("argv, message", [
     (["synth", "--n", "30", "--d", "4", "--classes", "3", "--sep", "nan", "--out", "{out}"],
-     "sep must be a finite number, got nan"),
+     "--sep must be a finite number, got nan"),
     (["synth", "--n", "30", "--d", "4", "--classes", "3", "--sep", "inf", "--out", "{out}"],
-     "sep must be a finite number, got inf"),
+     "--sep must be a finite number, got inf"),
     (["synth", "--n", "30", "--d", "4", "--classes", "3", "--seed", "-1", "--out", "{out}"],
-     "seed must be >= 0, got -1"),
+     "--seed must be >= 0, got -1"),
+    (["synth", "--n", "30", "--d", "4", "--classes", "1", "--out", "{out}"],
+     "--classes must be >= 2, got 1"),
+    (["build-graph", "--data", "{csv}", "--k", "0", "--out", "{out}"], "--k must be >= 1, got 0"),
     (["train", "--data", "{csv}", "--model", "logreg", "--labeled", "9", "--seed", "-1",
-      "--out", "{out}"], "seed must be >= 0, got -1"),
+      "--out", "{out}"], "--seed must be >= 0, got -1"),
     (["train", "--data", "{csv}", "--graph", "{edges}", "--labeled", "9", "--model-seed", "-1",
-      "--out", "{out}"], "seed must be >= 0, got -1"),
+      "--out", "{out}"], "--model-seed must be >= 0, got -1"),
+    (["train", "--data", "{csv}", "--model", "logreg", "--labeled", "0", "--out", "{out}"],
+     "--labeled must be >= 1, got 0"),
+    (["train", "--data", "{csv}", "--graph", "{edges}", "--labeled", "9", "--weight-decay", "-1",
+      "--out", "{out}"], "--weight-decay must be >= 0, got -1.0"),
+    # a config file's messages keep its key names
     (["experiment", "--config", "{config}", "--out", "{out}"], "seed must be >= 0, got -1"),
-], ids=["synth-sep-nan", "synth-sep-inf", "synth-seed", "train-seed", "train-model-seed",
+], ids=["synth-sep-nan", "synth-sep-inf", "synth-seed", "synth-classes", "build-graph-k",
+        "train-seed", "train-model-seed", "train-labeled", "train-weight-decay",
         "config-gcn-seed"])
 def test_out_of_range_separation_or_seed_exits_1_naming_it(tmp_path, blob_csv, capsys, argv, message):
     paths = {"csv": blob_csv, "edges": tmp_path / "g.edges", "config": tmp_path / "cfg.json",
@@ -314,9 +323,9 @@ def test_graph_is_rejected_for_a_model_that_uses_none(tmp_path, blob_csv, capsys
 
 
 @pytest.mark.parametrize("flags, message", [
-    (["--lr", "-1"], "lr must be >= 0, got -1.0"),
-    (["--epochs", "-1"], "epochs must be >= 0, got -1"),
-    (["--hidden", "0"], "hidden must be >= 1, got 0"),
+    (["--lr", "-1"], "--lr must be >= 0, got -1.0"),
+    (["--epochs", "-1"], "--epochs must be >= 0, got -1"),
+    (["--hidden", "0"], "--hidden must be >= 1, got 0"),
 ], ids=["lr", "epochs", "hidden"])
 def test_train_rejects_an_out_of_range_hyperparameter_before_reading_a_file(
         tmp_path, capsys, flags, message):

@@ -267,22 +267,26 @@ def test_train_lr_zero_is_identity():
     assert trace == [trace[0]] * 6
 
 
+def _counted_step(calls, step):
+    """_Epoch's method ``step``, appending its name to ``calls`` at each call."""
+    original = getattr(gcn._Epoch, step)
+
+    def counted(self, *args):
+        calls.append(step)
+        return original(self, *args)
+    return counted
+
+
 @pytest.mark.parametrize("epochs", [0, 1, 4])
 def test_train_computes_no_gradient_after_its_last_step(monkeypatch, epochs):
     ds, S, split, Y, model = small_instance(12)
     calls = []
-    descend = gcn._descend
-
-    def counting_descend(params, objective, hp):
-        def counted(p):
-            value, gradients = objective(p)
-            return value, lambda: calls.append(1) or gradients()
-        return descend(params, counted, hp)
-
-    # the epoch's gradient is the callable its objective returns, which runs only if asked
-    monkeypatch.setattr(gcn, "_descend", counting_descend)
+    for step in ("value", "gradients"):
+        monkeypatch.setattr(gcn._Epoch, step, _counted_step(calls, step))
     _, trace = train(model, S, ds.X, Y, split.labeled, Hyperparams(epochs=epochs))
-    assert len(trace) == epochs + 1 and len(calls) == epochs
+    # a value every epoch, the initial one included, and gradients only before a step
+    assert len(trace) == epochs + 1
+    assert calls == ["value"] + ["gradients", "value"] * epochs
 
 
 def test_descend_asks_for_gradients_only_before_a_step():
@@ -517,6 +521,29 @@ def test_train_computes_layer_1_on_n1_alone_where_the_check_shows_the_full_produ
     assert len(layer_1) == epochs + 1 + 2 * (branch == "checked" and case != "full")
     if branch == "checked" and case != "isolated":
         assert rows == len(N1)
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
+@pytest.mark.parametrize("branch", ["checked", "full-product"])
+def test_an_epochs_steps_at_the_initial_parameters_are_forward_and_backward(
+        monkeypatch, branch, weight_decay):
+    ds, S, labeled, Y, model, _ = n1_case("knn")
+    SX = S.matmul(ds.X)
+    N1 = np.unique(S.take_rows(labeled).indices)
+    # a shape where the check passes, so that forcing the full product changes the path
+    assert len(N1) < S.n and gcn._rows_product_matches(SX, N1, model.theta1.copy())
+    check = gcn._rows_product_matches
+    monkeypatch.setattr(gcn, "_rows_product_matches",
+                        lambda *args: branch == "checked" and check(*args))
+    epoch = gcn._Epoch(model, S, SX, *gcn._targets(Y, labeled, S.n, ds.C), weight_decay)
+    assert len(epoch.SX1) == (len(N1) if branch == "checked" else S.n)
+    value, gradients = epoch.value((model.theta1.copy(), model.theta2.copy()))
+    hp = Hyperparams(epochs=0, weight_decay=weight_decay)
+    assert [value] == train_oracle(model, S, ds.X, Y, labeled, hp)[1]
+    g_theta1, g_theta2 = gradients()
+    expected = backward(model, S, ds.X, forward(model, S, ds.X), Y, labeled, weight_decay)
+    assert np.array_equal(g_theta1, expected.g_theta1)
+    assert np.array_equal(g_theta2, expected.g_theta2)
 
 
 def test_train_diverges_at_the_epoch_of_full_graph_steps():
