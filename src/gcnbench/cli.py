@@ -4,20 +4,40 @@ Subcommands: synth, build-graph, train, experiment, eval.  Usage errors
 exit with 2; I/O and validation failures, and any other exception a command
 raises, print a one-line diagnostic on stderr and exit with 1.  A setting out
 of its range is named by the flag that gave it (``--model-seed must be >= 0``).
+A command imports only the modules it uses: ``synth`` reads and writes a dataset
+alone, and the graph, model, harness and checkpoint modules load with the
+commands that call them.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
 
-from . import checkpoint, harness
 from .dataset import full_truth, load_dataset, make_split, save_dataset, synth_blobs
-from .graph import METHODS, METRICS, build_graph, graph_config, load_graph, normalize, save_graph
-from .harness import accuracy
+
+
+class _Choices:
+    """The choices of a flag, read from ``module.name`` only when argparse checks a value or
+    lists them in help or an error, so that building the parser imports no other module.
+    The flag takes a metavar, as argparse would otherwise list its choices while the parser
+    is built."""
+
+    def __init__(self, module: str, name: str):
+        self.module, self.name = module, name
+
+    def _values(self):
+        return getattr(importlib.import_module(f"{__package__}.{self.module}"), self.name)
+
+    def __contains__(self, value):
+        return value in self._values()
+
+    def __iter__(self):
+        return iter(self._values())
 
 
 def _build_parser():
@@ -35,16 +55,19 @@ def _build_parser():
 
     p = sub.add_parser("build-graph", help="build a similarity graph from an embedding CSV")
     p.add_argument("--data", required=True, help="embedding CSV path")
-    p.add_argument("--method", choices=METHODS, default=None)
+    p.add_argument("--method", choices=_Choices("graph", "METHODS"), default=None, metavar="METHOD",
+                   help="graph method: %(choices)s")
     p.add_argument("--k", type=int, default=None, help="neighbor count for knn")
     p.add_argument("--eps", type=float, default=None, help="distance threshold for epsilon")
-    p.add_argument("--metric", choices=METRICS, default=None)
+    p.add_argument("--metric", choices=_Choices("graph", "METRICS"), default=None, metavar="METRIC",
+                   help="distance: %(choices)s")
     p.add_argument("--out", required=True, help="output edge-list path")
 
     p = sub.add_parser("train", help="train one model on a labeled split and save a checkpoint")
     p.add_argument("--data", required=True, help="embedding CSV path (needs labels)")
     p.add_argument("--graph", default=None, help="edge-list path (gcn only, and required there)")
-    p.add_argument("--model", choices=harness.MODEL_NAMES, default="gcn")
+    p.add_argument("--model", choices=_Choices("harness", "MODEL_NAMES"), default="gcn", metavar="MODEL",
+                   help="model: %(choices)s")
     p.add_argument("--labeled", type=int, required=True, help="label budget l")
     p.add_argument("--seed", type=int, default=0, help="split seed")
     p.add_argument("--uniform", action="store_true", help="uniform instead of stratified split")
@@ -102,6 +125,8 @@ def _cmd_synth(args):
 
 
 def _cmd_build_graph(args):
+    from .graph import build_graph, graph_config, save_graph
+
     flags = {"k": "--k", "eps": "--eps"}
     with _flags(flags):
         cfg = graph_config(_given(method=args.method, k=args.k, eps=args.eps, metric=args.metric), "--")
@@ -115,6 +140,8 @@ def _cmd_build_graph(args):
 def _inputs(args, model_name, task):
     """--data, and the normalized --graph for a model that needs one (else None).
     Whether --graph fits the model is checked before any file is read."""
+    from . import harness
+
     uses_graph = model_name in harness.GRAPH_MODELS
     if uses_graph and args.graph is None:
         raise ValueError(f"{task} needs --graph")
@@ -124,6 +151,8 @@ def _inputs(args, model_name, task):
     ds = load_dataset(args.data)
     if not uses_graph:
         return ds, None
+    from .graph import load_graph, normalize
+
     A = load_graph(args.graph)
     if A.n != ds.n:
         raise ValueError(f"graph has {A.n} nodes, dataset has {ds.n}")
@@ -131,6 +160,8 @@ def _inputs(args, model_name, task):
 
 
 def _cmd_train(args):
+    from . import checkpoint, harness
+
     given = _given(lr=args.lr, epochs=args.epochs, weight_decay=args.weight_decay,
                    hidden=args.hidden, seed=args.model_seed)
     if not given.keys() <= harness._HP_KEYS[args.model]:
@@ -145,11 +176,13 @@ def _cmd_train(args):
     checkpoint.save_checkpoint(trained, args.out, hyperparams=hp)
     print(f"wrote {args.out}: final loss {trace[-1]:.6f}")
     if split.u and ds.truth is not None and None not in ds.truth:
-        acc = accuracy(pred[split.unlabeled], full_truth(ds)[split.unlabeled])
+        acc = harness.accuracy(pred[split.unlabeled], full_truth(ds)[split.unlabeled])
         print(f"unlabeled accuracy: {acc:.2f}% over {split.u} nodes")
 
 
 def _cmd_experiment(args):
+    from . import harness
+
     cfg = harness.load_config(args.config)
     report = harness.run_experiment(cfg)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -168,11 +201,13 @@ def _cmd_experiment(args):
 
 
 def _cmd_eval(args):
+    from . import checkpoint, harness
+
     model, meta = checkpoint.load_checkpoint(args.checkpoint)
     ds, S = _inputs(args, meta["kind"], "evaluating a gcn checkpoint")
     truth = full_truth(ds)
     pred = harness.predict_nodes(model, ds.X, S)
-    print(f"accuracy: {accuracy(pred, truth):.2f}% over {ds.n} nodes")
+    print(f"accuracy: {harness.accuracy(pred, truth):.2f}% over {ds.n} nodes")
 
 
 _COMMANDS = {

@@ -407,13 +407,13 @@ def make_split(ds: EmbeddingDataset, l: int, seed: int, stratified: bool = True)
     truth = None if ds.truth is None else np.array([-1 if t is None else t for t in ds.truth])
     candidates = np.arange(n) if truth is None else np.flatnonzero(truth >= 0)
     if l > len(candidates):
-        raise ValueError(f"need l <= {len(candidates)}, the rows that can be labeled, got {l}")
+        raise ValueError(f"l must be <= {len(candidates)}, the rows that can be labeled, got {l}")
     rng = np.random.default_rng(seed)
     if stratified:
         if truth is None:
             raise ValueError("stratified split needs ground truth")
         if l < ds.C:
-            raise ValueError(f"stratified split needs l >= C={ds.C}, got l={l}")
+            raise ValueError(f"l must be >= C={ds.C} for a stratified split, got {l}")
         base, extra = divmod(l, ds.C)
         bonus = set(rng.permutation(ds.C)[:extra].tolist())
         picks = []

@@ -6,9 +6,11 @@ The network computes
     Z = softmax(S @ relu(S @ X @ theta1) @ theta2)
 
 where S is the renormalized propagation matrix, and is trained on the cross-entropy
-summed over labeled rows only, through S cut once per run to those rows and their
-neighbours.  All math is float64, and runs are bit-reproducible on the same NumPy/BLAS
-build at the same BLAS thread count, which together fix the summation order of every product.
+summed over labeled rows only.  A training epoch reads only those rows and their
+neighbours: it sums S cut once per run to them, and runs each dense product on the rows
+it reads, wherever a check made once per run shows that this gives the full product's
+bits.  All math is float64, and runs are bit-reproducible on the same NumPy/BLAS build at
+the same BLAS thread count, which together fix the summation order of every product.
 """
 
 from __future__ import annotations
@@ -221,28 +223,39 @@ def _train(model: GcnModel, S: PropagationMatrix, SX: np.ndarray, Y, labeled,
 class _Epoch:
     """train()'s epoch as two steps, value and gradients, over what does not depend on
     theta, prepared once per fit when the epoch is built: the labeled rows of Y, the cuts
-    of S and the buffers every epoch reuses.  An epoch reads the layer-1 product
-    A1 = (S @ X) @ theta1 only on N1, the rows of S that touch the labeled rows L, so it
-    computes A1 on N1's rows of S @ X alone wherever that gives the full product's rows
-    bit for bit, which a check of one product of each form decides once per fit (see
-    _rows_product_matches); where it does not, and where N1 is every row, A1 is computed
-    on all n.  The other four dense products of forward() and backward() run at full n.
+    of S and of the dense operands, and the buffers every epoch reuses.
+
+    The loss reads only the labeled rows L, and the gradient only N1, the rows of S that
+    touch L, so each of the five dense products of forward() and backward() runs on the
+    rows it reads: layer 1, A1 = (S @ X) @ theta1, on N1's rows of S @ X; the layer-1
+    gradient's contraction (S @ X)^T @ G1 over N1's rows, as G1 is zero off N1; and layer
+    2's SH1 @ theta2 and B = G2 @ theta2^T on L's rows and its contraction SH1^T @ G2 over
+    them, as SH1 and G2 are zero off L.  Layer 2 takes L's rows in ascending order with
+    zero rows appended to a multiple of 4, and a contraction adds the products of its row
+    blocks in order (_contract): one block, or the blocks in which BLAS itself splits the
+    full product's inner dimension (_k_blocks).  Each cut is taken only where a check of
+    one product of its form, made once per fit, shows the full product's bits
+    (_rows_product_matches); where it does not, the same code runs over all n rows in one
+    block, which is the full product.
+
     It sums sparse rows, in S.matmul's kernel graph._sum_rows, only where the result
     depends on them: S @ relu(A1) on L, which are all the masked loss reads, and the
-    layer-1 gradient S @ B, B = G2 @ theta2^T, on N1, where alone it can be nonzero.  B is
-    exactly +-0 off L, and adding +-0 to a nonzero partial sum changes nothing, so an N1
-    row with at most two entries in L's columns sums those alone: one term is itself and
-    two add the same in any order.
+    layer-1 gradient S @ B on N1, where alone it can be nonzero.  B is exactly +-0 off L,
+    and adding +-0 to a nonzero partial sum changes nothing, so an N1 row with at most two
+    entries in L's columns sums those alone: one term is itself and two add the same in
+    any order.  The N1 rows read B through their columns remapped once per fit, each
+    column in L to its row of B and every other column to a last row of B that stays zero.
     """
 
     def __init__(self, model: GcnModel, S: PropagationMatrix, SX: np.ndarray, y, labeled, wd):
-        self.SX, self.labeled, self.y_L, self.wd = SX, labeled, y[labeled], wd
+        self.y_L, self.wd = y[labeled], wd
+        n, (L2, C) = S.n, model.dims[1:]
         S_L = S.take_rows(labeled)
         # N1: S is symmetric, so the rows that touch L are the columns of L's rows
         N1 = np.unique(S_L.indices)
         S_N1 = S.take_rows(N1)
         # an N1 row with at most two entries in L's columns keeps only those
-        in_L = np.zeros(S.n, dtype=bool)
+        in_L = np.zeros(n, dtype=bool)
         in_L[labeled] = True
         hits = in_L[S_N1.indices]
         per_row = np.diff(np.concatenate([[0], np.cumsum(hits)])[S_N1.indptr])
@@ -251,23 +264,48 @@ class _Epoch:
         # come first, a row's pair side by side, and the whole rows are a cut of their own
         kept = np.diff(S_N1.indptr)
         ones, twos = self.ones, self.twos = int((kept == 1).sum()), int((kept == 2).sum())
-        S_N1 = self.S_N1 = S_N1.take_rows(np.argsort(np.minimum(kept, 3), kind="stable"))
-        L2, C = model.dims[1:]
+        S_N1 = S_N1.take_rows(np.argsort(np.minimum(kept, 3), kind="stable"))
+        S_whole = S_N1.take_rows(np.arange(ones + twos, len(S_N1.rows)))
+        # the checks multiply the fit's SX and initial theta, and draws on the rows an epoch
+        # keeps of the operands that are zero elsewhere; a cut not taken runs on every row
+        theta1, theta2 = model.theta1.copy(), model.theta2.copy()
+        draw = np.random.default_rng(0)
+        L_sorted = np.sort(labeled)
+        SH1, G2, G1 = (_drawn(n, rows, cols, draw)
+                       for rows, cols in ((L_sorted, L2), (L_sorted, C), (N1, L2)))
+        every, one_block = np.arange(n), [slice(0, n)]
+        # layer 1 on N1's rows of SX, which hold all an epoch reads of A1: A1's row of node
+        # N1[i] is then row i, and the L-row sum and the ReLU mask read A1 at those positions
+        layer_1 = len(N1) < n and _rows_product_matches(SX, N1, theta1)
+        # the layer-1 gradient over N1's rows: G1's row of node N1[i] is then row i
+        g1_blocks = _contraction_blocks(SX, N1, G1)
+        SX_N1 = SX[N1] if layer_1 or g1_blocks else SX
+        self.SX1 = SX_N1 if layer_1 else SX
+        self.L_cols, self.N1_at = (np.searchsorted(N1, c) if layer_1 else c for c in (S_L.indices, S_N1.rows))
+        G1_rows, self.g1_blocks, self.SX_G1 = (N1, g1_blocks, SX_N1) if g1_blocks else (every, one_block, SX)
+        self.G1_at = np.searchsorted(G1_rows, S_N1.rows)
+        # layer 2's three products on L's rows, ascending and padded, as one cut: node
+        # labeled[i]'s rows of SH1, the logits and G2 are then row L_at[i]
+        pad = -len(L_sorted) % 4
+        rows_cut = len(L_sorted) < n and all(_rows_product_matches(M, L_sorted, W, pad=pad)
+                                             for M, W in ((SH1, theta2), (G2, theta2.T)))
+        g2_blocks = rows_cut and _contraction_blocks(SH1, L_sorted, G2, pad)
+        L_rows, self.g2_blocks, pad = (L_sorted, g2_blocks, pad) if g2_blocks else (every, one_block, 0)
+        self.L_at = np.searchsorted(L_rows, labeled)
+        # the N1 rows' columns as rows of B, whose last row stays zero
+        B_at = np.full(n, len(L_rows) + pad)
+        B_at[L_rows] = np.arange(len(L_rows))
         few = ones + 2 * twos
-        self.few_cols, self.few_weights = S_N1.indices[:few], _widened(S_N1.data[:few], L2)
-        S_whole = self.S_whole = S_N1.take_rows(np.arange(ones + twos, len(S_N1.rows)))
-        # layer 1 on N1's rows of SX alone, which hold all an epoch reads of A1, where that gives
-        # the full product's rows bit for bit; A1's row of node N1[i] is then row i, and the L-row
-        # sum and the ReLU mask read A1 at those positions
-        cut = len(N1) < S.n and _rows_product_matches(SX, N1, model.theta1.copy())
-        self.SX1 = SX[N1] if cut else SX
-        self.L_cols, self.N1_at = (np.searchsorted(N1, c) if cut else c for c in (S_L.indices, S_N1.rows))
-        # buffers every epoch writes in place: SH1 and G2 stay zero off L, and G1 off N1
+        self.few_cols, self.few_weights = B_at[S_N1.indices[:few]], _widened(S_N1.data[:few], L2)
+        self.whole_cols = B_at[S_whole.indices]
+        # buffers every epoch writes in place: SH1 and G2 stay zero off L, B in its last row
+        # and G1 off N1, where they have those rows
         self.A1, self.A1_N1 = np.empty((len(self.SX1), L2)), np.empty((len(N1), L2))
-        self.SH1, self.B, self.G1 = (np.zeros((S.n, L2)) for _ in range(3))
-        self.A2, self.G2 = np.zeros((S.n, C)), np.zeros((S.n, C))
+        self.SH1, self.G2, self.A2 = (np.zeros((len(L_rows) + pad, k)) for k in (L2, C, C))
+        self.B = np.zeros((len(L_rows) + pad + 1, L2))
+        self.G1 = np.zeros((len(G1_rows), L2))
         self.SH1_L, self.G1_N1 = np.empty((len(labeled), L2)), np.empty((len(N1), L2))
-        self.at_few, self.mask = np.empty((len(self.few_cols), L2)), np.empty((len(N1), L2), dtype=bool)
+        self.at_few, self.mask = np.empty((few, L2)), np.empty((len(N1), L2), dtype=bool)
         self.L_blocks, self.whole_blocks = list(S_L.row_blocks(L2)), list(S_whole.row_blocks(L2))
         self.L_weights, self.whole_weights = _widened(S_L.data, L2), _widened(S_whole.data, L2)
         self.at = _gather_buffer(self.L_blocks + self.whole_blocks, L2)
@@ -278,9 +316,9 @@ class _Epoch:
         np.matmul(self.SX1, theta1, out=self.A1)
         np.maximum(self.A1, 0.0, out=self.A1)  # H1; the ReLU mask reads it, as relu(a) > 0 where a > 0
         _sum_rows(self.L_cols, self.L_weights, self.L_blocks, self.A1, self.at, self.SH1_L)
-        self.SH1[self.labeled] = self.SH1_L
+        self.SH1[self.L_at] = self.SH1_L
         np.matmul(self.SH1, theta2, out=self.A2)
-        value, G_L = _cross_entropy(self.A2[self.labeled], self.y_L)
+        value, G_L = _cross_entropy(self.A2[self.L_at], self.y_L)
         if self.wd > 0:
             value += 0.5 * self.wd * sum(float((p ** 2).sum()) for p in params)
         return value, lambda: self.gradients(theta1, theta2, G_L)
@@ -288,37 +326,121 @@ class _Epoch:
     def gradients(self, theta1, theta2, G_L):
         """(g_theta1, g_theta2) at value()'s parameters, from its gradient G_L on L's logits."""
         ones, twos, at_few, G1_N1 = self.ones, self.twos, self.at_few, self.G1_N1
-        self.G2[self.labeled] = G_L
-        np.matmul(self.G2, theta2.T, out=self.B)
+        self.G2[self.L_at] = G_L
+        np.matmul(self.G2, theta2.T, out=self.B[:-1])
         # G1 = (S @ B) * (A1 > 0) on N1's rows: a one-entry row's sum is that entry and a
         # two-entry row's the pair's sum, which is what _sum_rows gives
         np.take(self.B, self.few_cols, axis=0, out=at_few, mode="clip")
         np.multiply(at_few, self.few_weights, out=at_few)
         G1_N1[:ones] = at_few[:ones]
         np.add(at_few[ones::2], at_few[ones + 1::2], out=G1_N1[ones:ones + twos])
-        _sum_rows(self.S_whole.indices, self.whole_weights, self.whole_blocks, self.B, self.at,
+        _sum_rows(self.whole_cols, self.whole_weights, self.whole_blocks, self.B, self.at,
                   G1_N1[ones + twos:])
         np.take(self.A1, self.N1_at, axis=0, out=self.A1_N1, mode="clip")
         np.greater(self.A1_N1, 0.0, out=self.mask)
         np.multiply(G1_N1, self.mask, out=G1_N1)
-        self.G1[self.S_N1.rows] = G1_N1
-        g_theta1, g_theta2 = self.SX.T @ self.G1, self.SH1.T @ self.G2
+        self.G1[self.G1_at] = G1_N1
+        g_theta1 = _contract(self.SX_G1, self.G1, self.g1_blocks)
+        g_theta2 = _contract(self.SH1, self.G2, self.g2_blocks)
         if self.wd > 0:
             g_theta1 = g_theta1 + self.wd * theta1
             g_theta2 = g_theta2 + self.wd * theta2
         return g_theta1, g_theta2
 
 
-def _rows_product_matches(M: np.ndarray, rows: np.ndarray, W: np.ndarray) -> bool:
-    """Whether M[rows] @ W equals (M @ W)[rows] bit for bit, for a product an epoch cuts by
-    rows (today layer 1's SX @ theta1), each made as an _Epoch makes it: np.matmul of
-    C-contiguous arrays into a C-contiguous buffer.  BLAS picks its kernel by shape and
-    thread count, not by value, so this one pair of products decides for every epoch of a fit.  It does not hold on every build and shape:
-    on OpenBLAS 0.3.31 one row, or up to about 65 rows at 768 columns, or a hidden width of 1,
-    can take another kernel than the full product."""
-    full = np.matmul(M, W, out=np.empty((len(M), W.shape[1])))[rows]
-    part = np.matmul(M[rows], W, out=np.empty_like(full))
+def _drawn(n: int, rows: np.ndarray, cols: int, draw) -> np.ndarray:
+    """An n x cols operand for a check, uniform in [-1, 1) from ``draw`` on ``rows`` and zero
+    elsewhere, as an epoch's G1 is off N1 and its SH1 and G2 are off L."""
+    M = np.zeros((n, cols))
+    M[rows] = draw.uniform(-1.0, 1.0, (len(rows), cols))
+    return M
+
+
+def _rows_product_matches(M: np.ndarray, rows: np.ndarray, W: np.ndarray, blocks=None,
+                          pad: int = 0) -> bool:
+    """Whether a product an epoch cuts to ``rows`` of the n-row M, ascending, with ``pad``
+    zero rows appended, gives the full product's bits: with ``blocks`` None, M[rows] @ W
+    against the rows of M @ W (layer 1, SH1 @ theta2 and G2 @ theta2^T), and otherwise the
+    contraction of M[rows] and W[rows] over those rows, summed in ``blocks`` of them
+    (_contract), against M^T @ W, for a W zero off ``rows`` (the gradients' SX^T @ G1 and
+    SH1^T @ G2).  Each is made as an _Epoch makes it: np.matmul of C-contiguous arrays, or
+    their transposes, into a C-contiguous buffer.
+
+    BLAS picks its kernel by shape and thread count, not by value, so this one pair of
+    products decides for every epoch of a fit.  It does not hold on every build and shape:
+    on OpenBLAS 0.3.31 one row, or up to about 65 rows at 768 columns, can take another
+    kernel than the full product, and a contraction is summed in one pass only up to about
+    10^6 multiply-adds, and otherwise in K-blocks (_k_blocks).  A cut product with a
+    dimension of 1 (one labeled row, a hidden width of 1) runs a vector kernel, where one
+    draw can give the full product's bits by coincidence and a later epoch's values not,
+    so no such cut is taken."""
+    if 1 in (len(rows), M.shape[1], W.shape[1]):
+        return False
+    cut = _padded(M, rows, pad)
+    if blocks is None:
+        full = np.matmul(M, W, out=np.empty((len(M), W.shape[1])))[rows]
+        part = np.matmul(cut, W, out=np.empty((len(cut), W.shape[1])))[:len(rows)]
+    else:
+        full = np.matmul(M.T, W)
+        part = _contract(cut, _padded(W, rows, pad), blocks)
     return np.array_equal(part.view(np.int64), full.view(np.int64))
+
+
+def _padded(M: np.ndarray, rows: np.ndarray, pad: int) -> np.ndarray:
+    """M's ``rows`` with ``pad`` zero rows appended, C-contiguous, as an epoch's cuts are."""
+    return np.concatenate([M[rows], np.zeros((pad, M.shape[1]))])
+
+
+def _contraction_blocks(M: np.ndarray, rows: np.ndarray, W: np.ndarray, pad: int = 0):
+    """The blocks of positions in ``rows``, with ``pad`` zero rows appended to the last one,
+    in which an epoch sums the contraction M^T @ W over ``rows`` (_contract): the blocks in
+    which BLAS splits the full product's n rows (_k_blocks), or else one block, whichever
+    the check shows first to give the full product's bits (_rows_product_matches).  None
+    where neither does, or where ``rows`` are all n.  Where n spans several K-blocks, a
+    large product is summed in them and a small one in one pass, so the K-blocks are tried
+    first: the check then costs least where the full product costs most."""
+    if len(rows) == len(M):
+        return None
+    at = np.searchsorted(rows, _k_blocks(len(M)))
+    at[at == len(rows)] += pad
+    split = [slice(a, b) for a, b in zip(at[:-1].tolist(), at[1:].tolist()) if b > a]
+    for blocks in (split, [slice(0, len(rows) + pad)])[len(split) < 2:]:
+        if _rows_product_matches(M, rows, W, blocks, pad):
+            return blocks
+    return None
+
+
+# OpenBLAS's level-3 GEMM driver (driver/level3/level3.c) splits a product's inner dimension
+# into blocks of GEMM_Q rows, and a rest of more than one and less than two blocks into two
+# halves, the first rounded up to GEMM_UNROLL_M rows: its double-precision values for the
+# SkylakeX kernels of OpenBLAS 0.3.31
+_GEMM_Q, _GEMM_UNROLL_M = 384, 16
+
+
+def _k_blocks(n: int) -> list[int]:
+    """The bounds 0 = b_0 < b_1 < ... = n of the blocks in which OpenBLAS's level-3 driver
+    sums an inner dimension of n, each block's product added to the sum of those before:
+    for n = 2000, 0, 384, 768, 1152, 1536, 1776, 2000.  Where a build's blocks differ, the
+    check fails and the epoch keeps another form of the product."""
+    bounds = [0]
+    while bounds[-1] < n:
+        rest = n - bounds[-1]
+        if rest >= 2 * _GEMM_Q:
+            rest = _GEMM_Q
+        elif rest > _GEMM_Q:
+            rest = -(-(rest // 2) // _GEMM_UNROLL_M) * _GEMM_UNROLL_M
+        bounds.append(bounds[-1] + rest)
+    return bounds
+
+
+def _contract(M: np.ndarray, W: np.ndarray, blocks: list) -> np.ndarray:
+    """M^T @ W as the products of its row blocks added in order, the first to none: with one
+    block of all rows the full product, and with BLAS's own blocks (_k_blocks) the full
+    product's own grouping of the sum."""
+    total = np.matmul(M[blocks[0]].T, W[blocks[0]])
+    for block in blocks[1:]:
+        total += np.matmul(M[block].T, W[block])
+    return total
 
 
 def _widened(weights: np.ndarray, cols: int) -> np.ndarray:

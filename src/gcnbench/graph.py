@@ -56,7 +56,7 @@ class GraphBuildConfig:
         if self.metric not in METRICS:
             raise ValueError(f"unknown metric {self.metric!r}, expected one of {METRICS}")
         if self.method == "epsilon" and (self.eps is None or self.eps <= 0):
-            raise ValueError(f"epsilon graph needs eps > 0, got {self.eps}")
+            raise ValueError(f"eps must be > 0 for an epsilon graph, got {self.eps}")
 
 
 def graph_config(settings: dict, prefix: str = "") -> GraphBuildConfig:
@@ -209,7 +209,7 @@ def _sum_rows(cols: np.ndarray, weights: np.ndarray, blocks: list, M: np.ndarray
     size.  The gather is an np.take with mode="clip", as under mode="raise" NumPy gathers
     through a buffered copy of ``out``; it clips nothing: matmul's indices are P.indices, which
     __post_init__ checks lie in 0..n-1, for an M that check_floats gives n rows, and
-    gcn._Epoch's are a checked cut's columns or positions in its N1 rows."""
+    gcn._Epoch's are positions in its N1 rows, or in its L rows and their zero row."""
     for rows, entries, starts in blocks:
         block = at[:entries.stop - entries.start]
         np.take(M, cols[entries], axis=0, out=block, mode="clip")
@@ -444,7 +444,7 @@ def epsilon_graph(ds, eps: float, metric: str = "euclidean") -> SparseAdjacency:
     row and the strict < eps test."""
     check_type("eps", eps, float)
     if eps <= 0:
-        raise ValueError(f"need eps > 0, got {eps}")
+        raise ValueError(f"eps must be > 0, got {eps}")
     X, shift = _features(ds, metric)
     # the clip keeps eps normal, so exactly scaled, and eps^2 finite; it changes no comparison,
     # as no distance of _features' X lies between 2^-600 and 2^-510 or beyond 2^412

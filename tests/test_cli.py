@@ -6,7 +6,7 @@ from dataclasses import asdict, replace
 
 import pytest
 
-from gcnbench import cli, harness
+from gcnbench import graph, harness
 from gcnbench.baseline import LOGREG_DEFAULTS, predict_logreg
 from gcnbench.checkpoint import load_checkpoint
 from gcnbench.cli import main
@@ -157,10 +157,18 @@ def test_the_gcn_only_flags_follow_the_hyperparameters_each_model_reads(
      "--labeled must be >= 1, got 0"),
     (["train", "--data", "{csv}", "--graph", "{edges}", "--labeled", "9", "--weight-decay", "-1",
       "--out", "{out}"], "--weight-decay must be >= 0, got -1.0"),
+    # bounds that depend on the data: the class count, the rows with ground truth
+    (["train", "--data", "{csv}", "--model", "logreg", "--labeled", "2", "--out", "{out}"],
+     "--labeled must be >= C=3 for a stratified split, got 2"),
+    (["train", "--data", "{csv}", "--model", "logreg", "--labeled", "61", "--out", "{out}"],
+     "--labeled must be <= 60, the rows that can be labeled, got 61"),
+    (["build-graph", "--data", "{csv}", "--method", "epsilon", "--eps", "-1", "--out", "{out}"],
+     "--eps must be > 0 for an epsilon graph, got -1.0"),
     # a config file's messages keep its key names
     (["experiment", "--config", "{config}", "--out", "{out}"], "seed must be >= 0, got -1"),
 ], ids=["synth-sep-nan", "synth-sep-inf", "synth-seed", "synth-classes", "build-graph-k",
         "train-seed", "train-model-seed", "train-labeled", "train-weight-decay",
+        "train-labeled-under-classes", "train-labeled-over-rows", "build-graph-eps",
         "config-gcn-seed"])
 def test_out_of_range_separation_or_seed_exits_1_naming_it(tmp_path, blob_csv, capsys, argv, message):
     paths = {"csv": blob_csv, "edges": tmp_path / "g.edges", "config": tmp_path / "cfg.json",
@@ -407,7 +415,7 @@ def test_any_other_exception_in_a_command_exits_1_without_a_traceback(
     def broken(ds, config):
         raise error
 
-    monkeypatch.setattr(cli, "build_graph", broken)
+    monkeypatch.setattr(graph, "build_graph", broken)  # build-graph imports it when it runs
     code = main(["build-graph", "--data", str(blob_csv), "--out", str(tmp_path / "g.edges")])
     assert code == 1
     err = capsys.readouterr().err

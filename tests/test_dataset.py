@@ -345,7 +345,7 @@ def test_make_split_labels_only_rows_with_ground_truth(stratified):
         split = make_split(ds, 16, seed=seed, stratified=stratified)
         assert not {2, 7, 11, 18} & set(split.labeled.tolist())
         assert len(labeled_classes(ds, split)) == 16
-    with pytest.raises(ValueError, match="need l <= 16"):
+    with pytest.raises(ValueError, match="^l must be <= 16, the rows that can be labeled, got 17$"):
         make_split(ds, 17, seed=0, stratified=stratified)
 
 

@@ -397,13 +397,15 @@ def test_train_propagates_the_features_once(monkeypatch):
 
 
 def n1_case(case):
-    """(ds, S, labeled, Y, model, epochs) whose N1 entry cut has the named shape."""
-    if case == "wide":
-        ds = synth_blobs(n=400, d=32, C=5, sep=2.0, seed=20)
+    """(ds, S, labeled, Y, model, epochs) whose N1 entry cut has the named shape; "kblocks"
+    has 1000 rows of 64 columns, whose layer-1 gradient BLAS sums in more than one K-block."""
+    if case in ("wide", "kblocks"):
+        n, d, epochs = (400, 32, 60) if case == "wide" else (1000, 64, 20)
+        ds = synth_blobs(n=n, d=d, C=5, sep=2.0, seed=20)
         split = make_split(ds, 40, seed=21)
-        model = init_model(32, 16, 5, seed=22)
+        model = init_model(d, 16, 5, seed=22)
         return ds, normalize(knn_graph(ds, k=8)), split.labeled, build_label_matrix(ds, split), \
-            model, 60
+            model, epochs
     ds, S, split, Y, model = small_instance(18, n=40, labeled=9)
     labeled = split.labeled
     if case == "full":  # every row touches all 9 labeled rows, so every row stays whole
@@ -474,17 +476,33 @@ class _MatmulRecorder:
         return np.matmul(a, b, **kwargs)
 
 
+def _cut_form(model, M, W, blocks):
+    """The cut whose check _Epoch makes with these operands: "layer-1" (SX @ theta1 on N1),
+    "layer-1-gradient" (SX^T @ G1 over N1) or "layer-2" (SH1 @ theta2 and G2 @ theta2^T on
+    L, and SH1^T @ G2 over L), for a model whose three widths differ."""
+    d, h, C = model.dims
+    assert len({d, h, C}) == 3
+    if blocks is None and W.shape == (d, h):
+        return "layer-1"
+    return "layer-1-gradient" if blocks is not None and M.shape[1] == d else "layer-2"
+
+
+def _isolated(ds, node):
+    """The propagation matrix of ds's 5-NN graph with ``node``'s edges removed."""
+    edges = knn_graph(ds, k=5).edges
+    return normalize(SparseAdjacency(ds.n, edges[(edges != node).all(axis=1)]))
+
+
 @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
 @pytest.mark.parametrize("case", ["knn", "wide", "one", "empty", "full", "isolated"])
 @pytest.mark.parametrize("branch", ["checked", "full-product"])
 def test_train_computes_layer_1_on_n1_alone_where_the_check_shows_the_full_products_bits(
         monkeypatch, branch, case, weight_decay):
     if case == "isolated":
-        # L is one node without neighbours, so N1 is that one row, where OpenBLAS 0.3.31 takes
-        # another kernel than for the full product and the check fails
+        # L is one node without neighbours, so N1 is that one row, a GEMV shape where no
+        # cut is taken
         ds, S, labeled, Y, model, epochs = n1_case("one")
-        edges = knn_graph(ds, k=5).edges
-        S = normalize(SparseAdjacency(ds.n, edges[(edges != labeled[0]).all(axis=1)]))
+        S = _isolated(ds, labeled[0])
     else:
         ds, S, labeled, Y, model, epochs = n1_case(case)
     hp = Hyperparams(lr=0.2, epochs=epochs, weight_decay=weight_decay)
@@ -495,9 +513,12 @@ def test_train_computes_layer_1_on_n1_alone_where_the_check_shows_the_full_produ
         assert gcn._rows_product_matches(SX, N1, model.theta1.copy())
     check, results = gcn._rows_product_matches, []
 
-    def recording_check(SX, rows, theta1):
-        # the full-product branch through the check's one seam
-        results.append(branch == "checked" and check(SX, rows, theta1))
+    def recording_check(M, rows, W, blocks=None, pad=0):
+        # layer 1's check, picked out by its operands, takes the full-product branch through
+        # the check's one seam; the other cuts' checks run as they are
+        if _cut_form(model, M, W, blocks) != "layer-1":
+            return check(M, rows, W, blocks, pad)
+        results.append(branch == "checked" and check(M, rows, W))
         return results[-1]
 
     monkeypatch.setattr(gcn, "_rows_product_matches", recording_check)
@@ -518,9 +539,97 @@ def test_train_computes_layer_1_on_n1_alone_where_the_check_shows_the_full_produ
     rows = len(N1) if results and results[0] else S.n
     layer_1 = [a[0] for a, b in recorder.shapes if b == model.theta1.shape]
     assert layer_1[-(epochs + 1):] == [rows] * (epochs + 1)
-    assert len(layer_1) == epochs + 1 + 2 * (branch == "checked" and case != "full")
+    assert len(layer_1) == epochs + 1 + 2 * (branch == "checked" and case not in ("full", "isolated"))
     if branch == "checked" and case != "isolated":
         assert rows == len(N1)
+
+
+def _cut_rows(epoch):
+    """The rows each cut of an _Epoch runs on: N1's, L's padded, or all n."""
+    return {"layer-1": len(epoch.SX1), "layer-1-gradient": len(epoch.G1), "layer-2": len(epoch.SH1)}
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
+@pytest.mark.parametrize("case", ["knn", "wide", "kblocks"])
+@pytest.mark.parametrize("form", ["layer-1", "layer-1-gradient", "layer-2"])
+@pytest.mark.parametrize("branch", ["checked", "full-product"])
+def test_each_cut_and_the_full_product_in_its_place_give_the_full_graph_steps(
+        monkeypatch, branch, form, case, weight_decay):
+    ds, S, labeled, Y, model, epochs = n1_case(case)
+    hp = Hyperparams(lr=0.2, epochs=epochs, weight_decay=weight_decay)
+    check, results, first_blocks = gcn._rows_product_matches, [], {}
+
+    def forcing_check(M, rows, W, blocks=None, pad=0):
+        # the named cut takes the full-product branch through the check's one seam
+        named = _cut_form(model, M, W, blocks)
+        if blocks is not None:
+            first_blocks.setdefault(named, blocks)
+        passed = (branch == "checked" or named != form) and check(M, rows, W, blocks, pad)
+        results.append((named, blocks is not None, passed))
+        return passed
+
+    monkeypatch.setattr(gcn, "_rows_product_matches", forcing_check)
+    trained, trace = train(model, S, ds.X, Y, labeled, hp)
+    epoch = gcn._Epoch(model, S, S.matmul(ds.X), *gcn._targets(Y, labeled, S.n, ds.C), weight_decay)
+    monkeypatch.undo()
+    expected, expected_trace = train_oracle(model, S, ds.X, Y, labeled, hp)
+    assert np.array_equal(trained.theta1, expected.theta1)
+    assert np.array_equal(trained.theta2, expected.theta2)
+    assert trace == expected_trace
+    # the fit and the epoch built alike made the same checks, and each cut runs on its own
+    # rows where a check of its form passed, and on all n where none did
+    results, again = results[:len(results) // 2], results[len(results) // 2:]
+    assert results == again
+    l, N1 = len(labeled), len(np.unique(S.take_rows(labeled).indices))
+    cut = {"layer-1": N1, "layer-1-gradient": N1, "layer-2": l + -l % 4}
+    def passed(named, sums):
+        return [ok for name, contraction, ok in results if name == named and contraction == sums]
+
+    # layer 2's one cut of three products is taken where both row products and one
+    # candidate of the contraction pass
+    taken = {"layer-1": any(passed("layer-1", False)),
+             "layer-1-gradient": any(passed("layer-1-gradient", True)),
+             "layer-2": all(passed("layer-2", False)) and any(passed("layer-2", True))}
+    for named, rows in _cut_rows(epoch).items():
+        assert rows == (cut[named] if taken[named] else S.n)
+        if branch == "full-product" and named == form:
+            assert rows == S.n
+    if case == "kblocks":
+        # the layer-1 gradient's first candidate is N1 split where BLAS splits 1000 rows
+        N1_rows = np.unique(S.take_rows(labeled).indices)
+        at = np.searchsorted(N1_rows, [0, 384, 704, 1000]).tolist()
+        assert first_blocks["layer-1-gradient"] == [slice(a, b) for a, b in zip(at, at[1:])]
+        assert len(first_blocks["layer-1-gradient"]) == 3
+
+
+@pytest.mark.parametrize("n, bounds", [
+    (2000, [0, 384, 768, 1152, 1536, 1776, 2000]),
+    (1000, [0, 384, 704, 1000]),
+    (768, [0, 384, 768]),
+    (384, [0, 384]),
+    (100, [0, 100]),
+    (1, [0, 1]),
+])
+def test_k_blocks_are_the_openblas_level_3_drivers(n, bounds):
+    assert gcn._k_blocks(n) == bounds
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
+@pytest.mark.parametrize("case", ["one", "hidden-1"])
+def test_no_cut_is_taken_at_one_labeled_row_or_a_hidden_width_of_1(case, weight_decay):
+    ds, S, labeled, Y, model, epochs = n1_case("one")
+    if case == "one":  # one labeled row without neighbours: every cut has one row
+        S = _isolated(ds, labeled[0])
+    else:
+        model = init_model(ds.X.shape[1], 1, ds.C, seed=3)
+    epoch = gcn._Epoch(model, S, S.matmul(ds.X), *gcn._targets(Y, labeled, S.n, ds.C), weight_decay)
+    assert _cut_rows(epoch) == dict.fromkeys(_cut_rows(epoch), S.n)
+    hp = Hyperparams(lr=0.2, epochs=epochs, weight_decay=weight_decay)
+    trained, trace = train(model, S, ds.X, Y, labeled, hp)
+    expected, expected_trace = train_oracle(model, S, ds.X, Y, labeled, hp)
+    assert np.array_equal(trained.theta1, expected.theta1)
+    assert np.array_equal(trained.theta2, expected.theta2)
+    assert trace == expected_trace
 
 
 @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
@@ -534,7 +643,7 @@ def test_an_epochs_steps_at_the_initial_parameters_are_forward_and_backward(
     assert len(N1) < S.n and gcn._rows_product_matches(SX, N1, model.theta1.copy())
     check = gcn._rows_product_matches
     monkeypatch.setattr(gcn, "_rows_product_matches",
-                        lambda *args: branch == "checked" and check(*args))
+                        lambda *args, **kwargs: branch == "checked" and check(*args, **kwargs))
     epoch = gcn._Epoch(model, S, SX, *gcn._targets(Y, labeled, S.n, ds.C), weight_decay)
     assert len(epoch.SX1) == (len(N1) if branch == "checked" else S.n)
     value, gradients = epoch.value((model.theta1.copy(), model.theta2.copy()))

@@ -104,7 +104,7 @@ def test_epsilon_monotone_in_eps():
 
 
 def test_epsilon_rejects_nonpositive_eps():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^eps must be > 0, got 0\.0$"):
         epsilon_graph(np.eye(3), 0.0)
 
 

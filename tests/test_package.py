@@ -1,6 +1,7 @@
 """The package namespace: its public names, resolved on first use, and what each use imports."""
 
 import ast
+import json
 import os
 import pathlib
 import subprocess
@@ -122,3 +123,16 @@ def test_loading_a_dataset_imports_only_its_checks_and_reader(tmp_path):
 
 def test_a_graph_builder_imports_the_graph_but_not_the_model_or_harness():
     assert package_modules_after("gcnbench.knn_graph") == ["gcnbench", "gcnbench.checks", "gcnbench.graph"]
+
+
+@pytest.mark.parametrize("commands, expected", [
+    ([["synth", "--n", "30", "--d", "4", "--classes", "3", "--out", "b.csv"]], []),
+    ([["synth", "--n", "30", "--d", "4", "--classes", "3", "--out", "b.csv"],
+      ["build-graph", "--data", "b.csv", "--method", "knn", "--out", "b.edges"]], ["gcnbench.graph"]),
+], ids=["synth", "build-graph"])
+def test_a_cli_command_imports_only_the_modules_it_uses(tmp_path, monkeypatch, commands, expected):
+    monkeypatch.chdir(tmp_path)
+    statement = ("import json\nfrom gcnbench.cli import main\n"
+                 "for argv in json.loads(sys.argv[1]):\n    assert main(argv) == 0")
+    assert package_modules_after(statement, json.dumps(commands)) == sorted(
+        ["gcnbench", "gcnbench.checks", "gcnbench.cli", "gcnbench.dataset", *expected])
