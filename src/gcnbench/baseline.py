@@ -8,6 +8,7 @@ seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,14 +34,19 @@ def logreg_loss_grad(W, b, X, y, weight_decay: float = 0.0):
 
     Returns (loss, g_W, g_b).  The gradient is (P - onehot(y)) / l contracted
     against X, plus wd * W; exactness is covered by a finite-difference test.
+    X is read by checks.check_floats, but a float64 X (train_logreg's, every epoch)
+    only once its loss is non-finite, after NumPy may have warned of the product.
     """
     check_type("weight_decay", weight_decay, float, 0)
-    X = np.asarray(X, dtype=np.float64)
+    if not (isinstance(X, np.ndarray) and X.dtype == np.float64):
+        X = check_floats("X", X, (None, W.shape[0]))
     l = len(X)
     y = check_indices("y", y, W.shape[1], (l,))
     value, G = _cross_entropy(X @ W + b, np.eye(W.shape[1])[y])
     G /= l
     value = value / l + 0.5 * weight_decay * float((W ** 2).sum())
+    if not math.isfinite(value):
+        check_floats("X", X, None)
     return value, X.T @ G + weight_decay * W, G.sum(axis=0)
 
 

@@ -172,7 +172,8 @@ def _cmd_train(args):
     ds, S = _inputs(args, args.model, "gcn training")
     with _flags({"l": "--labeled", "seed": "--seed"}):
         split = make_split(ds, args.labeled, seed=args.seed, stratified=not args.uniform)
-    trained, trace, pred = harness.fit_predict(args.model, ds, S, split, hp)
+    propagated = None if S is None else (S, S.matmul(ds.X))
+    trained, trace, pred = harness.fit_predict(args.model, ds, propagated, split, hp)
     checkpoint.save_checkpoint(trained, args.out, hyperparams=hp)
     print(f"wrote {args.out}: final loss {trace[-1]:.6f}")
     if split.u and ds.truth is not None and None not in ds.truth:

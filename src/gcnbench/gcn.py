@@ -468,15 +468,6 @@ def _descend(params: tuple, objective, hp: Hyperparams) -> tuple[tuple, list[flo
     return params, trace
 
 
-def _train_predict(model: GcnModel, S: PropagationMatrix, X, Y, labeled,
-                   hp: Hyperparams) -> tuple[GcnModel, list[float], np.ndarray]:
-    """train(), then predict(forward()) of the trained model, from one S @ X: the same
-    bits as the two calls, which each compute that product."""
-    SX = S.matmul(_features(model, S, X))
-    trained, trace = _train(model, S, SX, Y, labeled, hp)
-    return trained, trace, predict(_layers(trained, S, SX))
-
-
 def predict(cache: ForwardCache) -> np.ndarray:
     """Per-row argmax of Z; ties break toward the lowest class index."""
     return np.argmax(cache.Z, axis=1)

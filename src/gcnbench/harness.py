@@ -32,7 +32,7 @@ from .dataset import (
     make_split,
     synth_blobs,
 )
-from .gcn import GcnModel, Hyperparams, _train_predict, forward, init_model, predict
+from .gcn import GcnModel, Hyperparams, _layers, _train, forward, init_model, predict
 from .graph import GraphBuildConfig, build_graph, graph_config, normalize, usable_cpus
 
 # Every model a run can fit, with its default hyperparameters; only the GCN uses the graph.
@@ -227,18 +227,10 @@ class EvalReport:
                 raise ValueError(f"accuracy {row.accuracy_pct} outside [0, 100]")
 
     def models(self) -> list[str]:
-        out = []
-        for row in self.rows:
-            if row.model not in out:
-                out.append(row.model)
-        return out
+        return list(dict.fromkeys(row.model for row in self.rows))
 
     def budgets(self) -> list[int]:
-        out = []
-        for row in self.rows:
-            if row.budget not in out:
-                out.append(row.budget)
-        return out
+        return list(dict.fromkeys(row.budget for row in self.rows))
 
     def aggregates(self) -> list[AggregateRow]:
         """Mean and population std of accuracy per (model, budget)."""
@@ -287,11 +279,14 @@ def _config_dataset(cfg: ExperimentConfig) -> EmbeddingDataset:
     return synth_blobs(n=s.pop("n"), d=s.pop("d"), C=s.pop("classes"), **s)
 
 
-def fit_predict(name: str, ds: EmbeddingDataset, S, split, hp: Hyperparams):
-    """Fit ``name`` on the split's labeled rows; returns (model, loss trace, all-n predictions)."""
+def fit_predict(name: str, ds: EmbeddingDataset, propagated, split, hp: Hyperparams):
+    """Fit ``name`` on the split's labeled rows; returns (model, loss trace, all-n predictions).
+    ``propagated`` is the (S, S @ ds.X) a GCN fit and its prediction read; logreg ignores it."""
     if name == "gcn":
+        S, SX = propagated
         model = init_model(ds.L1, hp.hidden, ds.C, hp.seed)
-        return _train_predict(model, S, ds.X, build_label_matrix(ds, split), split.labeled, hp)
+        trained, trace = _train(model, S, SX, build_label_matrix(ds, split), split.labeled, hp)
+        return trained, trace, predict(_layers(trained, S, SX))
     trained, trace = train_logreg(ds.X[split.labeled], labeled_classes(ds, split), ds.C, hp)
     return trained, trace, predict_logreg(trained, ds.X)
 
@@ -308,11 +303,12 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
 
     The graph, built only if a model uses one, and every cell's split come first,
     in this process and in sweep order, so a bad budget or split is raised before
-    any fit.  The cells then run on the CPUs this process may use
-    (graph.usable_cpus): in this process when that is one CPU, else in a pool of
-    forked workers that inherit the dataset and graph, and whose rows come back in
-    sweep order.  Either way the rows, and the first failing cell's error, are those
-    of the serial sweep.  A worker that dies is a ChildProcessError naming its exit code.
+    any fit, and then S @ X, which depends on neither and serves every GCN cell.
+    The cells then run on the CPUs this process may use (graph.usable_cpus): in
+    this process when that is one CPU, else in a pool of forked workers that inherit
+    the dataset, graph and S @ X, and whose rows come back in sweep order.  Either
+    way the rows, and the first failing cell's error, are those of the serial sweep.
+    A worker that dies is a ChildProcessError naming its exit code.
     """
     ds = _config_dataset(cfg)
     if cfg.normalize_features:
@@ -330,14 +326,14 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
             cell_seed = derive_seed(cfg.seed, budget, repeat)
             split = make_split(ds, budget, seed=cell_seed, stratified=cfg.stratified)
             cells.extend((name, budget, repeat, cell_seed, split) for name in cfg.models)
-    shared = (cfg, ds, S, truth)
+    shared = (cfg, ds, None if S is None else (S, S.matmul(ds.X)), truth)
     workers = min(len(cells), usable_cpus())
     if workers == 1:
         return EvalReport(rows=[_cell(shared, cell) for cell in cells])
     import multiprocessing  # here, so that importing the package does not pay for it
 
     # fork, not spawn: the workers inherit ``shared`` with no fresh import and no copy of
-    # the graph; only cells and rows are pickled
+    # the graph or S @ X; only cells and rows are pickled
     others = multiprocessing.active_children()
     pool = multiprocessing.get_context("fork").Pool(workers, initializer=_start_worker,
                                                     initargs=shared)
@@ -363,18 +359,18 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
 
 def _cell(shared, cell) -> CellResult:
     """Fit and score one (model, budget, repeat) cell of the sweep ``shared`` describes."""
-    cfg, ds, S, truth = shared
+    cfg, ds, propagated, truth = shared
     name, budget, repeat, cell_seed, split = cell
     start = time.perf_counter()
-    _, _, pred = fit_predict(name, ds, S, split, getattr(cfg, f"{name}_hp"))
+    _, _, pred = fit_predict(name, ds, propagated, split, getattr(cfg, f"{name}_hp"))
     wall_ms = (time.perf_counter() - start) * 1000.0
     return CellResult(model=name, budget=budget, repeat=repeat, seed=cell_seed,
                       accuracy_pct=accuracy(pred[split.unlabeled], truth[split.unlabeled]),
                       wall_ms=wall_ms)
 
 
-# a pool worker's (cfg, ds, S, truth), inherited from the sweep that forked it; only
-# _start_worker sets it, and only in a worker process
+# a pool worker's (cfg, ds, (S, S @ X) or None, truth), inherited from the sweep that
+# forked it; only _start_worker sets it, and only in a worker process
 _worker_shared = None
 
 
@@ -395,7 +391,8 @@ def render_report(report: EvalReport, format: str) -> str:
     """Render the report: csv emits one row per cell, markdown the mean-accuracy table.
 
     The markdown table puts models on rows and budgets on columns, mirroring
-    how such sweeps are usually tabulated.
+    how such sweeps are usually tabulated; a model with no row at a budget has
+    an empty cell there.
     """
     if not report.rows:
         raise ValueError("cannot render an empty report")
@@ -410,8 +407,9 @@ def render_report(report: EvalReport, format: str) -> str:
         header = "| model | " + " | ".join(f"l={b}" for b in budgets) + " |"
         rule = "|" + "---|" * (len(budgets) + 1)
         lines = [header, rule]
+        means = {(agg.model, agg.budget): f"{agg.mean_pct:.2f}" for agg in report.aggregates()}
         for model in report.models():
-            cells = [f"{report.mean_accuracy(model, b):.2f}" for b in budgets]
+            cells = [means.get((model, b), "") for b in budgets]
             lines.append(f"| {model} | " + " | ".join(cells) + " |")
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown report format {format!r}")

@@ -168,21 +168,35 @@ def test_divergence_names_the_epoch_of_non_finite_parameters():
         train_logreg(X, [0, 1, 2, 0, 1, 2], C=3, hp=Hyperparams(lr=1e200, epochs=5))
 
 
-@pytest.mark.parametrize("X_l, y_l, C, message", [
-    ([[0.0], [1.0]], [0.9, 1.7], 2, "y_l must hold integers, got float"),
-    ([[0.0], [1.0]], [True, False], 2, "y_l must hold integers, got bool"),
-    ([[0.0], [1.0]], ["0", "1"], 2, "y_l must hold integers, got str"),
-    ([[0.0], [1.0]], [[0], [1]], 2, "y_l must have shape (2,), got (2, 1)"),
-    ([[0.0], [1.0]], [0, 1], 2.5, "C must be an integer, got 2.5"),
-    ([[0.0], [1.0]], [0, 1], "3", "C must be an integer, got '3'"),
-    ([[0.0], [np.nan]], [0, 1], 2, "X_l row 1: non-finite value"),
-    ([[0.0], [np.inf]], [0, 1], 2, "X_l row 1: non-finite value"),
+def _loss_grad(X, y, C, hp):
+    """logreg_loss_grad at train_logreg's zero start, for a two-column X."""
+    return logreg_loss_grad(np.zeros((2, C)), np.zeros(C), X, y, hp.weight_decay)
+
+
+@pytest.mark.parametrize("fit, X_l, y_l, C, message", [
+    (train_logreg, [[0.0], [1.0]], [0.9, 1.7], 2, "y_l must hold integers, got float"),
+    (train_logreg, [[0.0], [1.0]], [True, False], 2, "y_l must hold integers, got bool"),
+    (train_logreg, [[0.0], [1.0]], ["0", "1"], 2, "y_l must hold integers, got str"),
+    (train_logreg, [[0.0], [1.0]], [[0], [1]], 2, "y_l must have shape (2,), got (2, 1)"),
+    (train_logreg, [[0.0], [1.0]], [0, 1], 2.5, "C must be an integer, got 2.5"),
+    (train_logreg, [[0.0], [1.0]], [0, 1], "3", "C must be an integer, got '3'"),
+    (train_logreg, [[0.0], [np.nan]], [0, 1], 2, "X_l row 1: non-finite value"),
+    (train_logreg, [[0.0], [np.inf]], [0, 1], 2, "X_l row 1: non-finite value"),
+    (_loss_grad, [[np.nan, 0.0]], [0], 2, "X row 0: non-finite value"),
+    (_loss_grad, [[np.inf, 0.0]], [0], 2, "X row 0: non-finite value"),
+    (_loss_grad, [[1 + 1j, 0.0]], [0], 2, "X must hold real numbers, got complex"),
+    (_loss_grad, [["a", 0.0]], [0], 2, "X must hold real numbers, got str"),
+    # a float64 X is read as is, and named once its loss is NaN
+    (_loss_grad, np.array([[0.0, 1.0], [np.nan, 0.0]]), [0, 1], 2, "X row 1: non-finite value"),
 ], ids=["float-labels", "bool-labels", "string-labels", "2-d-labels", "float-C", "string-C",
-        "nan-X", "inf-X"])
-def test_malformed_inputs_are_named_errors(X_l, y_l, C, message):
-    # each once trained on truncated labels, failed inside NumPy or read as a diverged fit
+        "nan-X", "inf-X", "loss-grad-nan-X", "loss-grad-inf-X", "loss-grad-complex-X",
+        "loss-grad-string-X", "loss-grad-float64-nan-X"])
+def test_malformed_inputs_are_named_errors(fit, X_l, y_l, C, message):
+    # each once trained on truncated labels, failed inside NumPy or read as a diverged fit;
+    # logreg_loss_grad once returned a NaN loss for a NaN or infinity, and NumPy's TypeError
+    # or message for a complex or string entry
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        train_logreg(X_l, y_l, C, Hyperparams(epochs=3))
+        fit(X_l, y_l, C, Hyperparams(epochs=3))
 
 
 def test_default_hyperparameters():
